@@ -17,7 +17,9 @@ import time
 # (pytest puts this directory on sys.path via conftest.py).
 from _seed_evaluator import SeedPairEvaluator
 from _seed_blocking import SeedTokenBlocker, seed_token_index
+from _seed_compatible import seed_find_compatible_properties
 
+from repro.core.compatible import find_compatible_properties
 from repro.core.evaluation import PairEvaluator
 from repro.core.fitness import confusion_counts
 from repro.core.nodes import (
@@ -29,6 +31,7 @@ from repro.core.nodes import (
 from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
 from repro.datasets import DATASET_NAMES, load_dataset
+from repro.distances.dates import parse_date
 from repro.distances.levenshtein import levenshtein
 from repro.distances.jaro import jaro_winkler_similarity
 from repro.engine import EngineSession
@@ -275,27 +278,44 @@ def _distance_columns(rng: random.Random, count: int, kind: str):
 
 def test_batch_kernel_speedup():
     """`evaluate_column` must be at least 2x faster than the per-pair
-    `evaluate` loop on numeric and date columns (the ISSUE 2 bar; in
-    practice the parse memoisation plus the vectorized singleton path
-    lands far above it), while staying bit-identical."""
+    loop on numeric and date columns, while staying bit-identical to
+    the live `evaluate` loop. The date loop runs the frozen unmemoised
+    parser (``_seed_compatible.seed_date_distance``), so the gate
+    measures the kernel against per-pair parsing rather than against a
+    loop served by the same process memo."""
+    from _seed_compatible import seed_date_distance
+
     from repro.distances.registry import default_registry
 
     registry = default_registry()
     rng = random.Random(13)
+
+    def cold_best_of_3(fn):
+        # Every trial starts from a cold date memo, so the gate measures
+        # the kernel rather than parses an earlier trial left behind.
+        best = float("inf")
+        for _ in range(3):
+            parse_date.cache_clear()
+            start = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - start)
+        return result, best
+
     for kind in ("numeric", "date"):
         measure = registry.get(kind)
         columns_a, columns_b = _distance_columns(rng, 4000, kind)
+        pair_loop = seed_date_distance if kind == "date" else measure.evaluate
 
-        start = time.perf_counter()
-        loop = [
+        loop, loop_seconds = cold_best_of_3(lambda: [
+            pair_loop(a, b) for a, b in zip(columns_a, columns_b)
+        ])
+        batch, batch_seconds = cold_best_of_3(
+            lambda: measure.evaluate_column(columns_a, columns_b)
+        )
+
+        assert loop == [
             measure.evaluate(a, b) for a, b in zip(columns_a, columns_b)
         ]
-        loop_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        batch = measure.evaluate_column(columns_a, columns_b)
-        batch_seconds = time.perf_counter() - start
-
         assert batch.tolist() == loop  # bit-identical distances
         speedup = loop_seconds / batch_seconds
         print(
@@ -312,6 +332,47 @@ def test_batch_kernel_speedup():
             f"required 2x (loop {loop_seconds:.3f}s vs batch "
             f"{batch_seconds:.3f}s)"
         )
+
+
+def test_seeding_speedup():
+    """Algorithm 2 seeding over per-entity profiles must be at least 3x
+    faster than the frozen per-pair detectors
+    (``_seed_compatible.py``), which re-parse every value of one
+    property once per property of the other entity, and must rank the
+    same pairs. The live leg starts from a cold date memo."""
+    dataset = load_dataset("dbpedia_drugbank", seed=0, scale=0.06)
+    links = list(dataset.links.positive)
+
+    def run(find):
+        return find(
+            dataset.source_a, dataset.source_b, links,
+            max_links=20, rng=random.Random(3),
+        )
+
+    start = time.perf_counter()
+    seed_pairs = run(seed_find_compatible_properties)
+    seed_seconds = time.perf_counter() - start
+
+    parse_date.cache_clear()
+    start = time.perf_counter()
+    live_pairs = run(find_compatible_properties)
+    live_seconds = time.perf_counter() - start
+
+    assert live_pairs == seed_pairs
+    speedup = seed_seconds / live_seconds
+    print(
+        f"\nseeding (20 links): seed {seed_seconds * 1000:.1f} ms, "
+        f"profiles {live_seconds * 1000:.1f} ms, speedup {speedup:.1f}x"
+    )
+    if os.environ.get("CI"):
+        # Same policy as the other ratio benchmarks: shared runners
+        # make wall-clock ratios flaky; CI keeps the parity assertion
+        # and reports the ratio.
+        return
+    assert speedup >= 3.0, (
+        f"seeding speedup {speedup:.2f}x below the required 3x "
+        f"(seed {seed_seconds:.3f}s vs profiles {live_seconds:.3f}s)"
+    )
 
 
 def _string_columns(rng: random.Random, count: int, kind: str):

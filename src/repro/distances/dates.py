@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import re
 from typing import Sequence
 
@@ -28,11 +29,23 @@ _FORMATS = (
 )
 
 _YEAR_RE = re.compile(r"^\s*(\d{4})\s*$")
+# Every format needs %Y, which ``strptime`` matches as four ``\d``
+# (Unicode digits on str patterns), and so does the bare-year path.
+_FOUR_DIGITS_RE = re.compile(r"\d{4}")
 
 
+@functools.lru_cache(maxsize=8192)
 def parse_date(value: str) -> _dt.date | None:
-    """Parse a date string; bare years resolve to January 1st."""
+    """Parse a date string; bare years resolve to January 1st.
+
+    Memoised per process: seeding, fitness date columns and the date
+    grid index all parse the same values over and over. Text without
+    four consecutive digits returns ``None`` before the ``strptime``
+    loop, whose failures each raise an exception.
+    """
     text = value.strip()
+    if _FOUR_DIGITS_RE.search(text) is None:
+        return None
     year_match = _YEAR_RE.match(text)
     if year_match is not None:
         year = int(year_match.group(1))
@@ -80,8 +93,8 @@ class DateDistance(DistanceMeasure):
     def evaluate_column(
         self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
-        """Vectorized day differences over parsed date ordinals: each
-        distinct value set runs ``strptime`` once per batch instead of
-        once per pair, singleton rows reduce to one ``|a - b|`` numpy
-        expression."""
+        """Vectorized day differences over parsed date ordinals: values
+        parse through the process-wide ``parse_date`` memo (text without
+        four digits is rejected before any ``strptime``), and singleton
+        rows reduce to one ``|a - b|`` numpy expression."""
         return absdiff_column(columns_a, columns_b, _parse_ordinal)

@@ -1,12 +1,27 @@
 """Tests for the compatible property search (Algorithm 2)."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.compatible import CompatibleProperty, find_compatible_properties
-from repro.data.entity import Entity
-from repro.data.source import DataSource
+# The frozen per-pair seeding path lives with the benchmarks (it is the
+# "do not improve" reference the seeding speedup gate measures against).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from _seed_compatible import seed_find_compatible_properties  # noqa: E402
+
+from repro.core.compatible import (  # noqa: E402
+    CompatibleProperty,
+    find_compatible_properties,
+)
+from repro.data.entity import Entity  # noqa: E402
+from repro.data.source import DataSource  # noqa: E402
+from repro.datasets import DATASET_NAMES, load_dataset  # noqa: E402
+from repro.experiments.scale import SMOKE  # noqa: E402
 
 
 def _sources():
@@ -89,3 +104,58 @@ class TestFindCompatibleProperties:
         pairs = find_compatible_properties(source_a, source_b, links)
         # label/name holds on all three links and should rank first.
         assert pairs[0].source_property == "label"
+
+
+class TestFrozenParity:
+    """Per-entity profiles must rank exactly the pairs the frozen
+    per-pair detectors ranked (``benchmarks/_seed_compatible.py``)."""
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_datasets_match_frozen_seeding(self, name):
+        dataset = load_dataset(name, seed=0, scale=SMOKE.dataset_scale)
+        links = list(dataset.links.positive)
+        # A few links per dataset keep the frozen side fast; the sample
+        # is shuffled identically on both sides.
+        expected = seed_find_compatible_properties(
+            dataset.source_a, dataset.source_b, links,
+            max_links=4, rng=random.Random(5),
+        )
+        actual = find_compatible_properties(
+            dataset.source_a, dataset.source_b, links,
+            max_links=4, rng=random.Random(5),
+        )
+        assert actual == expected
+        assert actual  # every dataset seeds at least one pair
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_entities_match_frozen_seeding(self, data):
+        values = st.sampled_from([
+            "1994-05-20", "20.05.1994", "May 20, 1994", "1996", "2011/01/02",
+            "52.52,13.40", "POINT(13.41 52.53)", "48.1 11.5",
+            "3500000", "12.5", "13,1", "-7",
+            "berlin", "berlln", "Hamburg Altona", "http://x.org/resource/Salem",
+            "alpha gamma", "12345", "DB00001", "", "x",
+        ])
+        properties = st.dictionaries(
+            st.sampled_from(["p", "q", "r", "s"]),
+            st.lists(values, max_size=3),
+            max_size=4,
+        )
+        count = data.draw(st.integers(1, 4))
+        source_a = DataSource("A", [
+            Entity(f"a{i}", data.draw(properties)) for i in range(count)
+        ])
+        source_b = DataSource("B", [
+            Entity(f"b{i}", data.draw(properties)) for i in range(count)
+        ])
+        links = [(f"a{i}", f"b{data.draw(st.integers(0, count - 1))}")
+                 for i in range(count)]
+        min_support = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        expected = seed_find_compatible_properties(
+            source_a, source_b, links, min_support=min_support
+        )
+        actual = find_compatible_properties(
+            source_a, source_b, links, min_support=min_support
+        )
+        assert actual == expected

@@ -1,9 +1,25 @@
 """Tests for the date distance."""
 
 import datetime
+import sys
+from pathlib import Path
 
-from repro.distances.base import INFINITE_DISTANCE
-from repro.distances.dates import DateDistance, parse_date
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+# The frozen unmemoised parser lives with the benchmarks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from _seed_compatible import seed_parse_date  # noqa: E402
+
+from repro.distances.base import INFINITE_DISTANCE  # noqa: E402
+from repro.distances.dates import DateDistance, parse_date  # noqa: E402
+
+_FORMATS = (
+    "%Y-%m-%d", "%Y/%m/%d", "%d.%m.%Y", "%d/%m/%Y", "%m/%d/%Y",
+    "%B %d, %Y", "%d %B %Y", "%b %d, %Y",
+)
 
 
 class TestParseDate:
@@ -30,6 +46,56 @@ class TestParseDate:
 
     def test_year_zero_rejected(self):
         assert parse_date("0000") is None
+
+
+class TestFrozenParity:
+    """The memo and the four-digit prefilter must return exactly what
+    the frozen eight-format parser returns, on first and repeated
+    calls."""
+
+    @pytest.mark.parametrize("text", [
+        "\u0661\u0669\u0669\u0664",  # Arabic-Indic "1994"
+        "\u0661\u0669\u0669\u0664-05-20",
+        "1994-02-30",
+        "0000",
+        " May 20, 1994 ",
+        "12345",
+        "DB00001",
+        "",
+        "   ",
+        "19 94",
+    ])
+    def test_targeted_inputs(self, text):
+        expected = seed_parse_date(text)
+        assert parse_date(text) == expected
+        assert parse_date(text) == expected  # memo hit
+
+    def test_unicode_digit_year_parses(self):
+        assert parse_date("\u0661\u0669\u0669\u0664") == datetime.date(1994, 1, 1)
+
+    def test_repeated_calls_hit_the_memo(self):
+        parse_date.cache_clear()
+        parse_date("1994-05-20")
+        parse_date("1994-05-20")
+        info = parse_date.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize == 8192
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=20),
+        st.text(alphabet="0123456789-/., \u0661\u0669", max_size=14),
+        st.builds(
+            lambda date, fmt, pad: pad + date.strftime(fmt) + pad,
+            st.dates(min_value=datetime.date(1000, 1, 1)),
+            st.sampled_from(_FORMATS),
+            st.sampled_from(["", " ", "\t"]),
+        ),
+    ))
+    def test_matches_frozen_parser(self, text):
+        expected = seed_parse_date(text)
+        assert parse_date(text) == expected
+        assert parse_date(text) == expected  # memo hit
 
 
 class TestDateDistance:

@@ -689,4 +689,3 @@ class TestWarmRerun:
         assert stats.columns is not None and stats.columns.capacity > 0
         assert stats.scores is not None and stats.scores.misses > 0
         assert stats.store is not None and stats.store.writes > 0
-        assert stats.value_stats is stats.values  # compat alias
