@@ -473,6 +473,78 @@ def test_string_kernel_speedup():
         )
 
 
+def _multivalued_columns(rng: random.Random, count: int):
+    """Cora-shaped multi-valued columns: author lists of 2-5 names per
+    side (one tuple object per entity, fanned out over many pairs),
+    with typo'd name variants so the levenshtein band and the jaro
+    windows see near matches."""
+    alphabet = "abcdefghijklmnop"
+    surnames = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(5, 10)))
+        for _ in range(150)
+    ]
+
+    def author() -> str:
+        name = f"{rng.choice(alphabet)}. {rng.choice(surnames)}"
+        if rng.random() < 0.3:
+            pos = rng.randrange(len(name))
+            name = name[:pos] + rng.choice(alphabet) + name[pos + 1 :]
+        return name
+
+    unique = [
+        tuple(author() for _ in range(rng.randint(2, 5))) for _ in range(300)
+    ]
+    columns_a = [unique[rng.randrange(len(unique))] for _ in range(count)]
+    columns_b = [unique[rng.randrange(len(unique))] for _ in range(count)]
+    return columns_a, columns_b
+
+
+def test_multivalued_kernel_speedup():
+    """Multi-valued rows run through the same vectorized kernels as
+    singletons (``pairwise_min_column`` expands each distinct
+    combination into its value pairs): on cora-shaped author lists the
+    levenshtein and jaroWinkler columns must be bit-identical to the
+    scalar ``evaluate`` loop and at least 2x faster than it."""
+    from repro.distances.registry import default_registry
+
+    registry = default_registry()
+    rng = random.Random(31)
+
+    def best_of_3(fn):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - start)
+        return result, best
+
+    for name in ("levenshtein", "jaroWinkler"):
+        measure = registry.get(name)
+        columns_a, columns_b = _multivalued_columns(rng, 2000)
+        loop, loop_seconds = best_of_3(lambda: [
+            measure.evaluate(a, b) for a, b in zip(columns_a, columns_b)
+        ])
+        batch, batch_seconds = best_of_3(
+            lambda: measure.evaluate_column(columns_a, columns_b)
+        )
+        assert batch.tolist() == loop  # bit-identical distances
+        speedup = loop_seconds / batch_seconds
+        print(
+            f"\n{name} multi-valued column: loop {loop_seconds * 1000:.1f} ms, "
+            f"batch {batch_seconds * 1000:.1f} ms, speedup {speedup:.1f}x"
+        )
+        if os.environ.get("CI"):
+            # Same policy as the other ratio gates: shared runners make
+            # wall-clock ratios flaky; CI keeps the bit-identity
+            # assertion and reports the ratio.
+            continue
+        assert speedup >= 2.0, (
+            f"{name} multi-valued column speedup {speedup:.2f}x below the "
+            f"required 2x (loop {loop_seconds:.3f}s vs batch "
+            f"{batch_seconds:.3f}s)"
+        )
+
+
 def test_population_fitness_multiworker():
     """Measured (not asserted) multi-worker speedup on population
     fitness evaluation: thread workers must stay bit-identical to

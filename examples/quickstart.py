@@ -43,13 +43,11 @@ candidate count changes::
     REPRO_ENGINE_BLOCKER=multiblock python examples/quickstart.py
     repro-experiments --blocker multiblock learn restaurant --execute
 
-String measures route through vectorized batch kernels; pick the
-backend with ``REPRO_ENGINE_STRING_BACKEND`` (``numpy`` default,
-``rapidfuzz`` if installed, ``python`` for the scalar oracle) — links
-are bit-identical under every backend, only wall-clock changes. This
-script reports the per-measure batch/fallback routing on stderr::
-
-    REPRO_ENGINE_STRING_BACKEND=python python examples/quickstart.py
+Every built-in measure but softJaccard and mongeElkan scores whole
+columns through a vectorized batch kernel, multi-valued properties
+included; links are bit-identical to the per-pair scalar measures.
+This script reports the per-measure batch/fallback routing on stderr
+(``[engine kernels] levenshtein:batch=...,fallback=0``).
 """
 
 from __future__ import annotations
@@ -136,8 +134,8 @@ def main() -> None:
         )
     if match_stats is not None and match_stats.kernel_routing:
         # Per-measure kernel routing on stderr (stdout must stay
-        # byte-identical across backends and cache states): a measure
-        # silently falling back to the per-pair loop shows up here.
+        # byte-identical across cache states): a measure without a
+        # batch kernel shows up here as per-pair fallback pairs.
         routed = " ".join(
             f"{name}:batch={batch},fallback={fallback}"
             for name, batch, fallback in match_stats.kernel_routing

@@ -50,11 +50,7 @@ from repro.distances.registry import (
     get_measure,
     measure_names,
 )
-from repro.distances.strings import (
-    BACKEND_ENV,
-    StringKernelMemo,
-    string_backend,
-)
+from repro.distances.strings import StringKernelMemo
 
 __all__ = [
     "DistanceMeasure",
@@ -86,7 +82,5 @@ __all__ = [
     "default_registry",
     "get_measure",
     "measure_names",
-    "BACKEND_ENV",
     "StringKernelMemo",
-    "string_backend",
 ]

@@ -8,16 +8,19 @@ then yields similarity 0 because the distance exceeds every threshold.
 Measures additionally expose a **batch API**: :meth:`evaluate_column`
 takes two aligned columns of value sets (one entry per candidate pair)
 and returns a float64 distance vector. Batch-capable measures override
-it with vectorized kernels; everything else inherits a generic fallback
-that deduplicates per distinct value-set combination before calling the
-scalar :meth:`evaluate`. The contract is strict: for every row the
-batch result must be *bit-identical* to the scalar path, with empty
-value sets on either side yielding ``INFINITE_DISTANCE``.
+it with vectorized kernels — every measure that lifts a pair distance
+through :func:`min_over_pairs` does so with a pair kernel under the one
+column driver :func:`pairwise_min_column`; everything else inherits a
+generic fallback that deduplicates per distinct value-set combination
+before calling the scalar :meth:`evaluate`. The contract is strict: for
+every row the batch result must be *bit-identical* to the scalar path,
+with empty value sets on either side yielding ``INFINITE_DISTANCE``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,10 +29,14 @@ import numpy as np
 #: arithmetic on it stays well-behaved (no NaNs in score vectors).
 INFINITE_DISTANCE = 1.0e12
 
+#: Value pairs a set comparison looks at: the first ``MAX_PAIRS`` pairs
+#: of the cross product, row-major (the Silk convention's work bound).
+MAX_PAIRS = 256
+
 #: A column of value sets, one entry per candidate pair. Entries are the
 #: transformed value tuples the engine materialises per unique entity,
 #: so the same tuple object typically recurs across many rows.
-ValueColumn = Sequence[Sequence[str]]
+ValueColumn = Sequence[tuple[str, ...]]
 
 
 class DistanceMeasure(ABC):
@@ -116,11 +123,9 @@ def fallback_column(
     contents). ``evaluate`` must be pure, which every distance measure
     is by contract.
     """
-    if len(columns_a) != len(columns_b):
-        raise ValueError(
-            f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
-        )
-    out = np.full(len(columns_a), INFINITE_DISTANCE, dtype=np.float64)
+    out = np.full(
+        aligned_length(columns_a, columns_b), INFINITE_DISTANCE, dtype=np.float64
+    )
     memo: dict[tuple[int, int], float] = {}
     for i, (values_a, values_b) in enumerate(zip(columns_a, columns_b)):
         if not values_a or not values_b:
@@ -134,128 +139,11 @@ def fallback_column(
     return out
 
 
-def parse_cached(
-    cache: dict, values: Sequence[str], parser: Callable[[str], object]
-) -> tuple:
-    """Parse a value set through a per-column cache.
-
-    Value tuples repeat across rows (one per unique entity), so each
-    distinct set is parsed exactly once per batch call. Unparseable
-    values stay as ``None`` — they still occupy a slot so the budgeted
-    min-over-pairs loop visits them exactly like the scalar path does.
-    """
-    key = id(values)
-    parsed = cache.get(key)
-    if parsed is None:
-        # The tuple is kept alive in the cache value so the id key
-        # cannot be recycled for the duration of the batch call.
-        parsed = (values, tuple(parser(v) for v in values))
-        cache[key] = parsed
-    return parsed[1]
-
-
-def absdiff_column(
-    columns_a: ValueColumn,
-    columns_b: ValueColumn,
-    parser: Callable[[str], float | None],
-) -> np.ndarray:
-    """Batch kernel for measures whose pair distance is ``abs(a - b)``
-    over parsed scalars (numeric values, date ordinals).
-
-    Parsing is memoised per distinct value set. Rows where both sides
-    are parseable singletons — the overwhelmingly common case — are
-    computed as one vectorized ``|a - b|`` numpy expression; rows with
-    multi-valued or unparseable entries replay the scalar measure's
-    budgeted min-over-pairs loop on the pre-parsed scalars, so every
-    row is bit-identical to the per-pair path.
-    """
-    if len(columns_a) != len(columns_b):
-        raise ValueError(
-            f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
-        )
-    n = len(columns_a)
-    out = np.full(n, INFINITE_DISTANCE, dtype=np.float64)
-    # Scalar-or-None per value set, memoised by tuple identity (the
-    # engine hands out one tuple object per unique entity). A scalar
-    # means "parseable singleton" — the vectorized fast path; None
-    # means the row needs the budgeted min-over-pairs loop or is a
-    # failed singleton parse (NaN below maps those to the sentinel,
-    # matching the scalar result).
-    nan = float("nan")
-    scalars: dict[int, float | None] = {}
-    parsed_sets: dict = {}
-    fast_a: list[float] = [nan] * n
-    fast_b: list[float] = [nan] * n
-    slow_rows: list[int] = []
-    scalars_get = scalars.get
-    for i, (values_a, values_b) in enumerate(zip(columns_a, columns_b)):
-        if not values_a or not values_b:
-            continue
-        scalar_a = scalars_get(id(values_a), _UNSEEN)
-        if scalar_a is _UNSEEN:
-            scalar_a = _intern_scalar(values_a, parser, scalars, parsed_sets)
-        scalar_b = scalars_get(id(values_b), _UNSEEN)
-        if scalar_b is _UNSEEN:
-            scalar_b = _intern_scalar(values_b, parser, scalars, parsed_sets)
-        if scalar_a is not None and scalar_b is not None:
-            fast_a[i] = scalar_a
-            fast_b[i] = scalar_b
-        elif len(values_a) > 1 or len(values_b) > 1:
-            slow_rows.append(i)
-    difference = np.abs(
-        np.asarray(fast_a, dtype=np.float64) - np.asarray(fast_b, dtype=np.float64)
-    )
-    # min_over_pairs never returns more than the INFINITE_DISTANCE
-    # sentinel it starts from (a candidate must be strictly smaller to
-    # be taken), so the vectorized path clamps to stay bit-identical on
-    # huge differences (13-digit values, overflow-to-inf parses).
-    difference = np.minimum(difference, INFINITE_DISTANCE)
-    valid = ~np.isnan(difference)
-    out[valid] = difference[valid]
-    for i in slow_rows:
-        out[i] = min_over_pairs(
-            parse_cached(parsed_sets, columns_a[i], parser),
-            parse_cached(parsed_sets, columns_b[i], parser),
-            _absdiff_pair,
-        )
-    return out
-
-
-#: Sentinel distinguishing "not interned yet" from an interned None.
-_UNSEEN = object()
-
-
-def _intern_scalar(
-    values: Sequence[str],
-    parser: Callable[[str], float | None],
-    scalars: dict,
-    parsed_sets: dict,
-) -> float | None:
-    """Intern a value set for :func:`absdiff_column`: its parsed scalar
-    when it is a parseable singleton, else None (multi-valued sets also
-    pre-parse into ``parsed_sets`` for the slow path)."""
-    scalar: float | None = None
-    if len(values) == 1:
-        scalar = parser(values[0])
-    else:
-        parse_cached(parsed_sets, values, parser)
-    # id keys are stable here: the interned tuples are kept alive by
-    # the caller's column lists for the whole batch call.
-    scalars[id(values)] = scalar
-    return scalar
-
-
-def _absdiff_pair(a: float | None, b: float | None) -> float:
-    if a is None or b is None:
-        return INFINITE_DISTANCE
-    return abs(a - b)
-
-
 def min_over_pairs(
     values_a: Sequence[str],
     values_b: Sequence[str],
     pair_distance: Callable[[str, str], float],
-    max_pairs: int = 256,
+    max_pairs: int = MAX_PAIRS,
 ) -> float:
     """Lift a pairwise distance to value sets via the minimum.
 
@@ -279,3 +167,104 @@ def min_over_pairs(
             if budget <= 0:
                 return best
     return best
+
+
+def pairwise_min_column(
+    columns_a: ValueColumn,
+    columns_b: ValueColumn,
+    pair_kernel: Callable[[list[str], np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Batch :func:`min_over_pairs`: the column driver of every measure
+    that lifts a pair distance to value sets.
+
+    Rows with values on both sides dedupe through :func:`distinct_rows`.
+    Each distinct combination expands into its first :data:`MAX_PAIRS`
+    value pairs in ``min_over_pairs`` order, and ``pair_kernel(strings,
+    index_a, index_b)`` runs once over the distinct pairs: ``strings``
+    holds the distinct values, entry ``k`` of the index arrays names the
+    pair ``(strings[index_a[k]], strings[index_b[k]])``, and the kernel
+    returns one float64 distance per entry. Each row then reduces with
+    ``np.fmin.reduceat`` capped at ``INFINITE_DISTANCE``, which skips
+    NaN and clamps larger values exactly as the scalar ``d < best``
+    loop does. Columns of singletons skip the expansion.
+    """
+    out = np.full(aligned_length(columns_a, columns_b), INFINITE_DISTANCE)
+    rows, tuples, slot_a, slot_b = distinct_rows(columns_a, columns_b)
+    if not tuples:
+        return out
+    values = list(chain.from_iterable(tuples))
+    if len(values) == len(tuples):
+        # Singletons only: distinct tuples hold distinct strings, slots
+        # index them directly, and each row is its only pair.
+        distances = _distinct_pair_kernel(pair_kernel, values, slot_a, slot_b)
+        out[rows] = np.fmin(distances, INFINITE_DISTANCE)
+        return out
+    strings = list(dict.fromkeys(values))
+    code_of = dict(zip(strings, range(len(strings))))
+    codes = np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+    sizes = np.fromiter(map(len, tuples), np.intp, len(tuples))
+    # Flat position of each tuple's first value.
+    firsts = np.cumsum(sizes) - sizes
+    combos, row_combo = np.unique(
+        slot_a * len(tuples) + slot_b, return_inverse=True
+    )
+    combo_a, combo_b = np.divmod(combos, len(tuples))
+    widths = sizes[combo_b]
+    pair_counts = np.minimum(sizes[combo_a] * widths, MAX_PAIRS)
+    starts = np.cumsum(pair_counts) - pair_counts
+    # Pair k of a combination is (a_{k // width}, b_{k % width}): the
+    # row-major walk of min_over_pairs, cut at its budget.
+    step = np.arange(int(pair_counts.sum())) - np.repeat(starts, pair_counts)
+    index_a, index_b = np.divmod(step, np.repeat(widths, pair_counts))
+    index_a += np.repeat(firsts[combo_a], pair_counts)
+    index_b += np.repeat(firsts[combo_b], pair_counts)
+    distances = _distinct_pair_kernel(
+        pair_kernel, strings, codes[index_a], codes[index_b]
+    )
+    best = np.fmin(np.fmin.reduceat(distances, starts), INFINITE_DISTANCE)
+    out[rows] = best[row_combo]
+    return out
+
+
+def distinct_rows(
+    columns_a: ValueColumn, columns_b: ValueColumn
+) -> tuple[slice | list[int], list[tuple[str, ...]], np.ndarray, np.ndarray]:
+    """The rows of two aligned columns that have values on both sides,
+    deduped through one table of distinct value tuples shared by both
+    sides (the engine hands out one tuple per unique entity, and dedup
+    datasets put the same tuple on both sides). Tuples key the table by
+    value, so identical tuples and equal ones share a slot.
+
+    Returns ``(rows, tuples, slot_a, slot_b)``: the kept rows (a slice
+    when every row qualifies), the distinct tuples, and each kept row's
+    tuple index per side.
+    """
+    rows: slice | list[int] = slice(None)
+    both = [*columns_a, *columns_b]
+    if not all(both):
+        rows = [
+            i for i, a, b in zip(range(len(columns_a)), columns_a, columns_b) if a and b
+        ]
+        both = [*map(columns_a.__getitem__, rows), *map(columns_b.__getitem__, rows)]
+    tuples = list(dict.fromkeys(both))
+    slot_of = dict(zip(tuples, range(len(tuples))))
+    slots = np.fromiter(map(slot_of.__getitem__, both), np.intp, len(both))
+    half = len(both) // 2
+    return rows, tuples, slots[:half], slots[half:]
+
+
+def _distinct_pair_kernel(pair_kernel, strings, index_a, index_b) -> np.ndarray:
+    """Run ``pair_kernel`` once per distinct ``(index_a, index_b)``
+    pair and fan the distances back out to every entry."""
+    pairs, inverse = np.unique(index_a * len(strings) + index_b, return_inverse=True)
+    distinct_a, distinct_b = np.divmod(pairs, len(strings))
+    return pair_kernel(strings, distinct_a, distinct_b)[inverse]
+
+
+def aligned_length(columns_a: ValueColumn, columns_b: ValueColumn) -> int:
+    """The shared length of two aligned value columns."""
+    if len(columns_a) != len(columns_b):
+        raise ValueError(
+            f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
+        )
+    return len(columns_a)

@@ -13,9 +13,10 @@ from repro.distances.base import (
     DistanceMeasure,
     INFINITE_DISTANCE,
     ValueColumn,
-    absdiff_column,
     min_over_pairs,
+    pairwise_min_column,
 )
+from repro.distances.numeric import absdiff_kernel
 
 _FORMATS = (
     "%Y-%m-%d",
@@ -95,6 +96,7 @@ class DateDistance(DistanceMeasure):
     ) -> np.ndarray:
         """Vectorized day differences over parsed date ordinals: values
         parse through the process-wide ``parse_date`` memo (text without
-        four digits is rejected before any ``strptime``), and singleton
-        rows reduce to one ``|a - b|`` numpy expression."""
-        return absdiff_column(columns_a, columns_b, _parse_ordinal)
+        four digits is rejected before any ``strptime``)."""
+        return pairwise_min_column(
+            columns_a, columns_b, absdiff_kernel(_parse_ordinal)
+        )

@@ -11,20 +11,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distances.base import (
-    DistanceMeasure,
-    INFINITE_DISTANCE,
-    ValueColumn,
-    fallback_column,
-)
+from repro.distances.base import INFINITE_DISTANCE
+from repro.distances.jaccard import SetAlgebraDistance
 
 
-class EqualityDistance(DistanceMeasure):
+class EqualityDistance(SetAlgebraDistance):
     """0.0 when the value sets intersect, 1.0 otherwise."""
 
     name = "equality"
     threshold_range = (0.0, 0.9)
-    batch_capable = True
 
     def evaluate(self, values_a: Sequence[str], values_b: Sequence[str]) -> float:
         if not values_a or not values_b:
@@ -34,39 +29,7 @@ class EqualityDistance(DistanceMeasure):
             return 0.0
         return 1.0
 
-    def evaluate_column(
-        self, columns_a: ValueColumn, columns_b: ValueColumn
+    def _finish(
+        self, intersections: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
     ) -> np.ndarray:
-        """Batch equality: singleton rows are interned to integer codes
-        and compared as one vectorized ``==``; multi-valued rows take
-        the deduplicated set-intersection fallback
-        (:func:`repro.distances.base.fallback_column`)."""
-        if len(columns_a) != len(columns_b):
-            raise ValueError(
-                f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
-            )
-        n = len(columns_a)
-        out = np.full(n, INFINITE_DISTANCE, dtype=np.float64)
-        codes: dict[str, int] = {}
-        # -1 marks rows outside the singleton fast path; distinct codes
-        # on the two sides can never compare equal by construction.
-        codes_a = np.full(n, -1, dtype=np.int64)
-        codes_b = np.full(n, -2, dtype=np.int64)
-        slow_rows: list[int] = []
-        for i, (values_a, values_b) in enumerate(zip(columns_a, columns_b)):
-            if not values_a or not values_b:
-                continue
-            if len(values_a) == 1 and len(values_b) == 1:
-                codes_a[i] = codes.setdefault(values_a[0], len(codes))
-                codes_b[i] = codes.setdefault(values_b[0], len(codes))
-            else:
-                slow_rows.append(i)
-        fast = codes_a >= 0
-        out[fast] = np.where(codes_a[fast] == codes_b[fast], 0.0, 1.0)
-        if slow_rows:
-            out[slow_rows] = fallback_column(
-                self.evaluate,
-                [columns_a[i] for i in slow_rows],
-                [columns_b[i] for i in slow_rows],
-            )
-        return out
+        return np.where(intersections > 0, 0.0, 1.0)

@@ -23,9 +23,8 @@ from repro.distances.base import (
     DistanceMeasure,
     INFINITE_DISTANCE,
     ValueColumn,
-    fallback_column,
     min_over_pairs,
-    parse_cached,
+    pairwise_min_column,
 )
 
 EARTH_RADIUS_METRES = 6_371_000.0
@@ -97,23 +96,22 @@ class GeographicDistance(DistanceMeasure):
     def evaluate_column(
         self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
-        """Batch haversine over memoised coordinate parsing.
-
-        Each distinct value set is regex-parsed once per batch, and
-        :func:`repro.distances.base.fallback_column` memoises the
-        min-over-pairs haversine per distinct set combination. The
+        """Batch haversine: each distinct value is regex-parsed once per
+        column and each distinct value pair measured once. The
         trigonometry stays on scalar ``math`` functions: numpy's SIMD
         ``sin``/``cos`` loops may differ from libm in the last ulp, and
         the engine guarantees bit-identical scores between the batch
-        and per-pair paths.
-        """
-        cache: dict = {}
+        and per-pair paths."""
+        return pairwise_min_column(columns_a, columns_b, _haversine_kernel)
 
-        def evaluate_parsed(values_a, values_b):
-            return min_over_pairs(
-                parse_cached(cache, values_a, parse_point),
-                parse_cached(cache, values_b, parse_point),
-                _parsed_pair_distance,
-            )
 
-        return fallback_column(evaluate_parsed, columns_a, columns_b)
+def _haversine_kernel(strings, index_a, index_b) -> np.ndarray:
+    points = list(map(parse_point, strings))
+    return np.fromiter(
+        (
+            _parsed_pair_distance(points[a], points[b])
+            for a, b in zip(index_a.tolist(), index_b.tolist())
+        ),
+        np.float64,
+        len(index_a),
+    )

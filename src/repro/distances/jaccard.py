@@ -15,18 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.distances.base import (
-    DistanceMeasure,
-    INFINITE_DISTANCE,
-    ValueColumn,
-    fallback_column,
-)
-from repro.distances.strings import (
-    StringKernelMemo,
-    count_nonempty,
-    set_algebra_column,
-    string_backend,
-)
+from repro.distances.base import DistanceMeasure, INFINITE_DISTANCE, ValueColumn
+from repro.distances.strings import StringKernelMemo, set_algebra_column
 
 
 def jaccard_distance(values_a: Iterable[str], values_b: Iterable[str]) -> float:
@@ -40,16 +30,20 @@ def jaccard_distance(values_a: Iterable[str], values_b: Iterable[str]) -> float:
     return 1.0 - intersection / union
 
 
-class JaccardDistance(DistanceMeasure):
-    """Jaccard set distance in [0, 1]."""
+class SetAlgebraDistance(DistanceMeasure):
+    """Shared batch column for measures over the value sets themselves
+    (jaccard, dice, overlap, equality): set sizes and intersections come
+    from :func:`repro.distances.strings.set_algebra_column`, and the
+    subclass supplies the scalar measure plus its vectorized arithmetic
+    in :meth:`_finish` (same operation order for bit-parity)."""
 
-    name = "jaccard"
-    threshold_range = (0.1, 1.0)
     batch_capable = True
     memo_capable = True
 
-    def evaluate(self, values_a: Sequence[str], values_b: Sequence[str]) -> float:
-        return jaccard_distance(values_a, values_b)
+    def _finish(
+        self, intersections: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
+    ) -> np.ndarray:
+        raise NotImplementedError
 
     def evaluate_column(
         self,
@@ -57,21 +51,21 @@ class JaccardDistance(DistanceMeasure):
         columns_b: ValueColumn,
         memo: StringKernelMemo | None = None,
     ) -> np.ndarray:
-        backend = string_backend()
-        if backend == "python":
-            if memo is not None:
-                memo.record_routing(
-                    self.name, fallback=count_nonempty(columns_a, columns_b)
-                )
-            return fallback_column(self.evaluate, columns_a, columns_b)
-        return set_algebra_column(
-            columns_a, columns_b, _jaccard_finish, memo=memo, name=self.name
-        )
+        return set_algebra_column(columns_a, columns_b, self._finish, memo=memo)
 
 
-def _jaccard_finish(
-    intersections: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
-) -> np.ndarray:
-    # Scalar expression order: 1.0 - (intersection / union), int / int.
-    unions = sizes_a + sizes_b - intersections
-    return 1.0 - intersections / unions
+class JaccardDistance(SetAlgebraDistance):
+    """Jaccard set distance in [0, 1]."""
+
+    name = "jaccard"
+    threshold_range = (0.1, 1.0)
+
+    def evaluate(self, values_a: Sequence[str], values_b: Sequence[str]) -> float:
+        return jaccard_distance(values_a, values_b)
+
+    def _finish(
+        self, intersections: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
+    ) -> np.ndarray:
+        # Scalar expression order: 1.0 - (intersection / union), int / int.
+        unions = sizes_a + sizes_b - intersections
+        return 1.0 - intersections / unions

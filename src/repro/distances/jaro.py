@@ -14,18 +14,11 @@ import numpy as np
 
 from repro.distances.base import (
     DistanceMeasure,
-    INFINITE_DISTANCE,
     ValueColumn,
-    fallback_column,
     min_over_pairs,
+    pairwise_min_column,
 )
-from repro.distances.strings import (
-    StringKernelMemo,
-    batch_pair_column,
-    count_nonempty,
-    jaro_pairs,
-    string_backend,
-)
+from repro.distances.strings import StringKernelMemo, jaro_pairs
 
 
 def jaro_similarity(a: str, b: str) -> float:
@@ -100,27 +93,14 @@ class JaroDistance(DistanceMeasure):
         columns_b: ValueColumn,
         memo: StringKernelMemo | None = None,
     ) -> np.ndarray:
-        # The rapidfuzz backend covers only the integer-valued
-        # levenshtein family; Jaro similarities are floats whose bit
-        # pattern depends on expression order, so they always use the
-        # numpy kernel (which mirrors the scalar order exactly).
-        backend = string_backend()
-        if backend == "python":
-            if memo is not None:
-                memo.record_routing(
-                    self.name, fallback=count_nonempty(columns_a, columns_b)
-                )
-            return fallback_column(self.evaluate, columns_a, columns_b)
         prefix_scale = self._prefix_scale
 
-        def kernel(strings_a, strings_b):
+        def kernel(strings, index_a, index_b):
             return 1.0 - jaro_pairs(
-                strings_a, strings_b, memo=memo, prefix_scale=prefix_scale
+                strings, index_a, index_b, memo=memo, prefix_scale=prefix_scale
             )
 
-        return batch_pair_column(
-            columns_a, columns_b, kernel, self.evaluate, memo=memo, name=self.name
-        )
+        return pairwise_min_column(columns_a, columns_b, kernel)
 
 
 class JaroWinklerDistance(JaroDistance):

@@ -6,11 +6,11 @@ soon as every cell in a row exceeds the bound. This turns the usual
 O(n*m) cost into O(n*bound), which is what makes pure-Python GP fitness
 evaluation feasible at paper scale.
 
-Both measures also expose vectorized batch kernels
-(:mod:`repro.distances.strings`): the numpy backend runs the clamped DP
-as row sweeps across the whole pair column at once, and the optional
-``rapidfuzz`` backend maps the clamp contract onto ``score_cutoff``.
-The scalar functions here stay the bit-identical parity oracle.
+Both measures also expose vectorized batch columns: the clamped DP of
+:func:`repro.distances.strings.levenshtein_pairs` runs as numpy row
+sweeps across every distinct value pair of a column at once, under the
+min-over-pairs column driver. The scalar functions here stay the
+bit-identical parity oracle.
 """
 
 from __future__ import annotations
@@ -23,17 +23,10 @@ from repro.distances.base import (
     DistanceMeasure,
     INFINITE_DISTANCE,
     ValueColumn,
-    fallback_column,
     min_over_pairs,
+    pairwise_min_column,
 )
-from repro.distances.strings import (
-    StringKernelMemo,
-    batch_pair_column,
-    count_nonempty,
-    levenshtein_pairs,
-    rapidfuzz_levenshtein_pairs,
-    string_backend,
-)
+from repro.distances.strings import StringKernelMemo, levenshtein_pairs
 
 
 def levenshtein(a: str, b: str, bound: int | None = None) -> float:
@@ -43,8 +36,7 @@ def levenshtein(a: str, b: str, bound: int | None = None) -> float:
     ``min(distance, bound + 1)``: every out-of-range pair reports
     ``bound + 1``, regardless of which shortcut detected it. The callers
     only need "out of range", but pinning the clamped value is what lets
-    every batch backend (numpy row-DP, rapidfuzz ``score_cutoff``)
-    produce bit-identical columns.
+    the batch row-DP produce bit-identical columns.
     """
     if a == b:
         return 0.0
@@ -128,23 +120,12 @@ class LevenshteinDistance(DistanceMeasure):
         columns_b: ValueColumn,
         memo: StringKernelMemo | None = None,
     ) -> np.ndarray:
-        backend = string_backend()
-        if backend == "python":
-            if memo is not None:
-                memo.record_routing(
-                    self.name, fallback=count_nonempty(columns_a, columns_b)
-                )
-            return fallback_column(self.evaluate, columns_a, columns_b)
         bound = self._max_bound
-        if backend == "rapidfuzz":
-            def kernel(strings_a, strings_b):
-                return rapidfuzz_levenshtein_pairs(strings_a, strings_b, bound)
-        else:
-            def kernel(strings_a, strings_b):
-                return levenshtein_pairs(strings_a, strings_b, bound, memo=memo)
-        return batch_pair_column(
-            columns_a, columns_b, kernel, self.evaluate, memo=memo, name=self.name
-        )
+
+        def kernel(strings, index_a, index_b):
+            return levenshtein_pairs(strings, index_a, index_b, bound, memo=memo)
+
+        return pairwise_min_column(columns_a, columns_b, kernel)
 
 
 class NormalizedLevenshteinDistance(DistanceMeasure):
@@ -166,31 +147,17 @@ class NormalizedLevenshteinDistance(DistanceMeasure):
         columns_b: ValueColumn,
         memo: StringKernelMemo | None = None,
     ) -> np.ndarray:
-        backend = string_backend()
-        if backend == "python":
-            if memo is not None:
-                memo.record_routing(
-                    self.name, fallback=count_nonempty(columns_a, columns_b)
-                )
-            return fallback_column(self.evaluate, columns_a, columns_b)
-
-        def kernel(strings_a, strings_b):
-            if backend == "rapidfuzz":
-                distances = rapidfuzz_levenshtein_pairs(strings_a, strings_b)
-            else:
-                distances = levenshtein_pairs(strings_a, strings_b, memo=memo)
-            count = len(strings_a)
-            longest = np.maximum(
-                np.fromiter(map(len, strings_a), np.int64, count),
-                np.fromiter(map(len, strings_b), np.int64, count),
-            ).astype(np.float64)
-            out = np.zeros(count, dtype=np.float64)
+        def kernel(strings, index_a, index_b):
+            distances = levenshtein_pairs(strings, index_a, index_b, memo=memo)
+            lengths = np.fromiter(map(len, strings), np.int64, len(strings))
+            longest = np.maximum(lengths[index_a], lengths[index_b]).astype(
+                np.float64
+            )
+            out = np.zeros(len(index_a), dtype=np.float64)
             positive = longest > 0.0
             # float / float division in the scalar expression order; the
             # longest == 0 rows stay 0.0 exactly like the scalar guard.
             out[positive] = distances[positive] / longest[positive]
             return out
 
-        return batch_pair_column(
-            columns_a, columns_b, kernel, self.evaluate, memo=memo, name=self.name
-        )
+        return pairwise_min_column(columns_a, columns_b, kernel)

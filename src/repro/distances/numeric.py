@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -11,8 +11,8 @@ from repro.distances.base import (
     DistanceMeasure,
     INFINITE_DISTANCE,
     ValueColumn,
-    absdiff_column,
     min_over_pairs,
+    pairwise_min_column,
 )
 
 _NUMBER_RE = re.compile(r"[-+]?\d+(?:[.,]\d+)?(?:[eE][-+]?\d+)?")
@@ -55,8 +55,23 @@ class NumericDistance(DistanceMeasure):
     def evaluate_column(
         self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
-        """Vectorized ``|a - b|`` over parsed numbers (see
-        :func:`repro.distances.base.absdiff_column`): each distinct
-        value set is regex-parsed once per batch instead of once per
-        pair, and singleton rows run as one numpy expression."""
-        return absdiff_column(columns_a, columns_b, parse_number)
+        """Vectorized ``|a - b|``: each distinct value is regex-parsed
+        once per column instead of once per pair."""
+        return pairwise_min_column(
+            columns_a, columns_b, absdiff_kernel(parse_number)
+        )
+
+
+def absdiff_kernel(parser: Callable[[str], float | None]):
+    """Pair kernel ``|a - b|`` over parsed scalars (numbers, date
+    ordinals): every distinct value parses once, and unparseable ones
+    become NaN, which :func:`~repro.distances.base.pairwise_min_column`
+    skips exactly like the scalar loop skips ``INFINITE_DISTANCE``."""
+
+    def kernel(strings, index_a, index_b):
+        # A float64 array stores None as NaN; inf - inf is NaN as well.
+        parsed = np.array(list(map(parser, strings)), dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            return np.abs(parsed[index_a] - parsed[index_b])
+
+    return kernel

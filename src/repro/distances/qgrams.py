@@ -21,8 +21,8 @@ from repro.distances.base import (
     DistanceMeasure,
     INFINITE_DISTANCE,
     ValueColumn,
-    fallback_column,
     min_over_pairs,
+    pairwise_min_column,
 )
 from repro.distances.levenshtein import levenshtein
 from repro.distances.strings import BoundedValueMemo
@@ -53,11 +53,8 @@ class QGramsDistance(DistanceMeasure):
         self._q = q
 
     def _pair_distance(self, a: str, b: str) -> float:
-        grams_a = qgrams(a.lower(), self._q)
-        grams_b = qgrams(b.lower(), self._q)
-        intersection = len(grams_a & grams_b)
-        union = len(grams_a | grams_b)
-        return 1.0 - intersection / union
+        q = self._q
+        return _grams_distance(qgrams(a.lower(), q), qgrams(b.lower(), q))
 
     def evaluate(self, values_a: Sequence[str], values_b: Sequence[str]) -> float:
         return min_over_pairs(values_a, values_b, self._pair_distance)
@@ -66,40 +63,26 @@ class QGramsDistance(DistanceMeasure):
         self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
         """Batch q-gram Jaccard: gram sets are built once per distinct
-        string and the set intersections once per distinct string pair,
-        instead of once per candidate pair; value-set combinations
-        dedupe through :func:`repro.distances.base.fallback_column`.
-        The min-over-pairs control flow (budget, early exit) is shared
-        with the scalar path, so results are bit-identical."""
-        grams_cache: dict[str, set[str]] = {}
-        pair_cache: dict[tuple[str, str], float] = {}
+        value and the set algebra runs once per distinct value pair,
+        instead of once per candidate pair."""
         q = self._q
 
-        def pair_distance(a: str, b: str) -> float:
-            key = (a, b)
-            distance = pair_cache.get(key)
-            if distance is None:
-                grams_a = grams_cache.get(a)
-                if grams_a is None:
-                    grams_a = qgrams(a.lower(), q)
-                    grams_cache[a] = grams_a
-                grams_b = grams_cache.get(b)
-                if grams_b is None:
-                    grams_b = qgrams(b.lower(), q)
-                    grams_cache[b] = grams_b
-                intersection = len(grams_a & grams_b)
-                union = len(grams_a | grams_b)
-                distance = 1.0 - intersection / union
-                pair_cache[key] = distance
-            return distance
+        def kernel(strings, index_a, index_b):
+            grams = [qgrams(value.lower(), q) for value in strings]
+            return np.fromiter(
+                (
+                    _grams_distance(grams[a], grams[b])
+                    for a, b in zip(index_a.tolist(), index_b.tolist())
+                ),
+                np.float64,
+                len(index_a),
+            )
 
-        return fallback_column(
-            lambda values_a, values_b: min_over_pairs(
-                values_a, values_b, pair_distance
-            ),
-            columns_a,
-            columns_b,
-        )
+        return pairwise_min_column(columns_a, columns_b, kernel)
+
+
+def _grams_distance(grams_a: set[str], grams_b: set[str]) -> float:
+    return 1.0 - len(grams_a & grams_b) / len(grams_a | grams_b)
 
 
 class SoftJaccardDistance(DistanceMeasure):

@@ -6,11 +6,11 @@ contains every measure from Table 2 plus the baseline extras. Users can
 register their own measures, which then become available to learning
 and execution alike (see ``examples/custom_operators.py``).
 
-The string measures in the registry route their batch kernels through
-the backend selected by ``REPRO_ENGINE_STRING_BACKEND`` (numpy by
-default, optionally the native ``rapidfuzz`` package, or the pure
-Python oracle) — see :mod:`repro.distances.strings`. Every backend is
-bit-identical; the variable only moves wall-clock.
+Every built-in measure except softJaccard and mongeElkan scores whole
+columns through a vectorized kernel (:mod:`repro.distances.strings`,
+:func:`repro.distances.base.pairwise_min_column`); a registered measure
+that only defines ``evaluate`` inherits the deduplicated per-pair
+fallback. Both paths are bit-identical to ``evaluate``.
 """
 
 from __future__ import annotations

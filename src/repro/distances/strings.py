@@ -1,66 +1,53 @@
 """Vectorized batch kernels for the string-measure family.
 
-The levenshtein, jaro/jaro-winkler and jaccard/token measures were the
-last measures still running the deduplicated per-pair Python fallback in
-``DistanceMeasure.evaluate_column``. This module gives them real batch
-kernels over **pre-encoded integer code matrices**:
+The levenshtein and jaro/jaro-winkler measures are pair kernels under
+the one min-over-pairs column driver
+(:func:`repro.distances.base.pairwise_min_column`): each receives the
+column's distinct strings plus two index arrays naming the distinct
+pairs, and works on **integer code matrices** gathered from one pool of
+encoded strings. The set measures have their own column driver here:
 
 * :func:`levenshtein_pairs` — a clamped edit-distance DP run as numpy
-  row sweeps across the whole distinct-pair column at once. Strings are
-  encoded once into int32 code-point arrays (UTF-32 — one code per
-  Python character, so batch equality is exactly ``str`` equality),
-  padded into per-chunk matrices, and the classic row recurrence is
-  evaluated for all pairs simultaneously; the sequential insertion
-  dependency inside a row becomes a logarithmic min-plus doubling scan.
-  The band contract: every intermediate cell is clamped at
-  ``bound + 1``, which provably yields ``min(true_distance, bound + 1)``
-  per pair, the length-difference pre-filter is one vectorized mask,
-  and pairs whose entire DP row hits the clamp are retired early
+  row sweeps across every distinct pair at once. Each distinct string
+  is encoded once into int32 code points (UTF-32 — one code per Python
+  character, so batch equality is exactly ``str`` equality), pairs are
+  gathered into padded per-chunk matrices, and the classic row
+  recurrence is evaluated for all pairs simultaneously; the sequential
+  insertion dependency inside a row becomes a logarithmic min-plus
+  doubling scan. The band contract: every intermediate cell is clamped
+  at ``bound + 1``, which provably yields ``min(true_distance, bound +
+  1)`` per pair, the length-difference pre-filter is one vectorized
+  mask, and pairs whose entire DP row hits the clamp are retired early
   (the batch analogue of the scalar loop's early exit).
-* :func:`jaro_pairs` — bulk Jaro / Jaro-Winkler over the same encoded
+* :func:`jaro_pairs` — bulk Jaro / Jaro-Winkler over the same code
   matrices: the greedy match-window scan runs one character position at
   a time across all pairs (first-fit ``argmax`` per row reproduces the
   scalar loop's leftmost-unmatched choice exactly), transpositions are
   counted by stable-argsort compaction of the matched flags, and the
   final similarity arithmetic keeps the scalar expression's operation
   order so IEEE float64 results are bit-identical.
-* :func:`set_algebra_column` — jaccard/dice/overlap as set algebra over
-  an interned integer token-code space: each distinct value tuple is
-  encoded once into a sorted-unique int64 code array, and intersection
-  sizes for *all* distinct tuple combinations are computed with one
-  sort over ``combo_id * token_space + code`` keys (each side holds
-  unique codes, so every adjacent duplicate is exactly one shared
-  token).
-
-Backends are selected via the ``REPRO_ENGINE_STRING_BACKEND``
-environment variable (:func:`string_backend`): ``numpy`` (the default)
-uses the kernels above, ``python`` forces the per-pair fallback (the
-parity oracle), ``rapidfuzz`` uses the optional native backend for the
-levenshtein family (bit-identical by construction — integer distances
-with ``score_cutoff`` matching the scalar clamp contract) and the numpy
-kernels elsewhere, and ``auto`` picks ``rapidfuzz`` when the package is
-importable. Every backend is bit-identical to the scalar oracle; only
-wall-clock changes.
+* :func:`set_algebra_column` — jaccard/dice/overlap/equality as set
+  algebra over an interned integer token-code space: each distinct
+  value tuple is encoded once into a sorted-unique int64 code array,
+  and intersection sizes for *all* distinct tuple combinations are
+  computed with one sort over ``combo_id * token_space + code`` keys
+  (each side holds unique codes, so every adjacent duplicate is
+  exactly one shared token).
 
 :class:`StringKernelMemo` is the session-scoped carrier for the
-encoded-matrix memoisation (per distinct string / per distinct value
-tuple, bounded like the blocking probe memo) and for the per-measure
+encoding memoisation (per distinct string / per distinct value tuple,
+bounded like the blocking probe memo) and for the per-measure
 kernel-routing counters surfaced in ``EngineStats``/``MatchStats``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.distances.base import INFINITE_DISTANCE
-
-#: Environment variable selecting the string-kernel backend
-#: (``numpy`` | ``rapidfuzz`` | ``python`` | ``auto``; unset = numpy).
-BACKEND_ENV = "REPRO_ENGINE_STRING_BACKEND"
+from repro.distances.base import INFINITE_DISTANCE, aligned_length, distinct_rows
 
 #: Size bound for each memo table; at the bound the table is dropped
 #: wholesale (resets warm-up, never results) — the same policy as the
@@ -72,48 +59,6 @@ _MEMO_LIMIT = 65536
 #: which keeps one pathologically long string from inflating the
 #: padding of thousands of short ones.
 _CELL_BUDGET = 1 << 20
-
-_RAPIDFUZZ: object = None  # None = unprobed, False = unavailable
-
-
-def _rapidfuzz_levenshtein():
-    """The ``rapidfuzz.distance.Levenshtein`` module, or None when the
-    optional dependency is not installed (probed once per process)."""
-    global _RAPIDFUZZ
-    if _RAPIDFUZZ is None:
-        try:
-            from rapidfuzz.distance import Levenshtein  # noqa: deferred
-
-            _RAPIDFUZZ = Levenshtein
-        except ImportError:
-            _RAPIDFUZZ = False
-    return _RAPIDFUZZ if _RAPIDFUZZ is not False else None
-
-
-def string_backend() -> str:
-    """Resolve the active string-kernel backend.
-
-    Reads ``REPRO_ENGINE_STRING_BACKEND`` on every call (cheap, and
-    lets tests flip backends without re-importing): ``numpy`` is the
-    default, ``python`` forces the scalar per-pair fallback, and
-    ``rapidfuzz`` requires the package (``auto`` degrades to numpy
-    without it). Whatever the backend, results are bit-identical —
-    the selection only moves wall-clock.
-    """
-    spec = os.environ.get(BACKEND_ENV, "").strip().lower() or "numpy"
-    if spec == "auto":
-        return "rapidfuzz" if _rapidfuzz_levenshtein() is not None else "numpy"
-    if spec not in ("numpy", "rapidfuzz", "python"):
-        raise ValueError(
-            f"invalid {BACKEND_ENV} value {spec!r}: expected auto, numpy, "
-            f"rapidfuzz or python"
-        )
-    if spec == "rapidfuzz" and _rapidfuzz_levenshtein() is None:
-        raise RuntimeError(
-            f"{BACKEND_ENV}=rapidfuzz but the rapidfuzz package is not "
-            f"installed; pip install rapidfuzz or use the numpy backend"
-        )
-    return spec
 
 
 def encode_string(value: str) -> np.ndarray:
@@ -128,25 +73,6 @@ def encode_string(value: str) -> np.ndarray:
     return np.frombuffer(value.encode("utf-32-le"), dtype="<i4")
 
 
-def _local_encoder() -> Callable[[str], np.ndarray]:
-    """Per-call encode memo for kernels invoked without a session memo.
-
-    Pair columns repeat the same strings heavily (a few hundred unique
-    entities fanned over thousands of pairs), so even a single batch
-    call amortises encoding across occurrences.
-    """
-    table: dict[str, np.ndarray] = {}
-
-    def encode(value: str) -> np.ndarray:
-        codes = table.get(value)
-        if codes is None:
-            codes = encode_string(value)
-            table[value] = codes
-        return codes
-
-    return encode
-
-
 class StringKernelMemo:
     """Session-scoped encode memo + kernel-routing counters.
 
@@ -159,8 +85,8 @@ class StringKernelMemo:
       out one tuple object per unique entity and keeps it alive in the
       value cache): its sorted-unique token-code array over a shared
       interning table (jaccard/dice/overlap set algebra);
-    * per **measure name**: counts of pairs routed through the batch
-      kernel vs the per-pair fallback, surfaced as
+    * per **measure name**: counts of pairs the engine scored through a
+      batch kernel vs the inherited per-pair fallback, surfaced as
       ``EngineStats.kernel_routing``.
 
     Thread-safe: the token table and the counters take a lock (token
@@ -220,7 +146,7 @@ class StringKernelMemo:
 
     # -- routing counters -----------------------------------------------------
     def record_routing(self, name: str, batch: int = 0, fallback: int = 0) -> None:
-        """Count pairs routed through a measure's batch kernel vs the
+        """Count pairs scored through a measure's batch kernel vs the
         per-pair fallback (empty-side pairs are counted by neither)."""
         if not batch and not fallback:
             return
@@ -307,12 +233,14 @@ def count_nonempty(columns_a, columns_b) -> int:
 
 
 def levenshtein_pairs(
-    strings_a: Sequence[str],
-    strings_b: Sequence[str],
+    strings: Sequence[str],
+    index_a: np.ndarray,
+    index_b: np.ndarray,
     bound: int | None = None,
     memo: StringKernelMemo | None = None,
 ) -> np.ndarray:
-    """Edit distances for aligned string pairs, as float64.
+    """Edit distances of the pairs ``(strings[index_a[k]],
+    strings[index_b[k]])``, as float64.
 
     With ``bound`` the result is exactly ``min(d, bound + 1)`` per pair
     — the scalar :func:`repro.distances.levenshtein.levenshtein`
@@ -320,17 +248,18 @@ def levenshtein_pairs(
     once; every cell is clamped at ``bound + 1`` (which by induction
     clamps the final value and nothing else), ``|len(a) - len(b)| >
     bound`` pairs are pre-filtered as one mask, and pairs whose whole
-    DP row reaches the clamp retire early.
+    DP row reaches the clamp retire early. Equal indexes and pairs of
+    empty strings short-cut to 0 (the column driver hands in distinct
+    strings, so those are all the equal pairs; equal non-empty strings
+    at different indexes still compute 0 through the DP).
     """
-    count = len(strings_a)
+    count = len(index_a)
     out = np.empty(count, dtype=np.float64)
     if count == 0:
         return out
-    la = np.fromiter(map(len, strings_a), np.int64, count)
-    lb = np.fromiter(map(len, strings_b), np.int64, count)
-    eq = np.fromiter(
-        (x == y for x, y in zip(strings_a, strings_b)), np.bool_, count
-    )
+    lengths = np.fromiter(map(len, strings), np.int64, len(strings))
+    la, lb = lengths[index_a], lengths[index_b]
+    eq = (index_a == index_b) | ((la == 0) & (lb == 0))
     out[eq] = 0.0
     todo = ~eq
     if bound is not None:
@@ -340,26 +269,24 @@ def levenshtein_pairs(
     indexes = np.flatnonzero(todo)
     if indexes.size == 0:
         return out
-    encode = memo.codes if memo is not None else _local_encoder()
-    shorts: list[np.ndarray] = []
-    longs: list[np.ndarray] = []
-    for i in indexes.tolist():
-        a, b = strings_a[i], strings_b[i]
-        if len(a) > len(b):
-            a, b = b, a
-        shorts.append(encode(a))
-        longs.append(encode(b))
-    slen = np.minimum(la[indexes], lb[indexes])
-    llen = np.maximum(la[indexes], lb[indexes])
+    pool, starts = _code_pool(strings, lengths, memo)
+    la, lb = la[indexes], lb[indexes]
+    index_a, index_b = index_a[indexes], index_b[indexes]
+    swap = la > lb
+    shorts = np.where(swap, index_b, index_a)
+    longs = np.where(swap, index_a, index_b)
+    slen = np.minimum(la, lb)
+    llen = np.maximum(la, lb)
     if bound is not None:
         cap = bound + 1
     else:
         cap = int(llen.max()) + 1  # unreachable: d <= max(la, lb)
     order = np.argsort(llen, kind="stable")
-    for chunk in _budget_chunks(order, slen, llen):
+    for chunk in _budget_chunks(order, slen):
+        width = max(int(slen[chunk].max()), 1)
         rows = _lev_chunk(
-            [shorts[i] for i in chunk.tolist()],
-            [longs[i] for i in chunk.tolist()],
+            _padded(pool, starts, lengths, shorts[chunk], width, -1),
+            _padded(pool, starts, lengths, longs[chunk], int(llen[chunk].max()), -2),
             slen[chunk],
             llen[chunk],
             cap,
@@ -368,7 +295,7 @@ def levenshtein_pairs(
     return out
 
 
-def _budget_chunks(order: np.ndarray, width_len: np.ndarray, depth_len: np.ndarray):
+def _budget_chunks(order: np.ndarray, width_len: np.ndarray):
     """Split ``order`` (indexes sorted by cost driver) into chunks whose
     padded matrix ``rows x (max width + 1)`` stays within the cell
     budget, so one long string cannot inflate every row's padding."""
@@ -387,22 +314,44 @@ def _budget_chunks(order: np.ndarray, width_len: np.ndarray, depth_len: np.ndarr
         start = end
 
 
-def _pad_codes(arrays: list[np.ndarray], width: int, fill: int) -> np.ndarray:
-    matrix = np.full((len(arrays), width), fill, dtype=np.int32)
-    for row, arr in enumerate(arrays):
-        if arr.size:
-            matrix[row, : arr.size] = arr
+def _code_pool(
+    strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every string's code points back to back, plus each string's
+    start offset. Each distinct string encodes once per call, or once
+    per session through the memo."""
+    encode = memo.codes if memo is not None else encode_string
+    pool = np.concatenate([encode(value) for value in strings])
+    return pool, np.cumsum(lengths) - lengths
+
+
+def _padded(
+    pool: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    index: np.ndarray,
+    width: int,
+    fill: int,
+) -> np.ndarray:
+    """Code-point rows of the strings ``index`` names, padded with
+    ``fill`` to ``width`` columns (one gather, no per-row loop)."""
+    columns = np.arange(width)
+    inside = columns < lengths[index][:, None]
+    matrix = np.full((index.size, width), fill, dtype=np.int32)
+    matrix[inside] = pool[(starts[index][:, None] + columns)[inside]]
     return matrix
 
 
 def _lev_chunk(
-    shorts: list[np.ndarray],
-    longs: list[np.ndarray],
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
     slen: np.ndarray,
     llen: np.ndarray,
     cap: int,
 ) -> np.ndarray:
-    """Clamped edit distances for one padded chunk (all pairs at once).
+    """Clamped edit distances for one padded chunk (all pairs at once):
+    row ``k`` of ``a_matrix``/``b_matrix`` holds the shorter/longer
+    string of pair ``k``, padded with codes that never match.
 
     Row sweep over the longer strings: ``prev``/``cur`` hold one DP row
     per pair. The in-row insertion dependency is resolved by a min-plus
@@ -413,10 +362,8 @@ def _lev_chunk(
     minima along any alignment path), so those pairs retire with
     ``cap`` immediately — the vectorized early exit.
     """
-    width = int(slen.max()) if slen.size else 0
-    a_matrix = _pad_codes(shorts, max(width, 1), -1)
-    b_matrix = _pad_codes(longs, int(llen.max()), -2)
-    size = len(shorts)
+    width = int(slen.max())
+    size = len(slen)
     results = np.empty(size, dtype=np.int32)
     prev = np.minimum(np.arange(width + 1, dtype=np.int32), cap)
     prev = np.broadcast_to(prev, (size, width + 1)).copy()
@@ -460,43 +407,19 @@ def _lev_chunk(
     return results.astype(np.float64)
 
 
-def rapidfuzz_levenshtein_pairs(
-    strings_a: Sequence[str],
-    strings_b: Sequence[str],
-    bound: int | None = None,
-) -> np.ndarray:
-    """Edit distances via the native rapidfuzz backend.
-
-    ``score_cutoff`` makes rapidfuzz return ``bound + 1`` for any
-    distance above the bound — exactly the scalar clamp contract — and
-    distances are integers, so the backend is bit-identical by
-    construction (no float rounding to diverge on).
-    """
-    lev = _rapidfuzz_levenshtein()
-    if lev is None:  # pragma: no cover - guarded by string_backend()
-        raise RuntimeError("rapidfuzz is not installed")
-    distance = lev.distance
-    if bound is None:
-        values = [distance(a, b) for a, b in zip(strings_a, strings_b)]
-    else:
-        values = [
-            distance(a, b, score_cutoff=bound)
-            for a, b in zip(strings_a, strings_b)
-        ]
-    return np.array(values, dtype=np.float64)
-
-
 # -- jaro / jaro-winkler --------------------------------------------------------
 
 
 def jaro_pairs(
-    strings_a: Sequence[str],
-    strings_b: Sequence[str],
+    strings: Sequence[str],
+    index_a: np.ndarray,
+    index_b: np.ndarray,
     memo: StringKernelMemo | None = None,
     prefix_scale: float | None = None,
 ) -> np.ndarray:
-    """Jaro similarities for aligned string pairs (Jaro-Winkler when
-    ``prefix_scale`` is given), bit-identical to the scalar loops.
+    """Jaro similarities of the pairs ``(strings[index_a[k]],
+    strings[index_b[k]])`` (Jaro-Winkler when ``prefix_scale`` is
+    given), bit-identical to the scalar loops.
 
     The greedy match scan runs one character position at a time across
     all pairs: a boolean candidate matrix (``==`` over the encoded
@@ -506,30 +429,30 @@ def jaro_pairs(
     side via stable-argsort compaction. The final arithmetic keeps the
     scalar expression order, so the float64 results match bit for bit.
     """
-    count = len(strings_a)
+    count = len(index_a)
     out = np.empty(count, dtype=np.float64)
     if count == 0:
         return out
-    la = np.fromiter(map(len, strings_a), np.int64, count)
-    lb = np.fromiter(map(len, strings_b), np.int64, count)
-    eq = np.fromiter(
-        (x == y for x, y in zip(strings_a, strings_b)), np.bool_, count
-    )
+    lengths = np.fromiter(map(len, strings), np.int64, len(strings))
+    la, lb = lengths[index_a], lengths[index_b]
+    # Equal indexes are equal strings, and so are two empty ones; equal
+    # non-empty strings at different indexes still score exactly 1.0
+    # through the scan.
+    eq = (index_a == index_b) | ((la == 0) & (lb == 0))
     out[eq] = 1.0
     empty = ((la == 0) | (lb == 0)) & ~eq
     out[empty] = 0.0
     indexes = np.flatnonzero(~eq & ~empty)
     if indexes.size == 0:
         return out
-    encode = memo.codes if memo is not None else _local_encoder()
-    codes_a = [encode(strings_a[i]) for i in indexes.tolist()]
-    codes_b = [encode(strings_b[i]) for i in indexes.tolist()]
+    pool, starts = _code_pool(strings, lengths, memo)
+    index_a, index_b = index_a[indexes], index_b[indexes]
     la, lb = la[indexes], lb[indexes]
     order = np.argsort(la + lb, kind="stable")
-    for chunk in _budget_chunks(order, lb, la):
+    for chunk in _budget_chunks(order, lb):
         similarities = _jaro_chunk(
-            [codes_a[i] for i in chunk.tolist()],
-            [codes_b[i] for i in chunk.tolist()],
+            _padded(pool, starts, lengths, index_a[chunk], int(la[chunk].max()), -1),
+            _padded(pool, starts, lengths, index_b[chunk], int(lb[chunk].max()), -2),
             la[chunk],
             lb[chunk],
             prefix_scale,
@@ -539,17 +462,14 @@ def jaro_pairs(
 
 
 def _jaro_chunk(
-    codes_a: list[np.ndarray],
-    codes_b: list[np.ndarray],
+    a_matrix: np.ndarray,
+    b_matrix: np.ndarray,
     la: np.ndarray,
     lb: np.ndarray,
     prefix_scale: float | None,
 ) -> np.ndarray:
-    size = len(codes_a)
-    width_a = int(la.max())
-    width_b = int(lb.max())
-    a_matrix = _pad_codes(codes_a, width_a, -1)
-    b_matrix = _pad_codes(codes_b, width_b, -2)
+    size, width_a = a_matrix.shape
+    width_b = b_matrix.shape[1]
     window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)[:, None]
     columns = np.arange(width_b, dtype=np.int64)
     matched_a = np.zeros((size, width_a), dtype=bool)
@@ -609,28 +529,29 @@ def _jaro_chunk(
 
 
 def set_intersections(
-    sets_a: list[np.ndarray],
-    sets_b: list[np.ndarray],
+    sets: list[np.ndarray],
+    select_a: np.ndarray,
+    select_b: np.ndarray,
     token_space: int,
 ) -> np.ndarray:
-    """Intersection sizes for aligned pairs of sorted-unique code sets.
+    """Intersection sizes of the set pairs ``(sets[select_a[k]],
+    sets[select_b[k]])`` of sorted-unique code sets.
 
     One sort over ``combo_id * token_space + code`` keys: within a
     combo each side holds unique codes, so every adjacent duplicate in
     the sorted key array is exactly one token shared by both sides.
     """
-    count = len(sets_a)
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    combo_ids = np.arange(count, dtype=np.int64)
+    count = len(select_a)
     space = max(token_space, 1)
+    lengths = np.fromiter(map(len, sets), np.int64, len(sets))
+    starts = np.cumsum(lengths) - lengths
+    pool = np.concatenate(sets)
+    combo_keys = np.arange(count, dtype=np.int64) * space
     keys = np.concatenate(
         [
-            np.repeat(combo_ids * space, lens) + codes
-            for codes, lens in (
-                _gather_sets(sets_a, count),
-                _gather_sets(sets_b, count),
-            )
+            np.repeat(combo_keys, lengths[select])
+            + pool[_positions(starts[select], lengths[select])]
+            for select in (select_a, select_b)
         ]
     )
     keys.sort(kind="quicksort")
@@ -640,32 +561,11 @@ def set_intersections(
     ).astype(np.int64)
 
 
-def _gather_sets(sets: list[np.ndarray], count: int):
-    """Concatenate per-combo code sets as ``(codes, lengths)``.
-
-    The combo list references only a handful of distinct array objects
-    (one per distinct value tuple, fanned out over combinations), so
-    instead of ``np.concatenate`` over thousands of tiny views — whose
-    per-array overhead dominates — pool each distinct array once and
-    expand per combo with O(total) index arithmetic.
-    """
-    ids = np.fromiter(map(id, sets), np.int64, count)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [sets[i] for i in first.tolist()]
-    pool_lens = np.fromiter(map(len, distinct), np.int64, len(distinct))
-    pool_offsets = np.cumsum(pool_lens) - pool_lens
-    pool = (
-        np.concatenate(distinct)
-        if distinct
-        else np.zeros(0, np.int64)
-    )
-    lens = pool_lens[inverse]
-    starts = pool_offsets[inverse]
-    total = int(lens.sum())
-    positions = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    return pool[np.repeat(starts, lens) + positions], lens
+def _positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Pool positions of consecutive runs ``starts[k] .. starts[k] +
+    lengths[k] - 1``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(int(ends[-1]))
 
 
 def set_algebra_column(
@@ -673,61 +573,28 @@ def set_algebra_column(
     columns_b,
     finish: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     memo: StringKernelMemo | None = None,
-    name: str | None = None,
 ) -> np.ndarray:
     """Batch driver for measures over the two value sets themselves
-    (jaccard, dice, overlap): deduplicate rows per distinct value-tuple
-    combination, encode each distinct tuple once into the integer
-    token-code space, compute all intersection sizes with one sorted
-    pass, and let ``finish(intersections, sizes_a, sizes_b)`` apply the
+    (jaccard, dice, overlap, equality): deduplicate rows per distinct
+    value-tuple combination, encode each distinct tuple once into the
+    integer token-code space, compute all intersection sizes at once,
+    and let ``finish(intersections, sizes_a, sizes_b)`` apply the
     measure's arithmetic (which must keep the scalar operation order
     for bit-parity).
     """
-    if len(columns_a) != len(columns_b):
-        raise ValueError(
-            f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
-        )
-    n = len(columns_a)
-    out = np.full(n, INFINITE_DISTANCE, dtype=np.float64)
-    if n == 0:
+    out = np.full(aligned_length(columns_a, columns_b), INFINITE_DISTANCE)
+    rows, tuples, slot_a, slot_b = distinct_rows(columns_a, columns_b)
+    if not tuples:
         return out
-    # Row dedup, vectorized: unique each side's tuple identities (the
-    # engine hands out one tuple object per unique entity), then unique
-    # the combination of the two small inverse indexes — cheaper than
-    # one np.unique over (id, id) rows.
-    ids_a = np.fromiter(map(id, columns_a), np.int64, n)
-    ids_b = np.fromiter(map(id, columns_b), np.int64, n)
-    lens_a = np.fromiter(map(len, columns_a), np.int64, n)
-    lens_b = np.fromiter(map(len, columns_b), np.int64, n)
-    rows = np.flatnonzero((lens_a > 0) & (lens_b > 0))
-    if rows.size == 0:
-        return out
-    _, first_a, inv_a = np.unique(
-        ids_a[rows], return_index=True, return_inverse=True
+    sets, token_space = (memo or StringKernelMemo()).token_sets(tuples)
+    combos, row_combo = np.unique(
+        slot_a * len(tuples) + slot_b, return_inverse=True
     )
-    _, first_b, inv_b = np.unique(
-        ids_b[rows], return_index=True, return_inverse=True
-    )
-    local = memo if memo is not None else StringKernelMemo()
-    sets_a, _ = local.token_sets([columns_a[i] for i in rows[first_a].tolist()])
-    sets_b, token_space = local.token_sets(
-        [columns_b[i] for i in rows[first_b].tolist()]
-    )
-    combo_key = inv_a * np.int64(first_b.size) + inv_b
-    _, first_combo, row_combo = np.unique(
-        combo_key, return_index=True, return_inverse=True
-    )
-    select_a = inv_a[first_combo]
-    select_b = inv_b[first_combo]
-    intersections = _distinct_intersections(
-        sets_a, sets_b, select_a, select_b, token_space
-    )
-    sizes_a = np.fromiter(map(len, sets_a), np.int64, len(sets_a))[select_a]
-    sizes_b = np.fromiter(map(len, sets_b), np.int64, len(sets_b))[select_b]
-    distances = finish(intersections, sizes_a, sizes_b)
+    select_a, select_b = np.divmod(combos, len(tuples))
+    intersections = _distinct_intersections(sets, select_a, select_b, token_space)
+    sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+    distances = finish(intersections, sizes[select_a], sizes[select_b])
     out[rows] = distances[row_combo]
-    if memo is not None and name is not None:
-        memo.record_routing(name, batch=rows.size)
     return out
 
 
@@ -737,8 +604,7 @@ _BITSET_WORDS = 64
 
 
 def _distinct_intersections(
-    sets_a: list[np.ndarray],
-    sets_b: list[np.ndarray],
+    sets: list[np.ndarray],
     select_a: np.ndarray,
     select_b: np.ndarray,
     token_space: int,
@@ -755,14 +621,9 @@ def _distinct_intersections(
     """
     words = (max(token_space, 1) + 63) // 64
     if words > _BITSET_WORDS:
-        return set_intersections(
-            [sets_a[k] for k in select_a.tolist()],
-            [sets_b[k] for k in select_b.tolist()],
-            token_space,
-        )
-    masks_a = _bitset_pack(sets_a, words)
-    masks_b = _bitset_pack(sets_b, words)
-    shared = masks_a[select_a] & masks_b[select_b]
+        return set_intersections(sets, select_a, select_b, token_space)
+    masks = _bitset_pack(sets, words)
+    shared = masks[select_a] & masks[select_b]
     return np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
 
 
@@ -782,87 +643,3 @@ def _bitset_pack(sets: list[np.ndarray], words: int) -> np.ndarray:
         np.uint64(1) << (codes & 63).astype(np.uint64),
     )
     return masks
-
-
-# -- shared pairwise driver -----------------------------------------------------
-
-
-def batch_pair_column(
-    columns_a,
-    columns_b,
-    pair_kernel: Callable[[list[str], list[str]], np.ndarray],
-    evaluate,
-    memo: StringKernelMemo | None = None,
-    name: str | None = None,
-) -> np.ndarray:
-    """Batch driver for measures lifting a pairwise string distance via
-    ``min_over_pairs``: deduplicate rows per distinct value-set
-    combination, run every singleton-singleton combination's string
-    pair through one ``pair_kernel`` call (vectorized across the whole
-    column), and replay multi-valued combinations through the scalar
-    oracle ``evaluate`` — the per-pair fallback, counted as such in the
-    routing statistics.
-    """
-    if len(columns_a) != len(columns_b):
-        raise ValueError(
-            f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
-        )
-    n = len(columns_a)
-    out = np.full(n, INFINITE_DISTANCE, dtype=np.float64)
-    if n == 0:
-        return out
-    combo_of: dict[tuple[int, int], int] = {}
-    combos_a: list = []
-    combos_b: list = []
-    row_combo = np.full(n, -1, dtype=np.int64)
-    for i, (values_a, values_b) in enumerate(zip(columns_a, columns_b)):
-        if not values_a or not values_b:
-            continue
-        key = (id(values_a), id(values_b))
-        slot = combo_of.get(key)
-        if slot is None:
-            slot = len(combos_a)
-            combo_of[key] = slot
-            combos_a.append(values_a)
-            combos_b.append(values_b)
-        row_combo[i] = slot
-    combo_count = len(combos_a)
-    if combo_count == 0:
-        return out
-    values = np.empty(combo_count, dtype=np.float64)
-    is_batch = np.zeros(combo_count, dtype=bool)
-    pair_of: dict[tuple[str, str], int] = {}
-    pairs_a: list[str] = []
-    pairs_b: list[str] = []
-    single_slots: list[int] = []
-    single_pairs: list[int] = []
-    multi_slots: list[int] = []
-    for slot in range(combo_count):
-        values_a, values_b = combos_a[slot], combos_b[slot]
-        if len(values_a) == 1 and len(values_b) == 1:
-            is_batch[slot] = True
-            pair_key = (values_a[0], values_b[0])
-            pair = pair_of.get(pair_key)
-            if pair is None:
-                pair = len(pairs_a)
-                pair_of[pair_key] = pair
-                pairs_a.append(values_a[0])
-                pairs_b.append(values_b[0])
-            single_slots.append(slot)
-            single_pairs.append(pair)
-        else:
-            multi_slots.append(slot)
-    if pairs_a:
-        distances = pair_kernel(pairs_a, pairs_b)
-        values[single_slots] = distances[single_pairs]
-    for slot in multi_slots:
-        values[slot] = evaluate(combos_a[slot], combos_b[slot])
-    valid = row_combo >= 0
-    out[valid] = values[row_combo[valid]]
-    if memo is not None and name is not None:
-        routed = row_combo[valid]
-        batch_rows = int(is_batch[routed].sum())
-        memo.record_routing(
-            name, batch=batch_rows, fallback=int(routed.size - batch_rows)
-        )
-    return out

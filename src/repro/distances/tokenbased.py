@@ -14,57 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distances.base import (
-    DistanceMeasure,
-    INFINITE_DISTANCE,
-    ValueColumn,
-    fallback_column,
-)
+from repro.distances.base import DistanceMeasure, INFINITE_DISTANCE
+from repro.distances.jaccard import SetAlgebraDistance
 from repro.distances.jaro import jaro_winkler_similarity
 from repro.distances.numeric import parse_number
-from repro.distances.strings import (
-    BoundedValueMemo,
-    StringKernelMemo,
-    count_nonempty,
-    set_algebra_column,
-    string_backend,
-)
+from repro.distances.strings import BoundedValueMemo
 
 
-class _SetAlgebraDistance(DistanceMeasure):
-    """Shared batch plumbing for measures over the value sets
-    themselves (dice, overlap): set sizes and intersections come from
-    the sorted integer-token-code pass, the subclass supplies the
-    scalar measure and its vectorized arithmetic (same operation order
-    for bit-parity)."""
-
-    batch_capable = True
-    memo_capable = True
-
-    def _finish(
-        self, intersections: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate_column(
-        self,
-        columns_a: ValueColumn,
-        columns_b: ValueColumn,
-        memo: StringKernelMemo | None = None,
-    ) -> np.ndarray:
-        backend = string_backend()
-        if backend == "python":
-            if memo is not None:
-                memo.record_routing(
-                    self.name, fallback=count_nonempty(columns_a, columns_b)
-                )
-            return fallback_column(self.evaluate, columns_a, columns_b)
-        return set_algebra_column(
-            columns_a, columns_b, self._finish, memo=memo, name=self.name
-        )
-
-
-class DiceDistance(_SetAlgebraDistance):
+class DiceDistance(SetAlgebraDistance):
     """1 - 2|A n B| / (|A| + |B|) over the two value sets."""
 
     name = "dice"
@@ -83,7 +40,7 @@ class DiceDistance(_SetAlgebraDistance):
         return 1.0 - 2.0 * intersections / (sizes_a + sizes_b)
 
 
-class OverlapDistance(_SetAlgebraDistance):
+class OverlapDistance(SetAlgebraDistance):
     """1 - |A n B| / min(|A|, |B|): full containment scores 0."""
 
     name = "overlap"

@@ -129,9 +129,10 @@ class PairStore:
         (:meth:`repro.distances.base.DistanceMeasure.evaluate_column`):
         batch-capable measures run vectorized kernels over the whole
         column, everything else takes the deduplicated per-pair
-        fallback. Safe to call concurrently for different ops — the
-        caches are thread-safe and the computation is pure, so races
-        only cost duplicated work, never divergent results.
+        fallback, and the session's routing counters record which.
+        Safe to call concurrently for different ops — the caches are
+        thread-safe and the computation is pure, so races only cost
+        duplicated work, never divergent results.
         """
         key = (self._store_id, op.sig)
         cached = self._column_cache.get(key)
@@ -161,17 +162,18 @@ class PairStore:
         memo = self._string_memo
         if measure.memo_capable and memo is not None:
             # Memo-capable measures take the session's string-kernel
-            # memo (encode caches) and record their own batch/fallback
-            # routing split internally.
+            # memo (encode and token-set caches).
             out = measure.evaluate_column(columns_a, columns_b, memo=memo)
         else:
             out = measure.evaluate_column(columns_a, columns_b)
-            if memo is not None:
-                pairs = count_nonempty(columns_a, columns_b)
-                if measure.batch_capable:
-                    memo.record_routing(op.metric, batch=pairs)
-                else:
-                    memo.record_routing(op.metric, fallback=pairs)
+        if memo is not None:
+            # Routing counts non-empty pairs by path: a measure's batch
+            # kernel, or the inherited per-pair fallback.
+            pairs = count_nonempty(columns_a, columns_b)
+            if measure.batch_capable:
+                memo.record_routing(op.metric, batch=pairs)
+            else:
+                memo.record_routing(op.metric, fallback=pairs)
         if out.shape != (len(self._pairs),) or out.dtype != np.float64:
             raise ValueError(
                 f"measure {op.metric!r} returned a malformed batch column: "

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import random
 import time
-import warnings
 from pathlib import Path
 
 from repro.engine.store import CACHE_ENV, ColumnStore
@@ -155,7 +154,6 @@ class LinkageService:
     def submit(
         self,
         kind: str,
-        spec: dict | None = None,
         *,
         dataset: str | None = None,
         rule: RuleRef | str | dict | None = None,
@@ -199,48 +197,35 @@ class LinkageService:
         (``None`` consults ``REPRO_JOB_DEADLINE``, then unbounded); an
         exceeded deadline fails the job terminally with
         ``error="deadline"``.
-
-        Passing a raw ``spec`` dict positionally is the deprecated
-        pre-registry surface; it still works (one ``DeprecationWarning``)
-        but performs no reference resolution.
         """
-        if spec is not None:
-            warnings.warn(
-                "passing a spec dict to LinkageService.submit is "
-                "deprecated; use keyword fields "
-                "(submit('link', dataset=..., rule=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        else:
-            spec = self._build_spec(
-                kind,
-                dataset=dataset,
-                rule=rule,
-                seed=seed,
-                scale=scale,
-                parent=parent,
-                upserts=upserts,
-                deletes=deletes,
-                population_size=population_size,
-                iterations=iterations,
-                publish=publish,
-            )
-            if isinstance(rule, (str, RuleRef)):
-                error = self._pin_rule_ref(spec, rule)
-                if error is not None:
-                    record = self.store.create(
-                        kind,
-                        spec,
-                        max_attempts=self._max_attempts,
-                        deadline=_resolve_deadline(deadline),
-                    )
-                    return self.store.transition(
-                        record.job_id,
-                        "failed",
-                        expect="queued",
-                        error=f"registry: {error}",
-                    )
+        spec = self._build_spec(
+            kind,
+            dataset=dataset,
+            rule=rule,
+            seed=seed,
+            scale=scale,
+            parent=parent,
+            upserts=upserts,
+            deletes=deletes,
+            population_size=population_size,
+            iterations=iterations,
+            publish=publish,
+        )
+        if isinstance(rule, (str, RuleRef)):
+            error = self._pin_rule_ref(spec, rule)
+            if error is not None:
+                record = self.store.create(
+                    kind,
+                    spec,
+                    max_attempts=self._max_attempts,
+                    deadline=_resolve_deadline(deadline),
+                )
+                return self.store.transition(
+                    record.job_id,
+                    "failed",
+                    expect="queued",
+                    error=f"registry: {error}",
+                )
         record = self.store.create(
             kind,
             spec,
@@ -330,54 +315,6 @@ class LinkageService:
         spec["rule_ref"] = str(version.ref)
         spec["rule_hash"] = version.rule_hash
         return None
-
-    def submit_link(
-        self,
-        dataset: str,
-        seed: int = 0,
-        scale: float = 1.0,
-        rule: dict | None = None,
-        deadline: float | None = None,
-    ) -> JobRecord:
-        """Deprecated shim for :meth:`submit` with ``kind="link"``."""
-        warnings.warn(
-            "LinkageService.submit_link is deprecated; use "
-            "submit('link', dataset=..., rule=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(
-            "link",
-            dataset=dataset,
-            seed=seed,
-            scale=scale,
-            rule=rule,
-            deadline=deadline,
-        )
-
-    def submit_delta(
-        self,
-        parent: str,
-        seed: int = 0,
-        upserts: int = 0,
-        deletes: int = 0,
-        deadline: float | None = None,
-    ) -> JobRecord:
-        """Deprecated shim for :meth:`submit` with ``kind="delta"``."""
-        warnings.warn(
-            "LinkageService.submit_delta is deprecated; use "
-            "submit('delta', parent=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(
-            "delta",
-            parent=parent,
-            seed=seed,
-            upserts=upserts,
-            deletes=deletes,
-            deadline=deadline,
-        )
 
     def _run_inline(self, record: JobRecord) -> JobRecord:
         """Degraded-mode execution: same transitions, same engine path,

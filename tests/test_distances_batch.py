@@ -2,25 +2,30 @@
 bit-identical to the per-pair ``evaluate`` loop for every measure —
 vectorized kernels and the generic fallback alike — including empty
 value sets (``INFINITE_DISTANCE`` propagation), unparseable values,
-multi-valued properties and the min-over-pairs budget."""
+multi-valued properties, tuples shared across rows and sides, and the
+min-over-pairs budget."""
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distances.base import INFINITE_DISTANCE, fallback_column
-from repro.distances.registry import default_registry
-from repro.distances.strings import (
-    BACKEND_ENV,
-    StringKernelMemo,
-    _rapidfuzz_levenshtein,
-    string_backend,
+from repro.core.nodes import ComparisonNode, PropertyNode
+from repro.data.entity import Entity
+from repro.distances.base import (
+    INFINITE_DISTANCE,
+    MAX_PAIRS,
+    fallback_column,
+    min_over_pairs,
+    pairwise_min_column,
 )
+from repro.distances.registry import default_registry
+from repro.distances.strings import StringKernelMemo
+from repro.engine import EngineSession
 
 _REGISTRY = default_registry()
 
@@ -44,8 +49,8 @@ BATCH_CAPABLE = (
 #: Measures still on the generic per-pair column path.
 FALLBACK = ("softJaccard", "mongeElkan")
 
-#: String measures whose kernels route through the
-#: ``REPRO_ENGINE_STRING_BACKEND`` selection.
+#: Measures whose columns run on the string kernels and take the
+#: session's ``StringKernelMemo``.
 STRING_MEASURES = (
     "levenshtein",
     "normalizedLevenshtein",
@@ -54,36 +59,21 @@ STRING_MEASURES = (
     "jaccard",
     "dice",
     "overlap",
+    "equality",
 )
 
-
-def _backends() -> tuple[str, ...]:
-    """Backends testable in this environment (rapidfuzz only when the
-    optional package is installed — CI's optional-deps leg covers it)."""
-    backends = ("python", "numpy")
-    if _rapidfuzz_levenshtein() is not None:
-        backends += ("rapidfuzz",)
-    return backends
-
-
-class _backend:
-    """Context manager pinning ``REPRO_ENGINE_STRING_BACKEND``."""
-
-    def __init__(self, spec: str | None):
-        self._spec = spec
-
-    def __enter__(self):
-        self._saved = os.environ.get(BACKEND_ENV)
-        if self._spec is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = self._spec
-
-    def __exit__(self, *exc_info):
-        if self._saved is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = self._saved
+#: Measures lifting a pair distance through ``min_over_pairs`` — the
+#: ones whose columns run on ``pairwise_min_column``.
+MIN_OVER_PAIRS = (
+    "numeric",
+    "date",
+    "geographic",
+    "qgrams",
+    "levenshtein",
+    "normalizedLevenshtein",
+    "jaro",
+    "jaroWinkler",
+)
 
 #: Value pools chosen to hit every parse branch of every measure:
 #: numbers with both decimal separators, dates in several formats, bare
@@ -110,11 +100,22 @@ _VALUES = (
 )
 
 
-def _column_strategy():
-    value_set = st.lists(
-        st.sampled_from(_VALUES), min_size=0, max_size=3
-    ).map(tuple)
-    return st.lists(value_set, min_size=0, max_size=8)
+def _column_strategy(values):
+    """Two aligned columns whose rows draw from one pool of value tuples,
+    so the same tuple object recurs across rows and sits on both sides
+    (as dedup datasets produce), with value sets long enough (up to 20
+    values) to cross the 256-pair budget of ``min_over_pairs``."""
+    value_set = st.lists(st.sampled_from(values), max_size=20).map(tuple)
+    slot = st.integers(min_value=0, max_value=5)
+    return st.tuples(
+        st.lists(value_set, min_size=6, max_size=6),
+        st.lists(st.tuples(slot, slot), max_size=8),
+    ).map(
+        lambda drawn: (
+            [drawn[0][i] for i, _ in drawn[1]],
+            [drawn[0][j] for _, j in drawn[1]],
+        )
+    )
 
 
 def _reference(measure, columns_a, columns_b):
@@ -137,12 +138,10 @@ def test_fallback_measures_not_flagged(name):
 
 
 @pytest.mark.parametrize("name", BATCH_CAPABLE + FALLBACK)
-@given(columns=st.tuples(_column_strategy(), _column_strategy()))
+@given(columns=_column_strategy(_VALUES))
 @settings(max_examples=40, deadline=None)
 def test_evaluate_column_matches_per_pair(name, columns):
     columns_a, columns_b = columns
-    n = min(len(columns_a), len(columns_b))
-    columns_a, columns_b = columns_a[:n], columns_b[:n]
     measure = _REGISTRY.get(name)
     batch = measure.evaluate_column(columns_a, columns_b)
     expected = _reference(measure, columns_a, columns_b)
@@ -170,26 +169,91 @@ def test_empty_columns(name):
 
 def test_huge_differences_clamp_to_sentinel():
     """The scalar min-over-pairs loop never returns more than the
-    INFINITE_DISTANCE sentinel it starts from; the vectorized singleton
-    path must clamp identically (13-digit values, inf parses)."""
+    INFINITE_DISTANCE sentinel it starts from and skips NaN; the batch
+    column must clamp and skip identically (13-digit values, inf
+    parses, inf - inf on both sides), singleton and multi-valued."""
     measure = _REGISTRY.get("numeric")
-    columns_a = [("2000000000000",), ("9e999",), ("1",)]
-    columns_b = [("0",), ("1",), ("9e999",)]
-    batch = measure.evaluate_column(columns_a, columns_b)
-    expected = _reference(measure, columns_a, columns_b)
-    np.testing.assert_array_equal(batch, expected)
-    assert (batch == INFINITE_DISTANCE).all()
+    singletons = (
+        [("2000000000000",), ("9e999",), ("1",), ("9e999",)],
+        [("0",), ("1",), ("9e999",), ("9e999",)],
+    )
+    multi_valued = (
+        [("2000000000000", "x"), ("9e999", "x"), ("9e999", "5")],
+        [("0",), ("9e999",), ("9e999", "7")],
+    )
+    for columns_a, columns_b in (singletons, multi_valued):
+        batch = measure.evaluate_column(columns_a, columns_b)
+        np.testing.assert_array_equal(
+            batch, _reference(measure, columns_a, columns_b)
+        )
+        assert (batch[:2] == INFINITE_DISTANCE).all()
+    assert measure.evaluate_column(*multi_valued)[2] == 2.0
+
+
+#: One distinct value per index, per min-over-pairs measure.
+_BUDGET_VALUES = {
+    "numeric": str,
+    "date": lambda i: str(1900 + i),
+    "geographic": lambda i: f"{i * 0.5},10.0",
+}
 
 
 def test_min_over_pairs_budget_parity():
     """Value sets big enough to exhaust the 256-pair budget must agree
-    between batch and scalar paths (the budget truncates the cross
-    product deterministically)."""
-    measure = _REGISTRY.get("numeric")
-    values_a = tuple(str(i) for i in range(40))
-    values_b = tuple(str(1000 - i) for i in range(40))  # 1600 pairs > 256
-    batch = measure.evaluate_column([values_a], [values_b])
-    assert batch[0] == measure.evaluate(values_a, values_b)
+    between batch and scalar paths for every min-over-pairs measure:
+    the only exact match sits at pair 1599, past the budget, so a
+    column that ignored the cut would report a smaller distance."""
+    for name in MIN_OVER_PAIRS:
+        measure = _REGISTRY.get(name)
+        value = _BUDGET_VALUES.get(name, lambda i: f"value {i:03d}")
+        values_a = tuple(value(i) for i in range(40))
+        values_b = tuple(value(100 + j) for j in range(39)) + (value(39),)
+        batch = measure.evaluate_column([values_a], [values_b])
+        assert batch[0] == measure.evaluate(values_a, values_b), name
+        assert 0.0 < batch[0] < INFINITE_DISTANCE, name
+
+
+#: Pair distances for the driver test: zero, NaN, infinity, values
+#: above the sentinel and ordinary ones (distances are non-negative by
+#: contract, so the scalar loop's early exit at 0.0 is a plain minimum).
+_PAIR_DISTANCES = (0.0, 0.5, 3.0, math.nan, math.inf, INFINITE_DISTANCE, 2e12)
+
+
+@given(
+    columns=_column_strategy(tuple("abcdefgh")),
+    table=st.lists(st.sampled_from(_PAIR_DISTANCES), min_size=64, max_size=64),
+)
+@settings(max_examples=100, deadline=None)
+def test_pairwise_min_column_matches_min_over_pairs(columns, table):
+    """The driver reduces exactly like the scalar loop: NaN skipped,
+    values at or above the sentinel clamped, the budget honoured, and
+    the kernel only ever asked about distinct pairs."""
+    columns_a, columns_b = columns
+
+    def pair_distance(a, b):
+        return table[(ord(a) - 97) * 8 + ord(b) - 97]
+
+    seen = []
+
+    def kernel(strings, index_a, index_b):
+        pairs = list(zip(index_a.tolist(), index_b.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert len(set(strings)) == len(strings)
+        seen.extend(pairs)
+        return np.array(
+            [pair_distance(strings[a], strings[b]) for a, b in pairs],
+            dtype=np.float64,
+        )
+
+    batch = pairwise_min_column(columns_a, columns_b, kernel)
+    expected = [
+        min_over_pairs(a, b, pair_distance) if a and b else INFINITE_DISTANCE
+        for a, b in zip(columns_a, columns_b)
+    ]
+    np.testing.assert_array_equal(batch, np.array(expected, dtype=np.float64))
+    assert len(seen) <= sum(
+        min(len(a) * len(b), MAX_PAIRS) for a, b in zip(columns_a, columns_b)
+    )
 
 
 def test_column_length_mismatch_rejected():
@@ -224,32 +288,57 @@ _STRING_VALUES = (
 )
 
 
-def _string_column_strategy():
-    value_set = st.lists(
-        st.sampled_from(_STRING_VALUES), min_size=0, max_size=3
-    ).map(tuple)
-    return st.lists(value_set, min_size=0, max_size=8)
+#: Enough distinct tokens to push a memo's token space past the bitset
+#: width of the set-algebra driver.
+_FILLER_TOKENS = tuple(f"filler{i}" for i in range(5000))
 
 
 @pytest.mark.parametrize("name", STRING_MEASURES)
-@given(columns=st.tuples(_string_column_strategy(), _string_column_strategy()))
+@given(columns=_column_strategy(_STRING_VALUES))
 @settings(max_examples=40, deadline=None)
 def test_string_kernels_match_scalar_on_all_backends(name, columns):
     """Batch/scalar bit-parity for the string kernels over adversarial
-    inputs, on every backend available in this environment, with and
-    without the session memo."""
+    inputs, with and without the session memo (the memoised call runs
+    twice, so the second one reads warm encode and token tables). The
+    memo starts with more than 4096 interned tokens, which moves the
+    set measures from packed bitsets to the sorted-key intersection
+    pass; the plain call keeps the bitsets."""
     columns_a, columns_b = columns
-    n = min(len(columns_a), len(columns_b))
-    columns_a, columns_b = columns_a[:n], columns_b[:n]
     measure = _REGISTRY.get(name)
     expected = _reference(measure, columns_a, columns_b)
     memo = StringKernelMemo()
-    for backend in _backends():
-        with _backend(backend):
-            plain = measure.evaluate_column(columns_a, columns_b)
-            memoised = measure.evaluate_column(columns_a, columns_b, memo=memo)
-        np.testing.assert_array_equal(plain, expected, err_msg=backend)
-        np.testing.assert_array_equal(memoised, expected, err_msg=backend)
+    memo.token_sets([_FILLER_TOKENS])
+    plain = measure.evaluate_column(columns_a, columns_b)
+    np.testing.assert_array_equal(plain, expected)
+    for _ in range(2):
+        memoised = measure.evaluate_column(columns_a, columns_b, memo=memo)
+        np.testing.assert_array_equal(memoised, expected)
+
+
+def test_pair_kernels_accept_repeated_strings():
+    """The column driver hands the string kernels distinct strings, but
+    the kernels stay exact without that promise: equal strings at
+    different indexes (empty ones included) score like the scalar."""
+    from repro.distances.jaro import jaro_similarity, jaro_winkler_similarity
+    from repro.distances.levenshtein import levenshtein
+    from repro.distances.strings import jaro_pairs, levenshtein_pairs
+
+    strings = ["", "kitten", "", "kitten", "sitting"]
+    index_a = np.array([0, 1, 0, 1, 4, 2])
+    index_b = np.array([2, 3, 1, 4, 3, 0])
+    pairs = [(strings[a], strings[b]) for a, b in zip(index_a, index_b)]
+    np.testing.assert_array_equal(
+        levenshtein_pairs(strings, index_a, index_b, bound=3),
+        [levenshtein(a, b, bound=3) for a, b in pairs],
+    )
+    np.testing.assert_array_equal(
+        jaro_pairs(strings, index_a, index_b),
+        [jaro_similarity(a, b) for a, b in pairs],
+    )
+    np.testing.assert_array_equal(
+        jaro_pairs(strings, index_a, index_b, prefix_scale=0.1),
+        [jaro_winkler_similarity(a, b) for a, b in pairs],
+    )
 
 
 @pytest.mark.parametrize("name", STRING_MEASURES)
@@ -257,38 +346,27 @@ def test_string_measures_are_memo_capable(name):
     assert _REGISTRY.get(name).memo_capable
 
 
-def test_backend_resolution():
-    with _backend(None):
-        assert string_backend() == "numpy"
-    with _backend("python"):
-        assert string_backend() == "python"
-    with _backend("nonsense"):
-        with pytest.raises(ValueError, match="nonsense"):
-            string_backend()
-    if _rapidfuzz_levenshtein() is None:
-        with _backend("auto"):
-            assert string_backend() == "numpy"
-        with _backend("rapidfuzz"):
-            with pytest.raises(RuntimeError, match="not installed"):
-                string_backend()
-    else:
-        with _backend("auto"):
-            assert string_backend() == "rapidfuzz"
-
-
 def test_routing_counters_split_batch_and_fallback():
-    """Singleton pairs count as batch, multi-valued combos as fallback,
-    empty rows as neither; the python backend is all-fallback."""
-    measure = _REGISTRY.get("levenshtein")
-    columns_a = [("kitten",), ("a", "b"), (), ("kitten",)]
-    columns_b = [("sitting",), ("c",), ("x",), ("sitting",)]
-    memo = StringKernelMemo()
-    with _backend("numpy"):
-        measure.evaluate_column(columns_a, columns_b, memo=memo)
-    assert memo.routing() == (("levenshtein", 2, 1),)
-    with _backend("python"):
-        measure.evaluate_column(columns_a, columns_b, memo=memo)
-    assert memo.routing() == (("levenshtein", 2, 4),)
+    """The engine counts non-empty pairs by column path: every pair of a
+    measure with a kernel is batch, multi-valued combinations included;
+    only a measure without one (softJaccard) counts as fallback; rows
+    with an empty side count as neither."""
+    pairs = [
+        (Entity("a0", {"name": "kitten"}), Entity("b0", {"name": "sitting"})),
+        (Entity("a1", {"name": ("a", "b")}), Entity("b1", {"name": "c"})),
+        (Entity("a2", {}), Entity("b2", {"name": "x"})),
+        (Entity("a3", {"name": "kitten"}), Entity("b3", {"name": "sitting"})),
+    ]
+    with EngineSession() as session:
+        context = session.context(pairs)
+        for metric in ("levenshtein", "softJaccard"):
+            context.scores(
+                ComparisonNode(
+                    metric, 1.0, PropertyNode("name"), PropertyNode("name")
+                )
+            )
+        routing = session.stats().kernel_routing
+    assert routing == (("levenshtein", 3, 0), ("softJaccard", 0, 3))
 
 
 def test_string_memo_tables_are_bounded():

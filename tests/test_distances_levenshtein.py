@@ -58,8 +58,8 @@ class TestLevenshteinFunction:
     def test_out_of_range_is_exactly_bound_plus_one(self):
         """The clamp contract: every out-of-range result is exactly
         ``bound + 1``, whichever shortcut detects it — that pinned
-        value is what lets the numpy and rapidfuzz batch backends stay
-        bit-identical to this oracle."""
+        value is what lets the batch row-DP kernel stay bit-identical
+        to this oracle."""
         # Early-exit path (rows of the DP all exceed the bound).
         assert levenshtein("abcdefgh", "zyxwvuts", bound=2) == 3.0
         # Length-difference prefilter, including empty strings.

@@ -1,6 +1,6 @@
 """Registry-backed jobs end to end: reference pinning, byte-parity,
 terminal resolution failures, the no-silent-zero-score gate, and the
-deprecation shims of the consolidated submission surface."""
+consolidated keyword submission surface."""
 
 from __future__ import annotations
 
@@ -260,7 +260,7 @@ def test_publish_rejects_pinned_lineage(service):
         )
 
 
-# -- consolidated submission surface and shims -------------------------------
+# -- consolidated submission surface ------------------------------------------
 
 
 def test_submit_validates_keyword_fields(service):
@@ -278,32 +278,13 @@ def test_submit_validates_keyword_fields(service):
         service.submit("frobnicate", dataset=DATASET)
 
 
-def test_submit_link_shim_warns_and_works(service):
-    with pytest.warns(DeprecationWarning, match="submit_link"):
-        record = service.submit_link(DATASET, seed=0, scale=SCALE)
-    assert record.state == "succeeded"
-    assert service.links(record.job_id) == direct_links()
-
-
-def test_submit_delta_shim_warns_and_works(service):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        parent = service.submit_link(DATASET, seed=0, scale=SCALE)
-    with pytest.warns(DeprecationWarning, match="submit_delta"):
-        record = service.submit_delta(
-            parent.job_id, seed=1, upserts=2, deletes=1
-        )
-    assert record.state == "succeeded"
-    assert record.result["parent"] == parent.job_id
-
-
-def test_submit_spec_dict_warns_and_works(service):
-    with pytest.warns(DeprecationWarning, match="spec dict"):
-        record = service.submit(
-            "link", {"dataset": DATASET, "seed": 0, "scale": SCALE}
-        )
-    assert record.state == "succeeded"
-    assert service.links(record.job_id) == direct_links()
+def test_submit_takes_keyword_fields_only(service):
+    """The spec-dict form is gone: a positional spec is a caller error,
+    not a job."""
+    with pytest.raises(TypeError):
+        service.submit("link", {"dataset": DATASET, "seed": 0, "scale": SCALE})
+    assert not hasattr(service, "submit_link")
+    assert not hasattr(service, "submit_delta")
 
 
 def test_new_surface_emits_no_deprecation_warning(service):
