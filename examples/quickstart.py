@@ -29,10 +29,11 @@ instead of recomputing it, with byte-identical output::
     repro-experiments --cache-dir /tmp/engine-cache cache info
 
 or per component: ``GenLink(config, cache_dir=...)``,
-``MatchingEngine(cache_dir=...)``. When the cache is active this
-script reports the store's hit/miss counters on stderr — distance
-columns *and* blocking indexes (stdout stays identical across runs,
-which CI's cache-reuse leg asserts).
+``MatchingEngine(cache_dir=...)``. This script reports the run's
+counters on stderr (``[engine run] probe_batches=... pairs=...``) and,
+when the cache is active, the store's hit/miss counters — distance
+columns *and* blocking indexes (``[engine store] hits=...``). Stdout
+stays identical across runs, which CI's cache-reuse leg asserts.
 
 Link generation picks its blocking strategy from the learned rule's
 structure (MultiBlock where its comparisons support a dismissal-free
@@ -57,6 +58,7 @@ import sys
 
 from repro import DataSource, Entity, GenLink, GenLinkConfig, ReferenceLinkSet
 from repro import render_rule, rule_to_json
+from repro.engine import counters
 from repro.matching import MatchingEngine, evaluate_links
 
 
@@ -116,23 +118,16 @@ def main() -> None:
         links = engine.execute(result.best_rule, shop_a, shop_b)
     finally:
         engine.close()
+    # Run counters go to stderr so stdout stays byte-identical between
+    # cold and warm runs.
     match_stats = engine.last_run_stats()
-    if match_stats is not None and match_stats.store is not None:
-        # Persistent column store active (REPRO_ENGINE_CACHE): report
-        # its counters on stderr so stdout stays byte-identical between
-        # cold and warm runs. Columns and blocking indexes are separate
-        # tiers — a warm run shows hits on both.
-        store = match_stats.store
-        print(
-            f"[engine store] hits={store.hits} misses={store.misses} "
-            f"writes={store.writes} index_hits={store.index_hits} "
-            f"index_misses={store.index_misses} "
-            f"index_writes={store.index_writes} "
-            f"probe_batches={match_stats.probe_batches} "
-            f"probe_memo_hits={match_stats.probe_memo_hits}",
-            file=sys.stderr,
-        )
-    if match_stats is not None and match_stats.kernel_routing:
+    print(counters.line("engine run", match_stats), file=sys.stderr)
+    if match_stats.store is not None:
+        # Persistent column store active (REPRO_ENGINE_CACHE). Columns
+        # and blocking indexes are separate tiers — a warm run shows
+        # hits on both.
+        print(counters.line("engine store", match_stats.store), file=sys.stderr)
+    if match_stats.kernel_routing:
         # Per-measure kernel routing on stderr (stdout must stay
         # byte-identical across cache states): a measure without a
         # batch kernel shows up here as per-pair fallback pairs.

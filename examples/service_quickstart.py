@@ -32,6 +32,7 @@ import os
 import sys
 import tempfile
 
+from repro.engine import counters
 from repro.service import SERVICE_DIR_ENV, LinkageService
 
 
@@ -42,21 +43,10 @@ def print_stats(stats: dict) -> None:
     between cold and warm runs — the same discipline as
     ``examples/quickstart.py``, and what CI greps.
     """
-    print(
-        f"[job engine] batches={stats['batches']} pairs={stats['pairs']} "
-        f"links={stats['links']}",
-        file=sys.stderr,
-    )
+    print(counters.line("job engine", stats), file=sys.stderr)
     store = stats.get("store")
     if store is not None:
-        print(
-            f"[job store] hits={store['hits']} misses={store['misses']} "
-            f"writes={store['writes']} index_hits={store['index_hits']} "
-            f"index_misses={store['index_misses']} "
-            f"probe_hits={store['probe_hits']} "
-            f"probe_misses={store['probe_misses']}",
-            file=sys.stderr,
-        )
+        print(counters.line("job store", store), file=sys.stderr)
 
 
 def run(root: str) -> None:

@@ -81,10 +81,8 @@ class PairEvaluator:
     context. Passing ``session`` shares an existing session (and its
     caches) instead of creating a private one; registries and cache
     capacities are then owned by the session and may not be overridden
-    here. ``cache_hits`` / ``cache_misses`` report the score tier of
-    the backing session — with a private session that matches the
-    seed's per-evaluator comparison-cache counters, with a shared
-    session the counts aggregate all sharers.
+    here. :meth:`engine_stats` reports the backing session's tiers —
+    with a shared session the counts aggregate all sharers.
     """
 
     def __init__(
@@ -179,18 +177,6 @@ class PairEvaluator:
         self._context.population_scores(roots)
 
     # -- cache statistics ----------------------------------------------------
-    @property
-    def cache_hits(self) -> int:
-        """Comparison-level (score tier) cache hits of the backing
-        session (session-wide when the session is shared)."""
-        return self._session.stats().scores.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Comparison-level (score tier) cache misses of the backing
-        session (session-wide when the session is shared)."""
-        return self._session.stats().scores.misses
-
     def engine_stats(self) -> EngineStats:
         """Full per-tier cache and compiler statistics."""
         return self._session.stats()

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.evaluation import PairEvaluator
 from repro.core.rule import LinkageRule
-from repro.engine.session import EngineStats
 
 
 @dataclass(frozen=True)
@@ -140,10 +139,6 @@ class FitnessFunction:
         so the per-rule calls below hit warm caches (shared subtrees
         are computed exactly once)."""
         self._evaluator.prime_population([rule.root for rule in rules])
-
-    def engine_stats(self) -> EngineStats:
-        """Cache statistics of the backing engine session."""
-        return self._evaluator.engine_stats()
 
     def confusion(self, rule: LinkageRule) -> ConfusionCounts:
         return confusion_counts(self._evaluator.predictions(rule.root), self._labels)

@@ -193,36 +193,6 @@ class BoundedValueMemo:
         return entry[1]
 
 
-def routing_delta(
-    current: tuple[tuple[str, int, int], ...],
-    baseline: "tuple[tuple[str, int, int], ...] | None",
-) -> tuple[tuple[str, int, int], ...]:
-    """Per-run routing counters: ``current - baseline`` per measure."""
-    if not baseline:
-        return current
-    base = {name: (batch, fallback) for name, batch, fallback in baseline}
-    out = []
-    for name, batch, fallback in current:
-        b_batch, b_fallback = base.get(name, (0, 0))
-        batch, fallback = batch - b_batch, fallback - b_fallback
-        if batch or fallback:
-            out.append((name, batch, fallback))
-    return tuple(out)
-
-
-def routing_merged(
-    snapshots: Sequence[tuple[tuple[str, int, int], ...]],
-) -> tuple[tuple[str, int, int], ...]:
-    """Sum routing snapshots across worker sessions."""
-    totals: dict[str, list[int]] = {}
-    for snapshot in snapshots:
-        for name, batch, fallback in snapshot:
-            entry = totals.setdefault(name, [0, 0])
-            entry[0] += batch
-            entry[1] += fallback
-    return tuple(sorted((k, v[0], v[1]) for k, v in totals.items()))
-
-
 def count_nonempty(columns_a, columns_b) -> int:
     """Pairs where both sides have values (the pairs a kernel actually
     evaluates — the routing-counter unit)."""

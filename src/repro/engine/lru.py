@@ -18,8 +18,10 @@ their use.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Hashable
+
+from repro.engine.counters import GAUGE
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,8 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    size: int
-    capacity: int
+    size: int = field(metadata=GAUGE)
+    capacity: int = field(metadata=GAUGE)
 
     @property
     def lookups(self) -> int:
@@ -41,36 +43,6 @@ class CacheStats:
         """Hits per lookup; 0.0 before the first lookup."""
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def delta(self, baseline: "CacheStats | None") -> "CacheStats":
-        """Counters accumulated since ``baseline`` (an earlier snapshot
-        of the same cache). ``size``/``capacity`` are point-in-time
-        gauges and stay at this snapshot's values. ``baseline=None``
-        means 'no earlier snapshot' — the delta is the full history."""
-        if baseline is None:
-            return self
-        return CacheStats(
-            hits=self.hits - baseline.hits,
-            misses=self.misses - baseline.misses,
-            evictions=self.evictions - baseline.evictions,
-            size=self.size,
-            capacity=self.capacity,
-        )
-
-    @staticmethod
-    def merged(snapshots: "Sequence[CacheStats]") -> "CacheStats | None":
-        """Sum per-worker snapshots into one fleet-wide view (capacities
-        too: the merged snapshot describes the fleet, not one worker).
-        None for an empty sequence — 'no workers reported'."""
-        if not snapshots:
-            return None
-        return CacheStats(
-            hits=sum(s.hits for s in snapshots),
-            misses=sum(s.misses for s in snapshots),
-            evictions=sum(s.evictions for s in snapshots),
-            size=sum(s.size for s in snapshots),
-            capacity=sum(s.capacity for s in snapshots),
-        )
 
 
 class LRUCache:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +53,7 @@ from repro.engine.compiler import (
     GenerationDiff,
     RuleCompiler,
 )
+from repro.engine.counters import KEYED, LOG
 from repro.engine.executor import Executor, resolve_executor
 from repro.engine.kernels import aggregate_scores, threshold_scores
 from repro.engine.lru import CacheStats, LRUCache
@@ -61,24 +62,22 @@ from repro.transforms.registry import TransformationRegistry
 from repro.transforms.registry import default_registry as default_transforms
 
 
-@dataclass(frozen=True)
-class EngineStats:
-    """Cache and compiler statistics of one session."""
+@dataclass(frozen=True, kw_only=True)
+class EngineCounters:
+    """The counters an engine session accumulates, shared by the
+    session snapshot (:class:`EngineStats`) and the per-run report
+    (:class:`~repro.matching.engine.MatchStats`); combined field by
+    field through :mod:`repro.engine.counters`."""
 
-    values: CacheStats
-    columns: CacheStats
-    scores: CacheStats
-    #: Unique ops interned by the compiler over the session lifetime.
-    value_ops: int
-    comparison_ops: int
-    #: Populations compiled so far (one per GP generation).
-    generations: int = 0
-    #: Reuse record of the most recently compiled population, if any.
-    last_generation: GenerationDiff | None = None
+    values: CacheStats | None
+    columns: CacheStats | None
+    scores: CacheStats | None
     #: Persistent-tier counters (None when no column store is
     #: configured). Kept separate from the in-memory tiers so
     #: consumers — CI assertions, docs — can tell a cross-run store
-    #: hit from an in-memory value/column hit unambiguously.
+    #: hit from an in-memory value/column hit unambiguously. Covers
+    #: distance columns (``hits``/``misses``/``writes``), blocking
+    #: indexes (``index_*``) and probe ledgers (``probe_*``).
     store: StoreStats | None = None
     #: Blocking probe-side counters: batch-probe invocations recorded
     #: by the blockers (:meth:`EngineSession.record_probe`) and probe
@@ -91,7 +90,11 @@ class EngineStats:
     #: a vectorized batch kernel vs the per-pair scalar fallback (cache
     #: and store hits evaluate nothing and count toward neither). A
     #: measure that silently falls back shows up here immediately.
-    kernel_routing: tuple[tuple[str, int, int], ...] = ()
+    #: Plain tuples so the stats pickle cleanly out of process-pool
+    #: workers.
+    kernel_routing: tuple[tuple[str, int, int], ...] = field(
+        default=(), metadata=KEYED
+    )
     #: Blocking-index provenance: payloads constructed from scratch vs
     #: payloads derived by patching a parent-epoch payload through a
     #: source delta chain (:meth:`EngineSession.blocking_index` with
@@ -99,11 +102,31 @@ class EngineStats:
     #: build — the incremental benchmark gates on this ratio.
     index_builds: int = 0
     index_patches: int = 0
-    #: Degradations recorded this session: human-readable reasons the
-    #: persistent store's circuit breaker tripped (empty when the disk
-    #: behaved or no store is configured). Surfaced onward through
-    #: ``MatchStats.degraded`` and service health.
-    degraded: tuple[str, ...] = ()
+    #: Degradations: human-readable reasons the persistent store's
+    #: circuit breaker tripped (empty when the disk behaved or no store
+    #: is configured). Surfaced onward through ``MatchStats.degraded``
+    #: and service health.
+    degraded: tuple[str, ...] = field(default=(), metadata=LOG)
+
+    @classmethod
+    def of(cls, stats: "EngineCounters") -> "EngineCounters":
+        """The counter fields of ``stats`` (a snapshot of any subclass)."""
+        return cls(
+            **{spec.name: getattr(stats, spec.name) for spec in fields(cls)}
+        )
+
+
+@dataclass(frozen=True)
+class EngineStats(EngineCounters):
+    """Cache and compiler statistics of one session."""
+
+    #: Unique ops interned by the compiler over the session lifetime.
+    value_ops: int
+    comparison_ops: int
+    #: Populations compiled so far (one per GP generation).
+    generations: int = 0
+    #: Reuse record of the most recently compiled population, if any.
+    last_generation: GenerationDiff | None = None
 
     @property
     def last_comparison_reuse(self) -> float | None:

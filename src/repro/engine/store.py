@@ -82,7 +82,7 @@ import pickle
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -168,55 +168,6 @@ class StoreStats:
         lookups = self.index_lookups
         return self.index_hits / lookups if lookups else 0.0
 
-    def delta(self, baseline: "StoreStats | None") -> "StoreStats":
-        """Counters accumulated since ``baseline`` (an earlier snapshot
-        of the same store; every field is a monotonic counter).
-        ``baseline=None`` means the delta is the full history."""
-        if baseline is None:
-            return self
-        return StoreStats(
-            hits=self.hits - baseline.hits,
-            misses=self.misses - baseline.misses,
-            writes=self.writes - baseline.writes,
-            invalid=self.invalid - baseline.invalid,
-            bytes_read=self.bytes_read - baseline.bytes_read,
-            bytes_written=self.bytes_written - baseline.bytes_written,
-            index_hits=self.index_hits - baseline.index_hits,
-            index_misses=self.index_misses - baseline.index_misses,
-            index_writes=self.index_writes - baseline.index_writes,
-            index_invalid=self.index_invalid - baseline.index_invalid,
-            probe_hits=self.probe_hits - baseline.probe_hits,
-            probe_misses=self.probe_misses - baseline.probe_misses,
-            probe_writes=self.probe_writes - baseline.probe_writes,
-            probe_invalid=self.probe_invalid - baseline.probe_invalid,
-            io_faults=self.io_faults - baseline.io_faults,
-            breaker_trips=self.breaker_trips - baseline.breaker_trips,
-        )
-
-    @staticmethod
-    def merged(snapshots: Sequence["StoreStats"]) -> "StoreStats | None":
-        """Sum per-worker snapshots into one fleet-wide view."""
-        if not snapshots:
-            return None
-        return StoreStats(
-            hits=sum(s.hits for s in snapshots),
-            misses=sum(s.misses for s in snapshots),
-            writes=sum(s.writes for s in snapshots),
-            invalid=sum(s.invalid for s in snapshots),
-            bytes_read=sum(s.bytes_read for s in snapshots),
-            bytes_written=sum(s.bytes_written for s in snapshots),
-            index_hits=sum(s.index_hits for s in snapshots),
-            index_misses=sum(s.index_misses for s in snapshots),
-            index_writes=sum(s.index_writes for s in snapshots),
-            index_invalid=sum(s.index_invalid for s in snapshots),
-            probe_hits=sum(s.probe_hits for s in snapshots),
-            probe_misses=sum(s.probe_misses for s in snapshots),
-            probe_writes=sum(s.probe_writes for s in snapshots),
-            probe_invalid=sum(s.probe_invalid for s in snapshots),
-            io_faults=sum(s.io_faults for s in snapshots),
-            breaker_trips=sum(s.breaker_trips for s in snapshots),
-        )
-
 
 @dataclass(frozen=True)
 class StoreEntry:
@@ -296,22 +247,13 @@ class ColumnStore:
         self._epochs_dir = self._root / f"epochs-v{EPOCH_FORMAT_VERSION}"
         self._mmap = mmap
         self.breaker = breaker if breaker is not None else CircuitBreaker()
+        #: Running totals of the :class:`StoreStats` counters, one
+        #: entry per field, under one lock (``breaker_trips`` is read
+        #: from the breaker at snapshot time).
         self._lock = threading.Lock()
-        self._io_faults = 0
-        self._hits = 0
-        self._misses = 0
-        self._writes = 0
-        self._invalid = 0
-        self._bytes_read = 0
-        self._bytes_written = 0
-        self._index_hits = 0
-        self._index_misses = 0
-        self._index_writes = 0
-        self._index_invalid = 0
-        self._probe_hits = 0
-        self._probe_misses = 0
-        self._probe_writes = 0
-        self._probe_invalid = 0
+        self._counts = dict.fromkeys(
+            (spec.name for spec in fields(StoreStats)), 0
+        )
 
     @property
     def root(self) -> Path:
@@ -330,11 +272,16 @@ class ColumnStore:
     def _epoch_path(self, key: str) -> Path:
         return self._epochs_dir / key[:2] / f"{key}.json"
 
-    # -- fault accounting -----------------------------------------------------
+    # -- accounting -----------------------------------------------------------
+    def _count(self, **amounts: int) -> None:
+        """Add ``amounts`` to the named :class:`StoreStats` counters."""
+        with self._lock:
+            for name, amount in amounts.items():
+                self._counts[name] += amount
+
     def _io_fault(self, error: OSError) -> None:
         """Count a transient disk fault and feed the breaker."""
-        with self._lock:
-            self._io_faults += 1
+        self._count(io_faults=1)
         reason = error.strerror or str(error)
         self.breaker.record_failure(reason)
 
@@ -356,8 +303,7 @@ class ColumnStore:
         entirely and every load is a fast miss.
         """
         if not self.breaker.allow():
-            with self._lock:
-                self._misses += 1
+            self._count(misses=1)
             return None
         path = self._column_path(key)
         try:
@@ -367,8 +313,7 @@ class ColumnStore:
             else:
                 column = np.load(path, allow_pickle=False)
         except FileNotFoundError:
-            with self._lock:
-                self._misses += 1
+            self._count(misses=1)
             self.breaker.record_success()
             return None
         except (ValueError, EOFError):
@@ -380,8 +325,7 @@ class ColumnStore:
             # Transient disk fault: the blob may be perfectly healthy,
             # so never delete it — degrade this lookup to a miss and
             # let the breaker decide whether to keep trying the disk.
-            with self._lock:
-                self._misses += 1
+            self._count(misses=1)
             self._io_fault(error)
             return None
         if column.shape != (rows,) or column.dtype != np.float64:
@@ -408,9 +352,7 @@ class ColumnStore:
             os.utime(path, None)
         except OSError:
             pass
-        with self._lock:
-            self._hits += 1
-            self._bytes_read += column.nbytes
+        self._count(hits=1, bytes_read=column.nbytes)
         self.breaker.record_success()
         return column
 
@@ -457,9 +399,7 @@ class ColumnStore:
         except OSError as error:
             self._io_fault(error)
             return False
-        with self._lock:
-            self._writes += 1
-            self._bytes_written += column.nbytes
+        self._count(writes=1, bytes_written=column.nbytes)
         self.breaker.record_success()
         return True
 
@@ -496,9 +436,7 @@ class ColumnStore:
                 os.unlink(doomed)
             except OSError:
                 pass
-        with self._lock:
-            self._invalid += 1
-            self._misses += 1
+        self._count(invalid=1, misses=1)
 
     # -- blocking-index tier --------------------------------------------------
     def load_index(self, key: str) -> object | None:
@@ -513,21 +451,18 @@ class ColumnStore:
         it. A hit renews the blob's mtime for GC recency.
         """
         if not self.breaker.allow():
-            with self._lock:
-                self._index_misses += 1
+            self._count(index_misses=1)
             return None
         path = self._index_path(key)
         try:
             faults.fire("store.read")
             blob = path.read_bytes()
         except FileNotFoundError:
-            with self._lock:
-                self._index_misses += 1
+            self._count(index_misses=1)
             self.breaker.record_success()
             return None
         except OSError as error:
-            with self._lock:
-                self._index_misses += 1
+            self._count(index_misses=1)
             self._io_fault(error)
             return None
         try:
@@ -541,17 +476,13 @@ class ColumnStore:
                     os.unlink(doomed)
                 except OSError:
                     pass
-            with self._lock:
-                self._index_invalid += 1
-                self._index_misses += 1
+            self._count(index_invalid=1, index_misses=1)
             return None
         try:
             os.utime(path, None)
         except OSError:
             pass
-        with self._lock:
-            self._index_hits += 1
-            self._bytes_read += len(blob)
+        self._count(index_hits=1, bytes_read=len(blob))
         self.breaker.record_success()
         return payload
 
@@ -587,9 +518,7 @@ class ColumnStore:
         except OSError as error:
             self._io_fault(error)
             return False
-        with self._lock:
-            self._index_writes += 1
-            self._bytes_written += len(blob)
+        self._count(index_writes=1, bytes_written=len(blob))
         self.breaker.record_success()
         return True
 
@@ -621,23 +550,20 @@ class ColumnStore:
                 os.unlink(path)
             except OSError:
                 pass
-            with self._lock:
-                self._probe_invalid += 1
+            self._count(probe_invalid=1)
             return None
         if not isinstance(payload, dict):
             try:
                 os.unlink(path)
             except OSError:
                 pass
-            with self._lock:
-                self._probe_invalid += 1
+            self._count(probe_invalid=1)
             return None
         try:
             os.utime(path, None)
         except OSError:
             pass
-        with self._lock:
-            self._bytes_read += len(blob)
+        self._count(bytes_read=len(blob))
         return payload
 
     def save_probe_ledger(self, key: str, payload: Mapping) -> bool:
@@ -670,8 +596,7 @@ class ColumnStore:
         except OSError as error:
             self._io_fault(error)
             return False
-        with self._lock:
-            self._bytes_written += len(blob)
+        self._count(bytes_written=len(blob))
         return True
 
     def record_probe_lookups(
@@ -680,10 +605,7 @@ class ColumnStore:
         """Report per-entity ledger traffic (see :meth:`load_probe_ledger`)."""
         if not (hits or misses or writes):
             return
-        with self._lock:
-            self._probe_hits += hits
-            self._probe_misses += misses
-            self._probe_writes += writes
+        self._count(probe_hits=hits, probe_misses=misses, probe_writes=writes)
 
     # -- delta-epoch records --------------------------------------------------
     def save_epoch(self, fingerprint: str, payload: Mapping[str, object]) -> bool:
@@ -862,24 +784,9 @@ class ColumnStore:
     # -- statistics -----------------------------------------------------------
     def stats(self) -> StoreStats:
         with self._lock:
-            return StoreStats(
-                hits=self._hits,
-                misses=self._misses,
-                writes=self._writes,
-                invalid=self._invalid,
-                bytes_read=self._bytes_read,
-                bytes_written=self._bytes_written,
-                index_hits=self._index_hits,
-                index_misses=self._index_misses,
-                index_writes=self._index_writes,
-                index_invalid=self._index_invalid,
-                probe_hits=self._probe_hits,
-                probe_misses=self._probe_misses,
-                probe_writes=self._probe_writes,
-                probe_invalid=self._probe_invalid,
-                io_faults=self._io_faults,
-                breaker_trips=self.breaker.trips,
-            )
+            counts = dict(self._counts)
+        counts["breaker_trips"] = self.breaker.trips
+        return StoreStats(**counts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnStore({str(self._root)!r})"

@@ -16,6 +16,7 @@ import os
 import sys
 
 from repro.datasets import DATASET_NAMES
+from repro.engine import counters
 from repro.engine.executor import WORKERS_ENV, parse_workers_spec
 from repro.engine.store import CACHE_ENV, ColumnStore
 from repro.matching.engine import BLOCKER_ENV
@@ -162,13 +163,7 @@ def _learn_rule(args: argparse.Namespace) -> None:
             f"recall={evaluation.recall:.3f} F1={evaluation.f_measure:.3f}"
         )
         if stats.store is not None:
-            store = stats.store
-            print(
-                f"[engine store] hits={store.hits} misses={store.misses} "
-                f"writes={store.writes} index_hits={store.index_hits} "
-                f"index_misses={store.index_misses}",
-                file=sys.stderr,
-            )
+            print(counters.line("engine store", stats.store), file=sys.stderr)
 
     if args.chart:
         iterations = tuple(float(r.iteration) for r in result.history)
@@ -360,15 +355,7 @@ def _run_delta(args: argparse.Namespace) -> None:
             f"{stats.window_depth})"
         )
         if stats.store is not None:
-            store = stats.store
-            print(
-                f"[engine store] hits={store.hits} misses={store.misses} "
-                f"writes={store.writes} index_hits={store.index_hits} "
-                f"index_misses={store.index_misses} "
-                f"probe_hits={store.probe_hits} "
-                f"probe_misses={store.probe_misses}",
-                file=sys.stderr,
-            )
+            print(counters.line("engine store", stats.store), file=sys.stderr)
     if args.verify:
         verifier = MatchingEngine()
         try:
@@ -592,22 +579,10 @@ def _job_stats_lines(record) -> list[str]:
         lines.append(f"  rule: {ref}{suffix}")
     stats = record.stats or {}
     if stats:
-        lines.append(
-            f"  pairs={stats.get('pairs')} links={stats.get('links')} "
-            f"batches={stats.get('batches')} "
-            f"index_builds={stats.get('index_builds')} "
-            f"index_patches={stats.get('index_patches')}"
-        )
+        lines.append("  " + counters.line("job engine", stats))
         store = stats.get("store")
         if store:
-            lines.append(
-                f"  [job store] hits={store['hits']} "
-                f"misses={store['misses']} writes={store['writes']} "
-                f"index_hits={store['index_hits']} "
-                f"index_misses={store['index_misses']} "
-                f"probe_hits={store['probe_hits']} "
-                f"probe_misses={store['probe_misses']}"
-            )
+            lines.append("  " + counters.line("job store", store))
         degraded = stats.get("degraded")
         if degraded:
             lines.append(f"  degraded: {'; '.join(degraded)}")

@@ -45,11 +45,10 @@ from repro.core.nodes import SimilarityNode
 from repro.faults import CancelToken
 from repro.data.entity import Entity
 from repro.data.source import DataSource
-from repro.distances.strings import routing_delta, routing_merged
+from repro.engine import counters
 from repro.engine.executor import Executor, resolve_executor
-from repro.engine.lru import CacheStats
-from repro.engine.session import EngineSession, EngineStats
-from repro.engine.store import ColumnStore, StoreStats
+from repro.engine.session import EngineCounters, EngineSession, EngineStats
+from repro.engine.store import ColumnStore
 from repro.matching.blocking import Blocker, FullIndexBlocker, RuleBlocker
 from repro.matching.multiblock import MultiBlocker, multiblock_supports
 
@@ -107,7 +106,7 @@ class GeneratedLink:
 
 
 @dataclass(frozen=True)
-class MatchStats:
+class MatchStats(EngineCounters):
     """Execution statistics of one :meth:`MatchingEngine.iter_links`
     run (available after the iterator is exhausted).
 
@@ -119,53 +118,21 @@ class MatchStats:
     runs, so the engine snapshots their statistics at run start and
     reports the delta — a warm rerun on a shared session really shows
     ``store.misses == 0``, not the cold run's misses folded in.
-    ``size``/``capacity`` remain point-in-time gauges. On serial/thread
-    runs the snapshots come from the shared session; on process runs
-    they are the per-worker snapshots merged (each worker owns a
-    private session).
+    ``size``/``capacity`` remain point-in-time gauges. The deltas of
+    every session that worked on the run are merged: the run session
+    and, on process runs, each worker's private session (``degraded``
+    becomes their sorted, deduplicated union).
     """
 
     batches: int
     pairs: int
     links: int
-    values: CacheStats | None
-    columns: CacheStats | None
-    scores: CacheStats | None
-    #: Persistent-tier counters; None when no cache dir is configured.
-    #: Covers both store tiers: distance columns (``hits``/``misses``/
-    #: ``writes``) and blocking indexes (``index_hits``/
-    #: ``index_misses``/``index_writes``) — a warm rerun that skipped
-    #: index construction shows ``index_misses == 0`` here.
-    store: StoreStats | None
-    #: Probe-side counters (blocking's batch probe path, reported
-    #: alongside the ``index_*`` build-side counters): batch-probe
-    #: invocations this run, and probe results served from the
-    #: distinct-value-tuple memo instead of fresh key derivation.
-    probe_batches: int = 0
-    probe_memo_hits: int = 0
-    #: Per-measure kernel routing this run: sorted ``(measure,
-    #: batch_pairs, fallback_pairs)`` triples — non-empty pairs scored
-    #: by a vectorized batch kernel vs the per-pair scalar fallback
-    #: (cache and store hits count toward neither). Plain tuples so the
-    #: stats pickle cleanly out of process-pool workers.
-    kernel_routing: tuple[tuple[str, int, int], ...] = ()
     #: In-flight shard window depth the run finished with. Equals the
     #: ``window=`` override when one is set; otherwise starts at 2x the
     #: worker count and adapts to measured shard-time variance (up to
     #: 4x the base — skewed shard runtimes need a deeper window to keep
     #: the pool busy).
     window_depth: int = 0
-    #: Blocking-index construction this run: payloads built from
-    #: scratch vs payloads patched forward from a persisted ancestor
-    #: epoch (the incremental path's reuse signal).
-    index_builds: int = 0
-    index_patches: int = 0
-    #: Degradations recorded during this run: human-readable reasons
-    #: the persistent store's circuit breaker tripped (union across
-    #: worker sessions on process pools, sorted and deduplicated).
-    #: Empty on healthy runs; the service copies this into job stats
-    #: and health reports.
-    degraded: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -669,104 +636,25 @@ class MatchingEngine:
         pairs: int,
         links: int,
     ) -> MatchStats:
-        if self._executor.kind == "process":
-            # Worker deltas plus the parent blocking session's delta:
-            # index-tier traffic (and MultiBlock value transformations)
-            # happen parent-side and would otherwise vanish from the
-            # per-run report.
-            parent = session.stats()
-            deltas = [
-                (snapshot, self._worker_baselines.get(pid))
-                for pid, snapshot in state.worker_stats.items()
-            ] + [(parent, baseline)]
-            values = CacheStats.merged(
-                [s.values.delta(b.values if b else None) for s, b in deltas]
+        """The run's counters: the deltas of the process-pool worker
+        sessions (serial and thread runs have none) merged with the
+        delta of the run session, whose blocking work — index-tier
+        traffic, MultiBlock value transformations, probing — would
+        otherwise vanish from the report of a process run."""
+        deltas = [
+            counters.delta(
+                EngineCounters.of(snapshot), self._worker_baselines.get(pid)
             )
-            columns = CacheStats.merged(
-                [s.columns.delta(b.columns if b else None) for s, b in deltas]
-            )
-            scores_stats = CacheStats.merged(
-                [s.scores.delta(b.scores if b else None) for s, b in deltas]
-            )
-            store_stats = StoreStats.merged(
-                [
-                    s.store.delta(b.store if b is not None else None)
-                    for s, b in deltas
-                    if s.store is not None
-                ]
-            )
-            # Probing is parent-side work (workers only score), but sum
-            # every delta so the report stays correct if that changes.
-            probe_batches = sum(
-                s.probe_batches - (b.probe_batches if b else 0)
-                for s, b in deltas
-            )
-            probe_memo_hits = sum(
-                s.probe_memo_hits - (b.probe_memo_hits if b else 0)
-                for s, b in deltas
-            )
-            index_builds = sum(
-                s.index_builds - (b.index_builds if b else 0)
-                for s, b in deltas
-            )
-            index_patches = sum(
-                s.index_patches - (b.index_patches if b else 0)
-                for s, b in deltas
-            )
-            kernel_routing = routing_merged(
-                [
-                    routing_delta(s.kernel_routing, b.kernel_routing if b else None)
-                    for s, b in deltas
-                ]
-            )
-            # Trip reasons are monotonic per session: this run's
-            # degradations are whatever each session appended past its
-            # baseline, deduplicated across workers.
-            degraded = tuple(
-                sorted(
-                    {
-                        reason
-                        for s, b in deltas
-                        for reason in s.degraded[len(b.degraded) if b else 0 :]
-                    }
-                )
-            )
-            self._worker_baselines.update(state.worker_stats)
-        else:
-            stats = session.stats()
-            values = stats.values.delta(baseline.values)
-            columns = stats.columns.delta(baseline.columns)
-            scores_stats = stats.scores.delta(baseline.scores)
-            store_stats = (
-                stats.store.delta(baseline.store)
-                if stats.store is not None
-                else None
-            )
-            probe_batches = stats.probe_batches - baseline.probe_batches
-            probe_memo_hits = stats.probe_memo_hits - baseline.probe_memo_hits
-            index_builds = stats.index_builds - baseline.index_builds
-            index_patches = stats.index_patches - baseline.index_patches
-            kernel_routing = routing_delta(
-                stats.kernel_routing, baseline.kernel_routing
-            )
-            degraded = tuple(
-                sorted(set(stats.degraded[len(baseline.degraded) :]))
-            )
+            for pid, snapshot in state.worker_stats.items()
+        ]
+        deltas.append(counters.delta(EngineCounters.of(session.stats()), baseline))
+        self._worker_baselines.update(state.worker_stats)
         return MatchStats(
+            **vars(counters.merged(deltas)),
             batches=batches,
             pairs=pairs,
             links=links,
-            values=values,
-            columns=columns,
-            scores=scores_stats,
-            store=store_stats,
-            probe_batches=probe_batches,
-            probe_memo_hits=probe_memo_hits,
-            kernel_routing=kernel_routing,
             window_depth=state.depth,
-            index_builds=index_builds,
-            index_patches=index_patches,
-            degraded=degraded,
         )
 
     def _shard_cache_dir(self) -> str | None:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro import faults
-from repro.matching.engine import GeneratedLink, MatchStats
+from repro.matching.engine import GeneratedLink
 
 #: Lifecycle states of a job record.
 JOB_STATES = ("queued", "running", "succeeded", "failed")
@@ -81,9 +81,10 @@ class JobRecord:
     scale, rule JSON, learn config, delta parameters — see
     :mod:`repro.service.worker` for the per-kind schema). ``stats``
     holds the executed run's :class:`~repro.matching.engine.MatchStats`
-    as a JSON-safe payload (:func:`stats_payload`), ``result`` the
-    kind-specific outcome summary (link counts, learned-rule JSON,
-    diff buckets).
+    as a ``dataclasses.asdict`` payload (tuples become JSON lists:
+    consumers index fields, they don't rebuild the dataclass),
+    ``result`` the kind-specific outcome summary (link counts,
+    learned-rule JSON, diff buckets).
     """
 
     job_id: str
@@ -123,18 +124,6 @@ class JobRecord:
     def from_payload(cls, payload: dict) -> "JobRecord":
         """Rebuild a record from :meth:`to_payload` output."""
         return cls(**payload)
-
-
-def stats_payload(stats: MatchStats | None) -> dict | None:
-    """A job-record-safe payload of one run's match statistics.
-
-    ``dataclasses.asdict`` recurses through the nested cache/store
-    stats; tuples become JSON lists, which is fine for a read-only
-    record (consumers index fields, they don't rebuild the dataclass).
-    """
-    if stats is None:
-        return None
-    return dataclasses.asdict(stats)
 
 
 def _atomic_write_json(path: Path, payload) -> None:

@@ -24,6 +24,7 @@ job on any worker loads them, which is the service's warm path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -52,7 +53,6 @@ from repro.service.jobs import (
     JobStore,
     StaleJob,
     _atomic_write_json,
-    stats_payload,
 )
 from repro.service.queue import ClaimTicket, FileQueue, QueueBackend
 
@@ -114,8 +114,9 @@ class JobRunner:
         GeneratedLink` values — byte-identical to a direct
         ``MatchingEngine.execute`` because this *is* a direct execute,
         just on a persistent engine. ``stats`` is the run's
-        :func:`~repro.service.jobs.stats_payload`; ``result`` the
-        kind-specific summary stored on the record.
+        :class:`~repro.matching.engine.MatchStats` as a
+        ``dataclasses.asdict`` payload; ``result`` the kind-specific
+        summary stored on the record.
 
         ``cancel`` is threaded into the engine's shard loop: a deadline
         or operator cancel raises :class:`~repro.faults.Cancelled` at
@@ -206,7 +207,7 @@ class JobRunner:
         if spec.get("rule_ref"):
             result["rule_ref"] = spec["rule_ref"]
             result["rule_hash"] = spec.get("rule_hash")
-        return links, stats_payload(stats), result
+        return links, dataclasses.asdict(stats), result
 
     def _run_learn(self, record: JobRecord, cancel: CancelToken | None = None):
         import random
@@ -268,7 +269,7 @@ class JobRunner:
                 "ref": str(version.ref),
                 "rule_hash": version.rule_hash,
             }
-        return links, stats_payload(stats), result
+        return links, dataclasses.asdict(stats), result
 
     def _run_delta(
         self,
@@ -332,7 +333,7 @@ class JobRunner:
                 else len(diff.affected_uids)
             ),
         }
-        return list(diff.links), stats_payload(diff.stats), result
+        return list(diff.links), dataclasses.asdict(diff.stats), result
 
 
 def _worker_dir(root: str | os.PathLike) -> Path:

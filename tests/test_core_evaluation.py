@@ -161,10 +161,10 @@ class TestPairEvaluator:
     def test_comparison_cache_hit(self, city_rule):
         evaluator = PairEvaluator(self._pairs())
         evaluator.scores(city_rule.root)
-        misses = evaluator.cache_misses
+        misses = evaluator.engine_stats().scores.misses
         evaluator.scores(city_rule.root)
-        assert evaluator.cache_misses == misses
-        assert evaluator.cache_hits > 0
+        assert evaluator.engine_stats().scores.misses == misses
+        assert evaluator.engine_stats().scores.hits > 0
 
     def test_weight_excluded_from_cache_key(self):
         from dataclasses import replace
@@ -175,7 +175,7 @@ class TestPairEvaluator:
         evaluator = PairEvaluator(self._pairs())
         evaluator.scores(comparison)
         evaluator.scores(replace(comparison, weight=5))
-        assert evaluator.cache_misses == 1
+        assert evaluator.engine_stats().scores.misses == 1
 
     def test_cached_comparison_scores_are_readonly(self, label_comparison):
         evaluator = PairEvaluator(self._pairs())
@@ -187,9 +187,9 @@ class TestPairEvaluator:
         evaluator = PairEvaluator(self._pairs())
         evaluator.scores(city_rule.root)
         evaluator.clear_caches()
-        misses_before = evaluator.cache_misses
+        misses_before = evaluator.engine_stats().scores.misses
         evaluator.scores(city_rule.root)
-        assert evaluator.cache_misses > misses_before
+        assert evaluator.engine_stats().scores.misses > misses_before
 
     def test_unknown_aggregation_raises(self):
         root = AggregationNode(

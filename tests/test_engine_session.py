@@ -301,7 +301,7 @@ class TestEngineSession:
         stats = evaluator.engine_stats()
         assert stats.scores.misses == 1
         assert stats.comparison_ops == 1
-        assert evaluator.cache_misses == 1
+        assert evaluator.engine_stats().scores.misses == 1
 
     def test_facade_capacity_bounds_column_tier(self):
         from repro.core.evaluation import PairEvaluator

@@ -21,7 +21,13 @@ from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
 from repro.data.source import DataSource
 from repro.datasets import load_dataset
-from repro.engine import CACHE_ENV, ColumnStore, EngineSession, resolve_store
+from repro.engine import (
+    CACHE_ENV,
+    ColumnStore,
+    EngineSession,
+    counters,
+    resolve_store,
+)
 from repro.engine.store import (
     StoreStats,
     column_key,
@@ -203,9 +209,9 @@ class TestColumnStore:
     def test_stats_merged(self):
         a = StoreStats(1, 2, 3, 0, 10, 20)
         b = StoreStats(4, 0, 1, 1, 5, 5)
-        merged = StoreStats.merged([a, b])
+        merged = counters.merged([a, b])
         assert merged == StoreStats(5, 2, 4, 1, 15, 25)
-        assert StoreStats.merged([]) is None
+        assert counters.merged([]) is None
         assert a.hit_rate == pytest.approx(1 / 3)
 
 
@@ -371,9 +377,9 @@ class TestIndexTier:
         baseline = store.stats()
         store.save_index(index_key("fp", "tok"), {"a": ("x",)})
         store.load_index(index_key("fp", "tok"))
-        delta = store.stats().delta(baseline)
+        delta = counters.delta(store.stats(), baseline)
         assert (delta.index_writes, delta.index_hits) == (1, 1)
-        merged = StoreStats.merged([delta, delta])
+        merged = counters.merged([delta, delta])
         assert merged.index_hits == 2
         assert merged.index_writes == 2
 

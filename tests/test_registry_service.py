@@ -12,7 +12,7 @@ from repro.datasets import load_dataset
 from repro.matching.engine import MatchingEngine
 from repro.matching.incremental import dataset_rule
 from repro.registry import RuleRef
-from repro.service import LinkageService, run_worker
+from repro.service import REDIS_URL_ENV, LinkageService, run_worker
 
 DATASET = "restaurant"
 SCALE = 0.3
@@ -322,7 +322,7 @@ def test_health_reports_registry_degradations(service):
 
 def test_health_reports_queue_degradation_under_same_schema(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_SERVICE_QUEUE", raising=False)
-    monkeypatch.setenv("REPRO_REDIS_URL", "redis://nowhere.invalid:1/0")
+    monkeypatch.setenv(REDIS_URL_ENV, "redis://nowhere.invalid:1/0")
     with LinkageService(root=tmp_path / "svc", queue="redis") as svc:
         health = svc.health()
     queue_entries = [
