@@ -13,7 +13,20 @@ turns those back into ready tickets with backoff.
 Ticket filenames are ``<not_before_ms>-<submit_ns>-<job_id>``:
 lexicographic order is eligibility order, so claiming is one sorted
 directory listing, and retry backoff is encoded in the name instead of
-requiring a scheduler.
+requiring a scheduler. A claim appends ``--<worker_id>``, so worker ids
+may not contain ``--`` (nor ``/``, like job ids).
+
+An idle worker blocks in :meth:`QueueBackend.wait` between claims. The
+file backend wakes it on submit through a doorbell, a named pipe at
+``<root>/queue/doorbell``: every submit (and so every release) writes
+one byte to it without blocking, and the waiter holds the read end open
+and blocks in ``select`` until a byte arrives or its timeout ends. A
+byte rung while the worker was busy stays in the pipe, so its next wait
+returns at once. A submitter that cannot reach the pipe (another host
+on a shared filesystem) rings nobody, so its jobs wait up to the
+worker's timeout as before. Where no named pipe can be made, waits
+sleep their timeout and ``describe()`` reports ``"wake": "poll"``; the
+redis backend always sleeps.
 
 The redis backend is import-gated: the container may not ship the
 ``redis`` package, so :meth:`RedisQueue.available` reports whether it
@@ -24,6 +37,7 @@ execution) instead of failing when it cannot.
 from __future__ import annotations
 
 import os
+import select
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +60,12 @@ _DEFAULT_REDIS_URL = "redis://localhost:6379/0"
 
 def _default_redis_url() -> str:
     return os.environ.get(REDIS_URL_ENV, "").strip() or _DEFAULT_REDIS_URL
+
+
+def _check_id(kind: str, value: str, *forbidden: str) -> None:
+    """Reject ids that cannot be embedded in a ticket file name."""
+    if not value or value != value.strip() or any(part in value for part in forbidden):
+        raise ValueError(f"unsupported {kind} for file queue: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,12 @@ class QueueBackend:
         reaper's input for crash recovery."""
         raise NotImplementedError
 
+    def wait(self, timeout: float) -> None:
+        """Block an idle worker for at most ``timeout`` seconds before
+        its next claim. Backends that can tell when a job arrives return
+        earlier; this default just sleeps."""
+        time.sleep(timeout)
+
     def describe(self) -> dict:
         """Backend summary for health checks."""
         return {
@@ -112,6 +138,9 @@ class FileQueue(QueueBackend):
     one worker wins, and crash recovery is a directory scan. Suited to
     single-host worker fleets sharing a filesystem — the same scope as
     the shared :class:`~repro.engine.store.ColumnStore` cache dir.
+
+    :meth:`wait` holds the doorbell's read end open until :meth:`close`;
+    one waiting thread per instance.
     """
 
     name = "file"
@@ -122,18 +151,37 @@ class FileQueue(QueueBackend):
         self._claimed = self.root / "queue" / "claimed"
         self._ready.mkdir(parents=True, exist_ok=True)
         self._claimed.mkdir(parents=True, exist_ok=True)
+        self._doorbell: Path | None = self.root / "queue" / "doorbell"
+        try:
+            os.mkfifo(self._doorbell)
+        except OSError:
+            pass  # made by another queue, or no named pipes here
+        if not self._doorbell.is_fifo():
+            self._doorbell = None
+        self._bell: int | None = None  # read end, opened by wait
+        self._next_eligible = 0.0  # head ticket's not_before, if backing off
 
     def submit(self, job_id: str, not_before: float = 0.0) -> None:
-        if "/" in job_id or job_id != job_id.strip() or not job_id:
-            raise ValueError(f"unsupported job id for file queue: {job_id!r}")
+        _check_id("job id", job_id, "/")
         # Two fixed-width numeric fields then the job id: parsing
         # splits on the first two dashes, so ids may contain dashes.
         name = f"{int(max(0.0, not_before) * 1000):015d}-{time.time_ns():020d}-{job_id}"
         path = self._ready / name
         with open(path, "x", encoding="utf-8") as handle:
             handle.write(job_id)
+        if self._doorbell is not None:
+            try:
+                bell = os.open(self._doorbell, os.O_WRONLY | os.O_NONBLOCK)
+                try:
+                    os.write(bell, b"\0")
+                finally:
+                    os.close(bell)
+            except OSError:
+                pass  # ENXIO: no worker waits; EAGAIN: already ringing
 
     def claim(self, worker_id: str) -> ClaimTicket | None:
+        _check_id("worker id", worker_id, "/", "--")
+        self._next_eligible = 0.0
         faults.fire("queue.claim")
         now_ms = int(time.time() * 1000)
         for path in sorted(self._ready.iterdir()):
@@ -143,6 +191,7 @@ class FileQueue(QueueBackend):
             if not_before_ms > now_ms:
                 # Names sort by eligibility time first: everything
                 # after this entry is even further in the future.
+                self._next_eligible = not_before_ms / 1000
                 return None
             target = self._claimed / f"{path.name}--{worker_id}"
             try:
@@ -179,6 +228,48 @@ class FileQueue(QueueBackend):
                 continue
             entries.append((job_id, str(path), claimed_at))
         return entries
+
+    def wait(self, timeout: float) -> None:
+        """Block until a submit rings the doorbell or ``timeout`` ends,
+        but no later than the moment the backing-off ticket that the
+        last claim stopped at becomes eligible.
+
+        The first call only opens the read end and returns at once: a
+        ticket submitted before then rang nobody, and the caller's next
+        claim finds it. The read end is opened read-write, because a
+        read-only end reports end-of-file whenever no writer is open,
+        which would end every wait at once.
+        """
+        if self._next_eligible:
+            timeout = min(timeout, max(0.0, self._next_eligible - time.time()))
+        if self._doorbell is None:
+            time.sleep(timeout)
+            return
+        if self._bell is None:
+            try:
+                self._bell = os.open(self._doorbell, os.O_RDWR | os.O_NONBLOCK)
+            except OSError:
+                self._doorbell = None
+                time.sleep(timeout)
+            return
+        if select.select([self._bell], [], [], timeout)[0]:
+            try:
+                while len(os.read(self._bell, 4096)) == 4096:
+                    pass
+            except BlockingIOError:
+                pass  # drained, possibly by another waiter first
+
+    def close(self) -> None:
+        """Release the doorbell's read end, if :meth:`wait` opened it."""
+        if self._bell is not None:
+            os.close(self._bell)
+            self._bell = None
+
+    def describe(self) -> dict:
+        return {
+            **super().describe(),
+            "wake": "poll" if self._doorbell is None else "doorbell",
+        }
 
     @staticmethod
     def _parse(name: str) -> tuple[int, int, str | None]:

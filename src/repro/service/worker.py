@@ -1,13 +1,15 @@
 """Queue workers: claim jobs, execute them, survive crashes.
 
-A worker is a plain loop: recover stale claims, claim a ticket,
-transition the job ``queued -> running``, execute it through a
-:class:`JobRunner` (one persistent engine session per worker process —
-the in-memory analogue of the shared on-disk cache), persist links and
-:class:`~repro.matching.engine.MatchStats` into the job record, and
-transition to ``succeeded``. Every transition is validated against the
-expected state and claim owner, so a worker whose lease was reaped
-mid-run fails loudly instead of overwriting the retry.
+A worker is a plain loop: recover stale claims, claim a ticket (or,
+with none eligible, wait on the queue until a submit wakes it or
+``poll_interval`` ends), transition the job ``queued -> running``,
+execute it through a :class:`JobRunner` (one persistent engine session
+per worker process — the in-memory analogue of the shared on-disk
+cache), persist links and :class:`~repro.matching.engine.MatchStats`
+into the job record, and transition to ``succeeded``. Every
+transition is validated against the expected state and claim owner,
+so a worker whose lease was reaped mid-run fails loudly instead of
+overwriting the retry.
 
 Crash recovery needs no supervisor: a dead worker leaves a claimed
 ticket and a record whose heartbeat stops. :func:`recover_stale`
@@ -496,11 +498,18 @@ def run_worker(
     the job record from a background thread while executing, so the
     reaper can tell a slow job from a dead worker.
 
+    An idle worker blocks in ``queue.wait(poll_interval)``. The file
+    queue wakes it when a job is submitted or a backed-off retry
+    becomes eligible, so ``poll_interval`` bounds only the wait for
+    submitters that cannot ring its doorbell (and for backends that
+    just sleep), and the pace of the idle loop's reaper and heartbeat.
+
     ``rules_dir`` names the rule registry referencing jobs resolve
     against (``REPRO_RULES_DIR``, then ``<root>/rules`` — the same
     default the submitting service uses over this directory).
     """
     store = JobStore(root)
+    owned = queue is None
     if queue is None:
         queue = FileQueue(root)
     worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
@@ -530,7 +539,7 @@ def run_worker(
             if ticket is None:
                 if drain and queue.depth() == 0:
                     break
-                time.sleep(poll_interval)
+                queue.wait(poll_interval)
                 continue
             processed += 1
             self_describe = f"attempt on {ticket.job_id} by {worker_id}"
@@ -642,6 +651,8 @@ def run_worker(
             _quiet(queue.ack, ticket)
     finally:
         runner.close()
+        if owned:
+            queue.close()
         _quiet(write_worker_heartbeat, root, worker_id, processed)
     return processed
 

@@ -410,6 +410,7 @@ def test_health_reports_queue_jobs_workers_and_store(tmp_path):
     assert health["mode"] == "queue" and health["degraded_reason"] is None
     assert health["queue"]["backend"] == "file"
     assert health["queue"]["depth"] == 0
+    assert health["queue"]["wake"] == "doorbell"  # idle workers wake on submit
     assert health["jobs"]["succeeded"] == 1
     workers = {entry["worker"] for entry in health["workers"]}
     assert "w0" in workers
