@@ -193,12 +193,6 @@ class BoundedValueMemo:
         return entry[1]
 
 
-def count_nonempty(columns_a, columns_b) -> int:
-    """Pairs where both sides have values (the pairs a kernel actually
-    evaluates — the routing-counter unit)."""
-    return sum(1 for a, b in zip(columns_a, columns_b) if a and b)
-
-
 # -- levenshtein ----------------------------------------------------------------
 
 

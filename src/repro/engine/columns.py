@@ -1,12 +1,14 @@
 """Columnar storage for a fixed list of entity pairs.
 
-:class:`PairStore` factors a pair list into its unique entities per
-side plus integer index columns. Value ops are then materialised once
-per *unique entity* instead of once per pair — on real workloads the
-same entity appears in many candidate pairs (one A entity against a
-whole block of B candidates), so this collapses both the number of
-transformation evaluations and the per-pair dict lookups the seed
-evaluator paid on its hot path.
+:class:`PairStore` works on a :class:`~repro.data.pairs.PairBatch`:
+the unique entities per side plus integer index columns. Value ops are
+then materialised once per *unique entity* instead of once per pair —
+on real workloads the same entity appears in many candidate pairs (one
+A entity against a whole block of B candidates), so this collapses both
+the number of transformation evaluations and the per-pair dict lookups
+the seed evaluator paid on its hot path. Blockers hand over batches
+directly; any other pair sequence is factored by
+:meth:`PairBatch.from_pairs`.
 """
 
 from __future__ import annotations
@@ -16,37 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.entity import Entity
+from repro.data.pairs import PairBatch
 from repro.distances.registry import DistanceRegistry
-from repro.distances.strings import StringKernelMemo, count_nonempty
+from repro.distances.strings import StringKernelMemo
 from repro.engine.compiler import ComparisonOp, signature_token
 from repro.engine.lru import LRUCache
 from repro.engine.store import ColumnStore, column_key, pairs_fingerprint
 from repro.engine.values import evaluate_value_op
 from repro.transforms.registry import TransformationRegistry
-
-
-def _index_side(
-    pairs: Sequence[tuple[Entity, Entity]], side: int
-) -> tuple[list[Entity], list[int]]:
-    """Unique entities of one pair side plus the pair -> entity index.
-
-    Keyed by the entity itself, not its uid: hashing costs only the uid
-    hash, while full equality keeps degenerate pair lists (same uid,
-    different properties) from sharing a column — the seed evaluator's
-    uid-keyed cache silently merged those.
-    """
-    entities: list[Entity] = []
-    positions: dict[Entity, int] = {}
-    index: list[int] = []
-    for pair in pairs:
-        entity = pair[side]
-        position = positions.get(entity)
-        if position is None:
-            position = len(entities)
-            positions[entity] = position
-            entities.append(entity)
-        index.append(position)
-    return entities, index
 
 
 class PairStore:
@@ -60,7 +39,7 @@ class PairStore:
 
     def __init__(
         self,
-        pairs: Sequence[tuple[Entity, Entity]],
+        pairs: "PairBatch | Sequence[tuple[Entity, Entity]]",
         store_id: int,
         distances: DistanceRegistry,
         transforms: TransformationRegistry,
@@ -69,7 +48,7 @@ class PairStore:
         persistent_store: ColumnStore | None = None,
         string_memo: StringKernelMemo | None = None,
     ):
-        self._pairs = list(pairs)
+        self._batch = PairBatch.from_pairs(pairs)
         self._store_id = store_id
         self._distances = distances
         self._transforms = transforms
@@ -80,16 +59,13 @@ class PairStore:
         #: Content fingerprint of the pair list, computed on first
         #: persistent lookup (hashing is wasted work without a store).
         self._pairs_fingerprint: str | None = None
-        self._entities_a, index_a = _index_side(self._pairs, 0)
-        self._entities_b, index_b = _index_side(self._pairs, 1)
-        self._pair_index = list(zip(index_a, index_b))
 
     @property
     def pairs(self) -> list[tuple[Entity, Entity]]:
-        return list(self._pairs)
+        return list(self._batch)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._batch)
 
     # -- value columns --------------------------------------------------------
     def value_column(
@@ -97,7 +73,8 @@ class PairStore:
     ) -> list[tuple[str, ...]]:
         """Transformed value tuples of a value op, one per unique entity
         on the given side ('a' = pair sources, 'b' = pair targets)."""
-        entities = self._entities_a if side == "a" else self._entities_b
+        batch = self._batch
+        entities = batch.entities_a if side == "a" else batch.entities_b
         cache = self._value_cache
         transforms = self._transforms
         column: list[tuple[str, ...]] = []
@@ -151,14 +128,16 @@ class PairStore:
         if persistent is not None:
             op_token = f"{signature_token(op.sig)}|{measure.cache_token()}"
             persistent_key = column_key(self._persist_fingerprint(), op_token)
-            loaded = persistent.load(persistent_key, len(self._pairs))
+            loaded = persistent.load(persistent_key, len(self._batch))
             if loaded is not None:
                 self._column_cache.put(key, loaded)
                 return loaded
         values_a = self.value_column(op.source_sig, op.source, "a")
         values_b = self.value_column(op.target_sig, op.target, "b")
-        columns_a = [values_a[index_a] for index_a, _ in self._pair_index]
-        columns_b = [values_b[index_b] for _, index_b in self._pair_index]
+        index_a = self._batch.index_a
+        index_b = self._batch.index_b
+        columns_a = list(map(values_a.__getitem__, index_a.tolist()))
+        columns_b = list(map(values_b.__getitem__, index_b.tolist()))
         memo = self._string_memo
         if measure.memo_capable and memo is not None:
             # Memo-capable measures take the session's string-kernel
@@ -169,23 +148,19 @@ class PairStore:
         if memo is not None:
             # Routing counts non-empty pairs by path: a measure's batch
             # kernel, or the inherited per-pair fallback.
-            pairs = count_nonempty(columns_a, columns_b)
+            pairs = _nonempty_pairs(values_a, values_b, index_a, index_b)
             if measure.batch_capable:
                 memo.record_routing(op.metric, batch=pairs)
             else:
                 memo.record_routing(op.metric, fallback=pairs)
-        if out.shape != (len(self._pairs),) or out.dtype != np.float64:
+        if out.shape != (len(self._batch),) or out.dtype != np.float64:
             raise ValueError(
                 f"measure {op.metric!r} returned a malformed batch column: "
                 f"shape {out.shape}, dtype {out.dtype}"
             )
         out.setflags(write=False)
         if persistent is not None and persistent_key is not None:
-            persistent.save(
-                persistent_key,
-                out,
-                meta={"metric": op.metric, "op": signature_token(op.sig)},
-            )
+            persistent.save(persistent_key, out)
         self._column_cache.put(key, out)
         return out
 
@@ -193,6 +168,19 @@ class PairStore:
         """Content fingerprint of this store's pair list (lazy)."""
         fingerprint = self._pairs_fingerprint
         if fingerprint is None:
-            fingerprint = pairs_fingerprint(self._pairs)
+            fingerprint = pairs_fingerprint(self._batch)
             self._pairs_fingerprint = fingerprint
         return fingerprint
+
+
+def _nonempty_pairs(
+    values_a: list, values_b: list, index_a: np.ndarray, index_b: np.ndarray
+) -> int:
+    """Pairs where both sides have values (the pairs a kernel actually
+    evaluates — the routing-counter unit), from the per-entity value
+    columns: no per-pair work when every entity has values."""
+    if all(values_a) and all(values_b):
+        return len(index_a)
+    has_a = np.fromiter(map(bool, values_a), dtype=bool, count=len(values_a))
+    has_b = np.fromiter(map(bool, values_b), dtype=bool, count=len(values_b))
+    return int(np.count_nonzero(has_a[index_a] & has_b[index_b]))

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.nodes import SimilarityNode, ValueNode
 from repro.data.entity import Entity
+from repro.data.pairs import PairBatch
 from repro.distances.registry import DistanceRegistry
 from repro.distances.registry import default_registry as default_distances
 from repro.distances.strings import StringKernelMemo
@@ -226,10 +227,15 @@ class EngineSession:
         return self._compiler.compile_population(roots)
 
     # -- contexts -------------------------------------------------------------
-    def context(self, pairs: Sequence[tuple[Entity, Entity]]) -> "PairContext":
+    def context(
+        self, pairs: "PairBatch | Sequence[tuple[Entity, Entity]]"
+    ) -> "PairContext":
         """A pair context sharing this session's caches and compiler.
 
-        Safe to call from engine worker threads (shard consumers create
+        ``pairs`` is a :class:`~repro.data.pairs.PairBatch` (a blocker
+        shard) or any pair sequence, which
+        :meth:`~repro.data.pairs.PairBatch.from_pairs` factors. Safe to
+        call from engine worker threads (shard consumers create
         one context per batch); context ids are allocated under a lock
         so concurrent contexts never share column/score cache keys.
         """

@@ -42,7 +42,6 @@ Layout on disk
 ::
 
     <root>/columns-v1/<key[:2]>/<key>.npy    # float64 column blob
-    <root>/columns-v1/<key[:2]>/<key>.json   # metadata sidecar
     <root>/indexes-v1/<key[:2]>/<key>.pkl    # pickled blocking index
     <root>/probes-v1/<key[:2]>/<key>.pkl     # per-entity probe ledger
     <root>/epochs-v1/<key[:2]>/<key>.json    # delta-epoch provenance
@@ -89,6 +88,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro import faults
+from repro.data.pairs import PairBatch
 from repro.faults import CircuitBreaker
 
 #: Environment variable selecting the cache directory when no store is
@@ -209,19 +209,29 @@ def index_key(source_fingerprint: str, blocker_token: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def pairs_fingerprint(pairs: Sequence[tuple]) -> str:
-    """Content fingerprint of an ordered entity-pair list.
+def pairs_fingerprint(pairs: "PairBatch | Sequence[tuple]") -> str:
+    """Content fingerprint of an ordered entity-pair sequence.
 
     Hashes each pair's entity content fingerprints in order — columns
-    are positional, so order is part of the identity.
+    are positional, so order is part of the identity. The digest is
+    one SHA-256 update over a ``(pairs, 130)`` byte matrix gathered
+    from per-entity fingerprints: per pair 64 hex bytes, ``0x1f``, 64
+    hex bytes, ``0x1e`` — the same bytes, hence the same keys, as
+    hashing pair by pair.
     """
-    digest = hashlib.sha256()
-    for entity_a, entity_b in pairs:
-        digest.update(entity_a.fingerprint().encode("ascii"))
-        digest.update(b"\x1f")
-        digest.update(entity_b.fingerprint().encode("ascii"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
+    batch = PairBatch.from_pairs(pairs)
+    rows = np.empty((len(batch), 130), dtype=np.uint8)
+    rows[:, :64] = _fingerprint_matrix(batch.entities_a)[batch.index_a]
+    rows[:, 64] = 0x1F
+    rows[:, 65:129] = _fingerprint_matrix(batch.entities_b)[batch.index_b]
+    rows[:, 129] = 0x1E
+    return hashlib.sha256(rows).hexdigest()
+
+
+def _fingerprint_matrix(entities: Sequence) -> np.ndarray:
+    """The hex content fingerprints of ``entities``, one 64-byte row each."""
+    text = "".join([entity.fingerprint() for entity in entities])
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 64)
 
 
 class ColumnStore:
@@ -356,12 +366,7 @@ class ColumnStore:
         self.breaker.record_success()
         return column
 
-    def save(
-        self,
-        key: str,
-        column: np.ndarray,
-        meta: Mapping[str, object] | None = None,
-    ) -> bool:
+    def save(self, key: str, column: np.ndarray) -> bool:
         """Persist a column under ``key`` (atomic; returns success).
 
         Concurrent writers are safe: every writer publishes a complete
@@ -395,7 +400,6 @@ class ColumnStore:
                 except OSError:
                     pass
                 raise
-            self._write_sidecar(path, column, meta)
         except OSError as error:
             self._io_fault(error)
             return False
@@ -403,34 +407,9 @@ class ColumnStore:
         self.breaker.record_success()
         return True
 
-    def _write_sidecar(
-        self,
-        column_path: Path,
-        column: np.ndarray,
-        meta: Mapping[str, object] | None,
-    ) -> None:
-        """Best-effort metadata sidecar (introspection only — loading
-        never consults it, so a missing/partial sidecar is harmless)."""
-        payload = {
-            "rows": int(column.shape[0]),
-            "nbytes": int(column.nbytes),
-            "created": time.time(),
-            "format_version": STORE_FORMAT_VERSION,
-        }
-        if meta:
-            payload.update({str(k): v for k, v in meta.items()})
-        sidecar = column_path.with_suffix(".json")
-        try:
-            fd, tmp = tempfile.mkstemp(
-                dir=column_path.parent, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, default=str)
-            os.replace(tmp, sidecar)
-        except OSError:
-            pass
-
     def _discard_corrupt(self, path: Path) -> None:
+        # Stores written by older versions keep a ``<key>.json``
+        # metadata sidecar next to each column: drop it with the blob.
         for doomed in (path, path.with_suffix(".json")):
             try:
                 os.unlink(doomed)
@@ -775,6 +754,7 @@ class ColumnStore:
             ok = True
         except OSError:
             pass
+        # A legacy column sidecar (see :meth:`_discard_corrupt`).
         try:
             os.unlink(entry.path.with_suffix(".json"))
         except OSError:

@@ -15,7 +15,10 @@ stream:
   MatchingEngine` hands them straight to executor workers without a
   re-chunking layer. Shard boundaries depend only on ``batch_size``
   and the pair order never depends on it, so links stay byte-identical
-  across batch sizes and worker counts.
+  across batch sizes and worker counts. Shards are columnar
+  (:class:`~repro.data.pairs.PairBatch`): token, rule and MultiBlock
+  blocking cut them straight from probed partner-code arrays, so no
+  tuple is built per candidate pair.
 * :meth:`Blocker.build_index` builds the blocker's reusable
   target-side index **vectorized**: tokenisation / key extraction runs
   once per *distinct value* (not once per entity occurrence), bulk
@@ -63,6 +66,7 @@ import numpy as np
 from repro.core.nodes import PropertyNode, TransformationNode, ValueNode
 from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
+from repro.data.pairs import PairBatch
 from repro.data.source import DataSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -83,6 +87,11 @@ _FAN_THRESHOLD = 512
 #: enough work to fan. Never affects results — only how many entities
 #: are probed per batch.
 _PROBE_CHUNK = 2048
+
+#: Pairs per shard when a blocker reads its flat :meth:`Blocker.
+#: candidates` stream off its own shards (any size gives the same
+#: stream; this only bounds how many pairs are resident at once).
+_STREAM_BATCH = 4096
 
 #: Entries kept in a run's probe memo before it is dropped wholesale.
 #: The memo caches one partner-code array per distinct probe input, so
@@ -145,37 +154,104 @@ def fan_entity_chunks(
     return merged
 
 
-def _code_pair_lists(
-    chunk: Sequence[Entity],
-    code_lists: Sequence[np.ndarray],
-    uids: Sequence[str],
-    by_code: Sequence[Entity],
-    dedup: bool,
-) -> Iterator[list[CandidatePair]]:
-    """Per-entity candidate-pair lists from partner-code arrays.
+def _emitted_codes(
+    uid_a: str, codes: np.ndarray, uids: Sequence[str], dedup: bool
+) -> np.ndarray:
+    """The partner codes one probe entity emits pairs with.
 
     Codes are sorted in uid order, so the dedup-mode constraint
     (``uid_a < uid_b``) is a suffix — one bisect over the uid table
-    plus one searchsorted over the codes — and self-pairs delete in
-    one probe. Each entity's pair list is built entirely in C (``zip``
-    + ``map`` over the code->entity table), and callers flatten with
-    ``chain.from_iterable``, so the pair stream costs no per-pair
-    Python bytecode at all. Code arrays are never mutated.
+    plus one searchsorted over the codes — and the self-pair deletes
+    in one probe. Code arrays are never mutated.
     """
-    for entity_a, codes in zip(chunk, code_lists):
-        uid_a = entity_a.uid
-        if dedup:
-            floor = bisect_right(uids, uid_a)
-            codes = codes[np.searchsorted(codes, floor) :]
-        else:
-            i = bisect_left(uids, uid_a)
-            if i < len(uids) and uids[i] == uid_a:
-                j = int(np.searchsorted(codes, i))
-                if j < len(codes) and codes[j] == i:
-                    codes = np.delete(codes, j)
-        yield list(
-            zip(repeat(entity_a), map(by_code.__getitem__, codes.tolist()))
-        )
+    if dedup:
+        return codes[np.searchsorted(codes, bisect_right(uids, uid_a)) :]
+    i = bisect_left(uids, uid_a)
+    if i < len(uids) and uids[i] == uid_a:
+        j = int(np.searchsorted(codes, i))
+        if j < len(codes) and codes[j] == i:
+            return np.delete(codes, j)
+    return codes
+
+
+def _code_shards(
+    chunks: Iterable[tuple[Sequence[Entity], Sequence[np.ndarray]]],
+    uids: Sequence[str],
+    by_code: Sequence[Entity],
+    dedup: bool,
+    batch_size: int,
+) -> Iterator[PairBatch]:
+    """Shards cut straight from per-entity partner-code arrays.
+
+    ``chunks`` yields ``(probe entities, partner codes)`` per probe
+    chunk; each entity pairs with ``by_code[code]`` for its emitted
+    codes (:func:`_emitted_codes`), in code (= uid) order. The flat
+    pair stream is cut every ``batch_size`` pairs and a partial shard
+    carries over into the next probe chunk, so pairs, order and
+    boundaries are exactly those of :func:`_chunked` over the
+    flattened stream — without building a tuple per pair. At most one
+    shard plus one entity's partners are pending at a time.
+    """
+    # Pending pairs as one segment per probe entity: the entity and
+    # the partner codes it emits.
+    entities: list[Entity] = []
+    segments: list[np.ndarray] = []
+    pending = 0
+    for chunk, code_lists in chunks:
+        for entity, partners in zip(chunk, code_lists):
+            partners = _emitted_codes(entity.uid, partners, uids, dedup)
+            if not len(partners):
+                continue
+            entities.append(entity)
+            segments.append(partners)
+            pending += len(partners)
+            if pending < batch_size:
+                continue
+            owners, codes = _flat_segments(segments)
+            cut = pending - pending % batch_size
+            for start in range(0, cut, batch_size):
+                stop = start + batch_size
+                yield _code_batch(
+                    entities, by_code, owners[start:stop], codes[start:stop]
+                )
+            # Every full shard ends inside the newest segment (the
+            # pending pairs before it did not fill one), so what is
+            # left is that segment's tail.
+            pending -= cut
+            entities = [entity] if pending else []
+            segments = [codes[cut:]] if pending else []
+    if pending:
+        yield _code_batch(entities, by_code, *_flat_segments(segments))
+
+
+def _flat_segments(segments: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per pending pair: its segment's position and its partner code."""
+    counts = np.fromiter(map(len, segments), dtype=np.intp, count=len(segments))
+    return np.repeat(np.arange(len(segments)), counts), np.concatenate(segments)
+
+
+def _code_batch(
+    entities: Sequence[Entity],
+    by_code: Sequence[Entity],
+    owners: np.ndarray,
+    codes: np.ndarray,
+) -> PairBatch:
+    """One shard: probe entities by position (``owners``, ascending),
+    partners by code. Both sides number their entities in order of
+    first appearance, as :meth:`PairBatch.from_pairs` would."""
+    present_a, index_a = np.unique(owners, return_inverse=True)
+    present_b, first, inverse = np.unique(
+        codes, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return PairBatch(
+        list(map(entities.__getitem__, present_a.tolist())),
+        list(map(by_code.__getitem__, present_b[order].tolist())),
+        index_a,
+        rank[inverse],
+    )
 
 
 def _affected_code_pair_lists(
@@ -217,11 +293,7 @@ def _affected_code_pair_lists(
             )
             yield pairs
         else:
-            i = bisect_left(uids, uid_a)
-            if i < len(uids) and uids[i] == uid_a:
-                j = int(np.searchsorted(codes, i))
-                if j < len(codes) and codes[j] == i:
-                    codes = np.delete(codes, j)
+            codes = _emitted_codes(uid_a, codes, uids, dedup)
             yield list(
                 zip(repeat(entity_a), map(by_code.__getitem__, codes.tolist()))
             )
@@ -405,18 +477,42 @@ class _ProbeLedger:
         self._fresh = {}
 
 
+def _probed_chunks(
+    blocker: "Blocker",
+    entities: Sequence[Entity],
+    index: object,
+    ledger: _ProbeLedger,
+    session: "EngineSession | None",
+) -> Iterator[tuple[Sequence[Entity], list]]:
+    """``(chunk, partner codes)`` per :data:`_PROBE_CHUNK` probe
+    entities: served from the probe ledger where it can, probed in a
+    batch through one memo for the whole stream otherwise. The ledger
+    flushes when the stream ends or is abandoned."""
+    memo: dict = {}
+    try:
+        for start in range(0, len(entities), _PROBE_CHUNK):
+            chunk = entities[start : start + _PROBE_CHUNK]
+            yield chunk, ledger.probe(
+                chunk,
+                lambda miss: blocker.probe_batch(miss, index, session, memo=memo),
+            )
+    finally:
+        ledger.flush()
+
+
 def _chunked(
     pairs: Iterable[CandidatePair], batch_size: int
-) -> Iterator[list[CandidatePair]]:
+) -> Iterator[PairBatch]:
     """Group a pair stream into shards of at most ``batch_size``
     (C-level: one ``islice`` materialisation per shard, no per-pair
-    Python bytecode)."""
+    Python bytecode) — the way every pair stream not cut from probe
+    codes enters the shard type."""
     iterator = iter(pairs)
     while True:
         shard = list(islice(iterator, batch_size))
         if not shard:
             return
-        yield shard
+        yield PairBatch.from_pairs(shard)
 
 
 class Blocker(ABC):
@@ -477,18 +573,30 @@ class Blocker(ABC):
         source_b: DataSource,
         batch_size: int,
         session: "EngineSession | None" = None,
-    ) -> Iterator[list[CandidatePair]]:
+    ) -> Iterator[PairBatch]:
         """Candidate pairs pre-chunked into ready-to-score shards.
 
-        The pair order is exactly :meth:`candidates` order and does not
-        depend on ``batch_size`` (only the chunk boundaries do), which
-        is what keeps generated links byte-identical across batch
-        sizes and worker counts. ``session`` lets index construction
-        share the engine's caches; the default implementation chunks
-        the plain pair stream.
+        Shards are :class:`~repro.data.pairs.PairBatch` es. The pair
+        order is exactly :meth:`candidates` order and does not depend
+        on ``batch_size`` (only the chunk boundaries do), which is what
+        keeps generated links byte-identical across batch sizes and
+        worker counts. ``session`` lets index construction share the
+        engine's caches; the default implementation chunks the plain
+        pair stream.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        return self._shards(source_a, source_b, session, batch_size)
+
+    def _shards(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        session: "EngineSession | None",
+        batch_size: int,
+    ) -> Iterator[PairBatch]:
+        """The shard stream behind :meth:`iter_shards` (``batch_size``
+        already validated); the default chunks the plain pair stream."""
         return _chunked(self._iter_pairs(source_a, source_b, session), batch_size)
 
     def _iter_pairs(
@@ -537,7 +645,7 @@ class Blocker(ABC):
         Returns one partner sequence per probe entity, in input order:
         already partner-deduped, in the blocker's deterministic
         emission order, **unfiltered** — self-pairs and dedup-mode
-        ordering are the caller's concern (:meth:`_iter_pairs` applies
+        ordering are the caller's concern (the pair stream applies
         them), so parity suites can compare raw probe results
         directly. Partners are *references into the probe index* (code
         arrays for token/MultiBlock probing, uid slices for sorted
@@ -586,7 +694,7 @@ class Blocker(ABC):
         affected: frozenset,
         batch_size: int,
         session: "EngineSession | None" = None,
-    ) -> Iterator[list[CandidatePair]]:
+    ) -> Iterator[PairBatch]:
         """Ready-to-score shards of exactly the candidate pairs that
         touch ``affected`` (each such pair once, uid-ordered like the
         cold stream). The default filters the full pair stream — always
@@ -870,7 +978,9 @@ class TokenBlocker(Blocker):
         )
 
     def candidates(self, source_a, source_b):
-        return self._iter_pairs(source_a, source_b, None)
+        return chain.from_iterable(
+            self._shards(source_a, source_b, None, _STREAM_BATCH)
+        )
 
     def probe_index(self, source_a, source_b, session=None):
         """Code view of the target block table: distinct B uids number
@@ -964,7 +1074,7 @@ class TokenBlocker(Blocker):
         code space absorbs every block in C and ``flatnonzero`` reads
         the union back sorted (an entity probing a single block reuses
         the index's own array, zero-copy). Probe results memoise per
-        distinct property text (``memo``; ``_iter_pairs`` threads one
+        distinct property text (``memo``; the shard stream threads one
         through the whole run), so duplicate-heavy sources skip
         tokenisation *and* the union."""
         properties = self._properties_a
@@ -1127,28 +1237,17 @@ class TokenBlocker(Blocker):
     def _iter_affected_pair_lists(self, source_a, source_b, affected, session):
         index = self.probe_index(source_a, source_b, session=session)
         dedup = source_a is source_b
-        uids = index.uids
-        get_b = source_b.get
-        by_code = [get_b(uid) for uid in uids]
+        by_code = list(map(source_b.get, index.uids))
         entities = [
             entity for entity in source_a.entities() if entity.uid in affected
         ]
-        memo: dict = {}
         ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                results = ledger.probe(
-                    chunk,
-                    lambda miss: self.probe_batch(
-                        miss, index, session, memo=memo
-                    ),
-                )
-                yield from _affected_code_pair_lists(
-                    chunk, results, uids, by_code, dedup, affected
-                )
-        finally:
-            ledger.flush()
+        for chunk, results in _probed_chunks(
+            self, entities, index, ledger, session
+        ):
+            yield from _affected_code_pair_lists(
+                chunk, results, index.uids, by_code, dedup, affected
+            )
         if not dedup:
             yield from self._targeted_reverse_pair_lists(
                 source_a, source_b, affected, session
@@ -1201,39 +1300,20 @@ class TokenBlocker(Blocker):
             session, index_key(source_b.fingerprint(), token)
         )
 
-    def _iter_pairs(self, source_a, source_b, session):
-        return chain.from_iterable(
-            self._iter_pair_lists(source_a, source_b, session)
-        )
-
-    def _iter_pair_lists(self, source_a, source_b, session):
+    def _shards(self, source_a, source_b, session, batch_size):
+        """Shards cut straight from the batch probe's partner codes
+        (:func:`_code_shards`)."""
         index = self.probe_index(source_a, source_b, session=session)
-        dedup = source_a is source_b
-        uids = index.uids
-        get_b = source_b.get
-        # Entities resolve by integer code (one list index per pair)
-        # instead of by uid string.
-        by_code = [get_b(uid) for uid in uids]
-        entities = source_a.entities()
-        memo: dict = {}
+        # Entities resolve by integer code instead of by uid string.
+        by_code = list(map(source_b.get, index.uids))
         ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                yield from _code_pair_lists(
-                    chunk,
-                    ledger.probe(
-                        chunk,
-                        lambda miss: self.probe_batch(
-                            miss, index, session, memo=memo
-                        ),
-                    ),
-                    uids,
-                    by_code,
-                    dedup,
-                )
-        finally:
-            ledger.flush()
+        yield from _code_shards(
+            _probed_chunks(self, source_a.entities(), index, ledger, session),
+            index.uids,
+            by_code,
+            source_a is source_b,
+            batch_size,
+        )
 
 
 @dataclass(frozen=True)
@@ -1690,7 +1770,7 @@ def _root_property(node: ValueNode) -> str | None:
     return None
 
 
-class RuleBlocker(Blocker):
+class RuleBlocker(TokenBlocker):
     """Rule-aware blocking: token-block on the properties the rule
     compares (the MultiBlock idea, simplified).
 
@@ -1710,41 +1790,4 @@ class RuleBlocker(Blocker):
                 properties_b.append(prop_b)
         if not properties_a:
             raise ValueError("rule has no property-based comparisons to block on")
-        self._delegate = TokenBlocker(
-            properties_a, properties_b, max_block_size=max_block_size
-        )
-
-    def signature(self) -> str:
-        return self._delegate.signature()
-
-    def build_index(self, source, session=None):
-        return self._delegate.build_index(source, session=session)
-
-    def probe_index(self, source_a, source_b, session=None):
-        return self._delegate.probe_index(source_a, source_b, session=session)
-
-    def probe_batch(self, entities, index, session=None):
-        return self._delegate.probe_batch(entities, index, session=session)
-
-    def probe_uids(self, index, partners):
-        return self._delegate.probe_uids(index, partners)
-
-    def affected_probe_uids(
-        self, source_a, source_b, deltas_a, deltas_b, session=None
-    ):
-        return self._delegate.affected_probe_uids(
-            source_a, source_b, deltas_a, deltas_b, session=session
-        )
-
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        return self._delegate.iter_affected_shards(
-            source_a, source_b, affected, batch_size, session=session
-        )
-
-    def candidates(self, source_a, source_b):
-        return self._delegate.candidates(source_a, source_b)
-
-    def _iter_pairs(self, source_a, source_b, session):
-        return self._delegate._iter_pairs(source_a, source_b, session)
+        super().__init__(properties_a, properties_b, max_block_size=max_block_size)

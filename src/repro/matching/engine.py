@@ -43,7 +43,7 @@ from repro import faults
 from repro.core.rule import MATCH_THRESHOLD, LinkageRule
 from repro.core.nodes import SimilarityNode
 from repro.faults import CancelToken
-from repro.data.entity import Entity
+from repro.data.pairs import PairBatch
 from repro.data.source import DataSource
 from repro.engine import counters
 from repro.engine.executor import Executor, resolve_executor
@@ -179,7 +179,7 @@ _WORKER_CACHE_DIR: str | None = None
 
 
 def _shard_scores(
-    payload: tuple[SimilarityNode, list[tuple[Entity, Entity]], str | None],
+    payload: tuple[SimilarityNode, PairBatch, str | None],
 ) -> tuple[int, np.ndarray, EngineStats, float]:
     """Score one candidate-pair shard inside a worker process.
 
@@ -193,18 +193,36 @@ def _shard_scores(
     window sizing.
     """
     global _WORKER_SESSION, _WORKER_CACHE_DIR
-    root, pairs, cache_dir = payload
+    root, batch, cache_dir = payload
     if _WORKER_SESSION is None or _WORKER_CACHE_DIR != cache_dir:
         _WORKER_SESSION = EngineSession(executor=0, store=cache_dir)
         _WORKER_CACHE_DIR = cache_dir
     started = time.perf_counter()
-    context = _WORKER_SESSION.context(pairs)
+    context = _WORKER_SESSION.context(batch)
     try:
         scores = context.scores(root)
     finally:
         _WORKER_SESSION.release_context(context)
     duration = time.perf_counter() - started
     return os.getpid(), scores, _WORKER_SESSION.stats(), duration
+
+
+def _batch_links(
+    batch: PairBatch, scores: np.ndarray, threshold: float
+) -> list[GeneratedLink]:
+    """The links of one scored batch, in pair order: only the pairs
+    scoring at or above ``threshold`` are resolved to entities."""
+    hits = np.flatnonzero(scores >= threshold)
+    entities_a = batch.entities_a
+    entities_b = batch.entities_b
+    return [
+        GeneratedLink(entities_a[a].uid, entities_b[b].uid, score)
+        for a, b, score in zip(
+            batch.index_a[hits].tolist(),
+            batch.index_b[hits].tolist(),
+            scores[hits].tolist(),
+        )
+    ]
 
 
 class _RunState:
@@ -413,10 +431,9 @@ class MatchingEngine:
         ):
             batches += 1
             pairs += len(batch)
-            for (entity_a, entity_b), score in zip(batch, scores):
-                if score >= self._threshold:
-                    links += 1
-                    yield GeneratedLink(entity_a.uid, entity_b.uid, float(score))
+            emitted = _batch_links(batch, scores, self._threshold)
+            links += len(emitted)
+            yield from emitted
         self._last_stats = self._finish_stats(
             session, baseline, state, batches, pairs, links
         )
@@ -493,13 +510,7 @@ class MatchingEngine:
             ):
                 batches += 1
                 pairs += len(batch)
-                for (entity_a, entity_b), score in zip(batch, scores):
-                    if score >= self._threshold:
-                        rescored.append(
-                            GeneratedLink(
-                                entity_a.uid, entity_b.uid, float(score)
-                            )
-                        )
+                rescored.extend(_batch_links(batch, scores, self._threshold))
             links = kept + rescored
             links.sort(key=lambda link: (-link.score, link.uid_a, link.uid_b))
             rescored_pairs = pairs
@@ -581,7 +592,7 @@ class MatchingEngine:
         shards,
         state: _RunState,
         cancel: CancelToken | None = None,
-    ) -> Iterator[tuple[list[tuple[Entity, Entity]], np.ndarray]]:
+    ) -> Iterator[tuple[PairBatch, np.ndarray]]:
         """Score a shard stream across the executor, yielding
         ``(batch, score_vector)`` in stream order — groups of
         ``state.depth`` shards are in flight at a time, map preserves
@@ -669,7 +680,7 @@ class MatchingEngine:
         self,
         session: EngineSession,
         rule: LinkageRule,
-        batch: list[tuple[Entity, Entity]],
+        batch: PairBatch,
     ) -> np.ndarray:
         """Score one batch through the shared session (serial and
         thread paths; thread-safe via the session's locked caches)."""

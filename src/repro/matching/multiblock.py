@@ -67,11 +67,12 @@ from repro.engine.compiler import signature_token, value_tree_signature
 from repro.engine.session import EngineSession
 from repro.engine.values import evaluate_value_op
 from repro.matching.blocking import (
-    _PROBE_CHUNK,
+    _STREAM_BATCH,
     _affected_code_pair_lists,
     _chunked,
-    _code_pair_lists,
+    _code_shards,
     _memo_put,
+    _probed_chunks,
     _ProbeLedger,
     _union_codes,
     Blocker,
@@ -841,7 +842,7 @@ class MultiBlocker(Blocker):
         :meth:`probe_uids` materialises the uid view.
 
         ``memo`` lets a streaming caller share the distinct-value memo
-        across successive probe batches (``_iter_pairs`` threads one
+        across successive probe batches (the shard stream threads one
         through the whole run); ``None`` scopes it to this call.
         """
         own = self._active_session(session)
@@ -954,27 +955,18 @@ class MultiBlocker(Blocker):
     def _iter_affected_pair_lists(
         self, source_a, source_b, affected, session, probe
     ):
-        by_code = [source_b.get(uid) for uid in probe.uids]
+        by_code = list(map(source_b.get, probe.uids))
         dedup = source_a is source_b
-        memo: dict = {}
         entities = [
             entity for entity in source_a.entities() if entity.uid in affected
         ]
         ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                results = ledger.probe(
-                    chunk,
-                    lambda miss: self.probe_batch(
-                        miss, probe, session, memo=memo
-                    ),
-                )
-                yield from _affected_code_pair_lists(
-                    chunk, results, probe.uids, by_code, dedup, affected
-                )
-        finally:
-            ledger.flush()
+        for chunk, results in _probed_chunks(
+            self, entities, probe, ledger, session
+        ):
+            yield from _affected_code_pair_lists(
+                chunk, results, probe.uids, by_code, dedup, affected
+            )
         if not dedup:
             yield from self._targeted_reverse_pair_lists(
                 source_a, source_b, affected, session, probe
@@ -1043,21 +1035,12 @@ class MultiBlocker(Blocker):
             return
         entities = [get_a(uid) for uid in sorted(partner_uids)]
         codes_of: dict[str, np.ndarray] = {}
-        memo: dict = {}
         ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                results = ledger.probe(
-                    chunk,
-                    lambda miss: self.probe_batch(
-                        miss, probe, session, memo=memo
-                    ),
-                )
-                for entity, codes in zip(chunk, results):
-                    codes_of[entity.uid] = codes
-        finally:
-            ledger.flush()
+        for chunk, results in _probed_chunks(
+            self, entities, probe, ledger, session
+        ):
+            for entity, codes in zip(chunk, results):
+                codes_of[entity.uid] = codes
         for uid_b, code_b, partners in coarse:
             entity_b = source_b.get(uid_b)
             pairs = []
@@ -1091,38 +1074,29 @@ class MultiBlocker(Blocker):
         return self._iter_pairs(source_a, source_b, None)
 
     def _iter_pairs(self, source_a, source_b, session):
+        return chain.from_iterable(
+            self._shards(source_a, source_b, session, _STREAM_BATCH)
+        )
+
+    def _shards(self, source_a, source_b, session, batch_size):
+        """Shards cut straight from the batch probe's partner codes,
+        or the chunked full product when no comparison is indexable."""
         probe = self.probe_index(source_a, source_b, session=session)
         if not probe.indexes:
             # No indexable comparison: fall back to the (lazy) full
             # product rather than a degenerate everything-matches probe.
-            return FullIndexBlocker().candidates(source_a, source_b)
-        return chain.from_iterable(
-            self._iter_pair_lists(source_a, source_b, session, probe)
-        )
-
-    def _iter_pair_lists(self, source_a, source_b, session, probe):
-        by_code = [source_b.get(uid) for uid in probe.uids]
-        dedup = source_a is source_b
-        memo: dict = {}
-        entities = source_a.entities()
+            yield from _chunked(
+                FullIndexBlocker().candidates(source_a, source_b), batch_size
+            )
+            return
         ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                yield from _code_pair_lists(
-                    chunk,
-                    ledger.probe(
-                        chunk,
-                        lambda miss: self.probe_batch(
-                            miss, probe, session, memo=memo
-                        ),
-                    ),
-                    probe.uids,
-                    by_code,
-                    dedup,
-                )
-        finally:
-            ledger.flush()
+        yield from _code_shards(
+            _probed_chunks(self, source_a.entities(), probe, ledger, session),
+            probe.uids,
+            list(map(source_b.get, probe.uids)),
+            source_a is source_b,
+            batch_size,
+        )
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,28 @@ class TestColumnStore:
         assert store.clear() == 1
         assert store.describe()["entries"] == 0
 
+    def test_legacy_sidecars_leave_with_their_columns(self, tmp_path):
+        """A save writes the blob alone; the ``<key>.json`` sidecars
+        older versions wrote go with their column on gc, clear and
+        corrupt-blob discard, so no orphan survives."""
+        store = ColumnStore(tmp_path)
+        keys = [str(index) * 64 for index in range(3)]
+        for key in keys:
+            store.save(key, np.zeros(8, dtype=np.float64))
+        assert not list(tmp_path.rglob("*.json"))
+        for path in tmp_path.glob("columns-v1/*/*.npy"):
+            path.with_suffix(".json").write_text("{}")
+        assert store.describe()["entries"] == 3
+        [corrupt, aged, kept] = sorted(
+            store.entries(), key=lambda entry: entry.key
+        )
+        corrupt.path.write_bytes(b"not an npy file")
+        assert store.load(corrupt.key, 8) is None
+        os.utime(aged.path, (0, 0))
+        assert store.gc(max_age_days=1.0).removed == 1
+        assert store.clear() == 1
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
     def test_stats_merged(self):
         a = StoreStats(1, 2, 3, 0, 10, 20)
         b = StoreStats(4, 0, 1, 1, 5, 5)
