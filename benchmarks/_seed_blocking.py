@@ -11,9 +11,8 @@ Two generations of frozen code live here:
 * **Probing** (PR 5 baseline): verbatim copies of the per-entity probe
   loops the blockers shipped before batch probing —
   ``seed_token_probe`` (per-A-entity tokenise + per-uid seen-set
-  loop), ``seed_snb_pairs`` (Python merge + sliding-window loop) and
-  ``seed_multiblock_probe`` (per-entity recursive candidate algebra,
-  no probe-key memoisation).
+  loop) and ``seed_multiblock_probe`` (per-entity recursive candidate
+  algebra, no probe-key memoisation).
 
 ``bench_micro_engine.py`` measures the live implementations against
 these, and asserts the candidate sets stay identical — the speedup
@@ -27,7 +26,6 @@ Do not "improve" this module; its value is being frozen.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from repro.data.entity import Entity
@@ -164,53 +162,6 @@ def seed_token_probe(
                 yield entity_a, source_b.get(uid_b)
 
 
-def seed_snb_pairs(
-    source_a: DataSource,
-    source_b: DataSource,
-    index_a: Sequence[tuple[str, str]],
-    index_b: Sequence[tuple[str, str]],
-    window: int,
-) -> Iterator[tuple[Entity, Entity]]:
-    """The pre-batch sorted-neighbourhood probe: a Python two-index
-    merge into one tagged list, then a per-position sliding-window
-    loop with a global seen-set."""
-    dedup = source_a is source_b
-    if dedup:
-        tagged = [(source_a.get(uid), "a") for __, uid in index_a]
-    else:
-        tagged = []
-        i = j = 0
-        while i < len(index_a) and j < len(index_b):
-            if index_a[i][0] <= index_b[j][0]:
-                tagged.append((source_a.get(index_a[i][1]), "a"))
-                i += 1
-            else:
-                tagged.append((source_b.get(index_b[j][1]), "b"))
-                j += 1
-        tagged.extend(
-            (source_a.get(uid), "a") for __, uid in islice(index_a, i, None)
-        )
-        tagged.extend(
-            (source_b.get(uid), "b") for __, uid in islice(index_b, j, None)
-        )
-    seen: set[tuple[str, str]] = set()
-    for i, (entity_i, side_i) in enumerate(tagged):
-        for j in range(i + 1, min(i + window, len(tagged))):
-            entity_j, side_j = tagged[j]
-            if dedup:
-                a, b = sorted((entity_i, entity_j), key=lambda e: e.uid)
-            elif side_i == "a" and side_j == "b":
-                a, b = entity_i, entity_j
-            elif side_i == "b" and side_j == "a":
-                a, b = entity_j, entity_i
-            else:
-                continue
-            key = (a.uid, b.uid)
-            if key not in seen:
-                seen.add(key)
-                yield a, b
-
-
 def seed_multiblock_node_candidates(
     node, entity: Entity, indexes: dict, all_uids: frozenset, session
 ) -> frozenset:
@@ -267,44 +218,6 @@ def seed_token_probe_kernel(
                 seen.add(uid_b)
                 partners.append(uid_b)
         out.append((entity_a.uid, partners))
-    return out
-
-
-def seed_snb_probe_kernel(
-    source_a: DataSource,
-    source_b: DataSource,
-    index_a: Sequence[tuple[str, str]],
-    index_b: Sequence[tuple[str, str]],
-    window: int,
-) -> list[tuple[str, str]]:
-    """The probe kernel of the pre-batch sorted-neighbourhood loop —
-    the Python two-index merge plus the sliding-window scan, emitting
-    ``(uid_a, uid_b)`` window pairs without entity resolution."""
-    dedup = source_a is source_b
-    if dedup:
-        tagged = [(uid, "a") for __, uid in index_a]
-    else:
-        tagged = []
-        i = j = 0
-        while i < len(index_a) and j < len(index_b):
-            if index_a[i][0] <= index_b[j][0]:
-                tagged.append((index_a[i][1], "a"))
-                i += 1
-            else:
-                tagged.append((index_b[j][1], "b"))
-                j += 1
-        tagged.extend((uid, "a") for __, uid in islice(index_a, i, None))
-        tagged.extend((uid, "b") for __, uid in islice(index_b, j, None))
-    out: list[tuple[str, str]] = []
-    for i, (uid_i, side_i) in enumerate(tagged):
-        for j in range(i + 1, min(i + window, len(tagged))):
-            uid_j, side_j = tagged[j]
-            if dedup:
-                out.append((uid_i, uid_j) if uid_i < uid_j else (uid_j, uid_i))
-            elif side_i == "a" and side_j == "b":
-                out.append((uid_i, uid_j))
-            elif side_i == "b" and side_j == "a":
-                out.append((uid_j, uid_i))
     return out
 
 

@@ -765,14 +765,6 @@ def _probe_rule(source_a, source_b):
     )
 
 
-def _snb_key(source_a, source_b) -> str:
-    names_b = set(source_b.property_names())
-    for name in source_a.property_names():
-        if name in names_b:
-            return name
-    return source_a.property_names()[0]
-
-
 class _FrozenCandidates(FullIndexBlocker):
     """Replays a fixed candidate-pair list (the frozen-probe reference
     path for link-parity checks)."""
@@ -789,8 +781,7 @@ def test_blocking_probe_speedup():
     >=2x on the engine's repeated-execution profile, and must never
     buy a different result: candidate sets and generated links stay
     byte-identical across all six bundled datasets x blockers
-    {multiblock, token, sorted-neighbourhood} x workers
-    {0, 2, process:2}.
+    {multiblock, token} x workers {0, 2, process:2}.
 
     The timed workload is the probe side proper — per-entity partner
     computation over prebuilt indexes, two sweeps (one learning + one
@@ -803,18 +794,13 @@ def test_blocking_probe_speedup():
     from _seed_blocking import (
         seed_multiblock_probe,
         seed_multiblock_probe_kernel,
-        seed_snb_pairs,
-        seed_snb_probe_kernel,
         seed_token_probe,
         seed_token_probe_kernel,
     )
 
     from repro.experiments.scale import current_scale
     from repro.engine.executor import ProcessExecutor, ThreadExecutor
-    from repro.matching.blocking import (
-        _PROBE_CHUNK,
-        SortedNeighbourhoodBlocker,
-    )
+    from repro.matching.blocking import _PROBE_CHUNK
     from repro.matching.engine import MatchingEngine
     from repro.matching.multiblock import MultiBlocker
 
@@ -828,9 +814,6 @@ def test_blocking_probe_speedup():
 
     token_blocker = TokenBlocker(props)
     token_index = token_blocker.build_index(source_b)
-    snb = SortedNeighbourhoodBlocker(_snb_key(source_a, source_b), window=7)
-    snb_index_a = snb.build_index(source_a)
-    snb_index_b = snb.build_index(source_b)
     multi = MultiBlocker(rule)
     multi_indexes = multi.build_index(source_b)
     seed_session = EngineSession()
@@ -841,9 +824,6 @@ def test_blocking_probe_speedup():
     def seed_workload():
         for _ in range(runs):
             seed_token_probe_kernel(source_a, token_index, props)
-            seed_snb_probe_kernel(
-                source_a, source_b, snb_index_a, snb_index_b, 7
-            )
             seed_multiblock_probe_kernel(
                 rule, source_a, multi_indexes, all_uids, seed_session
             )
@@ -851,19 +831,14 @@ def test_blocking_probe_speedup():
     def batch_workload():
         session = EngineSession()
         for _ in range(runs):
-            for blocker in (token_blocker, snb, multi):
+            for blocker in (token_blocker, multi):
                 probe_index = blocker.probe_index(
                     source_a, source_b, session=session
                 )
                 memo: dict = {}
                 for start in range(0, len(entities), _PROBE_CHUNK):
                     chunk = entities[start : start + _PROBE_CHUNK]
-                    if blocker is snb:
-                        blocker.probe_batch(chunk, probe_index, session)
-                    else:
-                        blocker.probe_batch(
-                            chunk, probe_index, session, memo=memo
-                        )
+                    blocker.probe_batch(chunk, probe_index, session, memo=memo)
 
     # Per-entity probe parity before timing anything: the batch results
     # must be exactly the frozen kernels' candidates.
@@ -899,7 +874,7 @@ def test_blocking_probe_speedup():
     batch_seconds = best_of(3, batch_workload)
     speedup = seed_seconds / batch_seconds
     print(
-        f"\nblocking probe ({runs}-run workload, 3 blockers): seed "
+        f"\nblocking probe ({runs}-run workload, 2 blockers): seed "
         f"{seed_seconds * 1000:.1f} ms, batch {batch_seconds * 1000:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
@@ -914,8 +889,6 @@ def test_blocking_probe_speedup():
             bundle = load_dataset(name, seed=23, scale=scale)
             a, b = bundle.source_a, bundle.source_b
             bundle_rule = _probe_rule(a, b)
-            window = 8
-            key = _snb_key(a, b)
             reference_session = EngineSession()
             multi_reference = MultiBlocker(bundle_rule)
 
@@ -927,17 +900,6 @@ def test_blocking_probe_speedup():
                     return list(
                         seed_token_probe(
                             a, b, blocker.build_index(b), a.property_names()
-                        )
-                    )
-                if label == "snb":
-                    blocker = SortedNeighbourhoodBlocker(key, window=window)
-                    return list(
-                        seed_snb_pairs(
-                            a,
-                            b,
-                            blocker.build_index(a),
-                            blocker.build_index(b),
-                            window,
                         )
                     )
                 return list(
@@ -955,7 +917,6 @@ def test_blocking_probe_speedup():
                 "token": lambda: TokenBlocker(
                     a.property_names(), b.property_names()
                 ),
-                "snb": lambda: SortedNeighbourhoodBlocker(key, window=window),
             }
             for label, make in makers.items():
                 seed_pairs = seed_pairs_of(label)

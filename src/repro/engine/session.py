@@ -382,33 +382,10 @@ class EngineSession:
             return payload, ancestor, len(pending)
         return None
 
-    def peek_blocking_index(self, source_fingerprint: str, blocker_token: str):
-        """The already-resolved payload for one epoch, or None.
-
-        Never builds and never patches — this is how delta-affected-set
-        computation reconstructs the *previous* epoch's view (e.g. the
-        sorted-neighbourhood key order before the deltas) without
-        paying for a rebuild when it isn't available.
-        """
-        memo_key = (source_fingerprint, blocker_token)
-        cached = self._index_cache.get(memo_key)
-        if cached is not None:
-            return cached
-        if self._store is not None:
-            from repro.engine.store import index_key
-
-            payload = self._store.load_index(
-                index_key(source_fingerprint, blocker_token)
-            )
-            if payload is not None:
-                self._index_cache.put(memo_key, payload)
-                return payload
-        return None
-
     def record_probe(self, batches: int = 0, memo_hits: int = 0) -> None:
         """Record blocking probe-side traffic (called by the blockers'
-        :meth:`~repro.matching.blocking.Blocker.probe_batch` paths;
-        safe from executor worker threads)."""
+        :meth:`~repro.matching.blocking.CodeProbeBlocker.probe_batch`
+        paths; safe from executor worker threads)."""
         with self._probe_lock:
             self._probe_batches += batches
             self._probe_memo_hits += memo_hits

@@ -29,7 +29,7 @@ Index tier
 ----------
 Next to the column tier the store keeps a **blocking-index tier**:
 pickled candidate-generation indexes (token blocks, MultiBlock
-comparison indexes, sorted-neighbourhood key lists) keyed by
+comparison indexes and their probe-side code views) keyed by
 ``sha256(DataSource.fingerprint() x blocker signature)``. Indexes
 reference entities by uid only — the live source resolves uids back to
 entities on load — so a persisted index is valid exactly as long as the

@@ -11,7 +11,6 @@ from repro.matching.blocking import (
     Blocker,
     FullIndexBlocker,
     RuleBlocker,
-    SortedNeighbourhoodBlocker,
     TokenBlocker,
 )
 from repro.matching.engine import (
@@ -32,7 +31,6 @@ __all__ = [
     "Blocker",
     "FullIndexBlocker",
     "RuleBlocker",
-    "SortedNeighbourhoodBlocker",
     "TokenBlocker",
     "GeneratedLink",
     "MatchingEngine",

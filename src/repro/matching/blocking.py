@@ -2,10 +2,11 @@
 
 Evaluating a linkage rule over the full Cartesian product A x B is
 quadratic; blocking prunes the candidate set before rule evaluation.
-Three classic strategies are provided plus a rule-aware blocker that
-derives its keys from the properties a rule actually compares — a
-light-weight stand-in for Silk's MultiBlock [19] (the full
-aggregation-aware variant lives in :mod:`repro.matching.multiblock`).
+The full index and token blocking are provided plus a rule-aware
+blocker that derives its keys from the properties a rule actually
+compares — a light-weight stand-in for Silk's MultiBlock [19] (the
+full aggregation-aware variant lives in
+:mod:`repro.matching.multiblock`).
 
 Blocking is an **engine-integrated subsystem**, not a bare pair
 stream:
@@ -24,20 +25,21 @@ stream:
   once per *distinct value* (not once per entity occurrence), bulk
   dict operations assemble the blocks, and construction fans across
   the engine session's shared-memory executor for large sources.
-* :meth:`Blocker.probe_batch` probes the index for a whole A-side
-  chunk at once — the probe side mirrors the build side:
+* :meth:`CodeProbeBlocker.probe_batch` probes the index for a whole
+  A-side chunk at once — the probe side mirrors the build side, and
+  both probing blockers answer in sorted partner-code arrays:
   :class:`TokenBlocker` bulk-tokenises the chunk through the same
   C-level lower/translate/split path used for indexing and unions each
-  entity's postings lists in a single pass with C-level dedup
-  (``dict.fromkeys`` over chained block tuples);
-  :class:`SortedNeighbourhoodBlocker` resolves all windows of a chunk
-  with vectorized ``numpy.searchsorted`` over its sorted merged
-  positions; :class:`~repro.matching.multiblock.MultiBlocker` memoises
-  probe results per distinct transformed value tuple. Probe chunks fan
-  across the session's shared-memory executor via
-  :func:`fan_entity_chunks`, and probe traffic is reported through the
-  session (``EngineStats.probe_batches`` / ``probe_memo_hits``,
-  surfaced per run in ``MatchStats``).
+  entity's postings in one boolean-mask pass over the code space;
+  :class:`~repro.matching.multiblock.MultiBlocker` evaluates its
+  candidate algebra the same way and memoises probe results per
+  distinct transformed value tuple. Probe chunks fan across the
+  session's shared-memory executor via :func:`fan_entity_chunks`, and
+  probe traffic is reported through the session
+  (``EngineStats.probe_batches`` / ``probe_memo_hits``, surfaced per
+  run in ``MatchStats``). :class:`CodeProbeBlocker` owns everything
+  downstream of the probe — shard cutting, the affected-only rescore
+  stream and the probe-result ledger — once for both.
 * With an :class:`~repro.engine.session.EngineSession`, indexes are
   memoised in the session and — when the session has a persistent
   :class:`~repro.engine.store.ColumnStore` — persisted in the store's
@@ -59,7 +61,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,12 +82,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 #: executor could fan out — the thread hop costs more than the work.
 _FAN_THRESHOLD = 512
 
-#: A-side entities probed per :meth:`Blocker.probe_batch` call inside
-#: the pair stream. Bounds resident per-entity candidate lists (the
-#: stream stays memory-bounded like the per-entity loop it replaced)
-#: while amortising batch machinery and giving `fan_entity_chunks`
-#: enough work to fan. Never affects results — only how many entities
-#: are probed per batch.
+#: A-side entities probed per :meth:`CodeProbeBlocker.probe_batch`
+#: call inside the pair stream. Bounds resident per-entity candidate
+#: lists (the stream stays memory-bounded like the per-entity loop it
+#: replaced) while amortising batch machinery and giving
+#: `fan_entity_chunks` enough work to fan. Never affects results —
+#: only how many entities are probed per batch.
 _PROBE_CHUNK = 2048
 
 #: Pairs per shard when a blocker reads its flat :meth:`Blocker.
@@ -383,12 +385,12 @@ def _raw_token_patcher(source: DataSource, properties: Sequence[str]):
     return patch
 
 
-def _patch_memo_payload(memo, fingerprint: str, token: str, lineage, patcher):
-    """Patch a blocker's one-entry instance memo forward to the current
-    epoch, mirroring the session's lineage walk for session-less use.
-    Returns the patched payload or None (wrong token, no patcher, memo
-    epoch not an ancestor, or the patcher gave up)."""
-    if memo is None or patcher is None or memo[1] != token:
+def _patch_memo_payload(memo, fingerprint: str, lineage, patcher):
+    """Patch a ``(fingerprint, payload)`` memo entry forward to the
+    current epoch, mirroring the session's lineage walk for
+    session-less use. Returns the patched payload or None (no entry,
+    entry epoch not an ancestor, or the patcher gave up)."""
+    if memo is None:
         return None
     chain_deltas = tuple(lineage)
     if not chain_deltas or chain_deltas[-1].fingerprint != fingerprint:
@@ -397,7 +399,7 @@ def _patch_memo_payload(memo, fingerprint: str, token: str, lineage, patcher):
     for delta in reversed(chain_deltas):
         pending.append(delta)
         if delta.parent_fingerprint == memo[0]:
-            payload = memo[2]
+            payload = memo[1]
             for step in reversed(pending):
                 payload = patcher(payload, step)
                 if payload is None:
@@ -412,8 +414,8 @@ class _ProbeLedger:
     One ledger blob maps entity content fingerprints to their probed
     partner-code arrays for a fixed (target-epoch, probe-signature)
     key. Probing is deterministic, so a ledger entry equals what
-    :meth:`Blocker.probe_batch` would recompute — warm runs serve
-    unchanged entities from the ledger and probe only the rest.
+    :meth:`CodeProbeBlocker.probe_batch` would recompute — warm runs
+    serve unchanged entities from the ledger and probe only the rest.
     Hit/miss traffic is per entity (``StoreStats.probe_hits`` /
     ``probe_misses``); new entries persist on :meth:`flush` (called in
     the pair stream's ``finally``, so partial consumption still saves
@@ -478,7 +480,7 @@ class _ProbeLedger:
 
 
 def _probed_chunks(
-    blocker: "Blocker",
+    blocker: "CodeProbeBlocker",
     entities: Sequence[Entity],
     index: object,
     ledger: _ProbeLedger,
@@ -518,19 +520,6 @@ def _chunked(
 class Blocker(ABC):
     """Produces candidate entity pairs from two data sources."""
 
-    #: Instance memo of the last built index: (source fingerprint,
-    #: signature, payload). Lets session-less callers reuse the index
-    #: across repeated runs over an unchanged source.
-    _index_memo: tuple[str, str, object] | None = None
-    #: Same, for the derived probe-side view (separate slot so
-    #: alternating build/probe resolution never thrashes either memo).
-    _probe_index_memo: tuple[str, str, object] | None = None
-    #: Derived public view (e.g. the size-filtered token table) — its
-    #: own slot for the same no-thrash reason.
-    _view_index_memo: tuple[str, str, object] | None = None
-    #: Reverse (probe-side) index used by affected-set computation.
-    _reverse_index_memo: tuple[str, str, object] | None = None
-
     @abstractmethod
     def candidates(
         self, source_a: DataSource, source_b: DataSource
@@ -560,10 +549,9 @@ class Blocker(ABC):
 
         With a ``session`` the index resolves through the session's
         index memo and — when the session has a persistent store — the
-        store's index tier. Without one, the blocker keeps a
-        one-entry instance memo keyed by the source's content
-        fingerprint, so repeated runs over an unchanged source still
-        reuse the index.
+        store's index tier. Without one, token blocking keeps its own
+        memo keyed by the source's content fingerprint, so repeated
+        runs over an unchanged source still reuse the index.
         """
         return None
 
@@ -597,75 +585,7 @@ class Blocker(ABC):
     ) -> Iterator[PairBatch]:
         """The shard stream behind :meth:`iter_shards` (``batch_size``
         already validated); the default chunks the plain pair stream."""
-        return _chunked(self._iter_pairs(source_a, source_b, session), batch_size)
-
-    def _iter_pairs(
-        self,
-        source_a: DataSource,
-        source_b: DataSource,
-        session: "EngineSession | None",
-    ) -> Iterator[CandidatePair]:
-        """Session-aware pair stream; the default ignores the session."""
-        return self.candidates(source_a, source_b)
-
-    def probe_index(
-        self,
-        source_a: DataSource,
-        source_b: DataSource,
-        session: "EngineSession | None" = None,
-    ) -> object:
-        """The probe-side state of this blocker over a source pairing
-        (the argument :meth:`probe_batch` expects as ``index``).
-
-        Builds on :meth:`build_index` — token blocking derives an
-        integer *code view* of its block table (one code per distinct
-        B uid, in sorted uid order, each block a sorted ``int32`` code
-        array) so batch probing unions postings with numpy instead of
-        per-uid Python; sorted neighbourhood precomputes the merged
-        key positions of both sides. Token and MultiBlock resolve
-        their derived views through the same session index memo /
-        persistent index tier as the block tables themselves; sorted
-        neighbourhood re-derives its positions per run (they hold live
-        entity references and cost only two searchsorted calls over
-        the already-memoised sorted indexes).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batch probe path"
-        )
-
-    def probe_batch(
-        self,
-        entities: Sequence[Entity],
-        index: object,
-        session: "EngineSession | None" = None,
-    ) -> list[Sequence]:
-        """Candidate B-side partners for a whole chunk of probe
-        entities, against this blocker's :meth:`probe_index`.
-
-        Returns one partner sequence per probe entity, in input order:
-        already partner-deduped, in the blocker's deterministic
-        emission order, **unfiltered** — self-pairs and dedup-mode
-        ordering are the caller's concern (the pair stream applies
-        them), so parity suites can compare raw probe results
-        directly. Partners are *references into the probe index* (code
-        arrays for token/MultiBlock probing, uid slices for sorted
-        neighbourhood); :meth:`probe_uids` materialises the uid view.
-
-        With a ``session``, chunks fan across its shared-memory
-        executor (:func:`fan_entity_chunks`) and probe traffic is
-        recorded in the session's probe counters. Results never depend
-        on the session, the worker count, or how entities are chunked
-        across calls.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batch probe path"
-        )
-
-    def probe_uids(self, index: object, partners: Sequence) -> tuple[str, ...]:
-        """The uid view of one entity's :meth:`probe_batch` result."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batch probe path"
-        )
+        return _chunked(self.candidates(source_a, source_b), batch_size)
 
     def affected_probe_uids(
         self,
@@ -698,88 +618,23 @@ class Blocker(ABC):
         """Ready-to-score shards of exactly the candidate pairs that
         touch ``affected`` (each such pair once, uid-ordered like the
         cold stream). The default filters the full pair stream — always
-        correct; indexed blockers override it to probe only the
+        correct; probing blockers override it to probe only the
         affected entities.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-        def touched(pairs: Iterable[CandidatePair]) -> Iterator[CandidatePair]:
-            for entity_a, entity_b in pairs:
-                if entity_a.uid in affected or entity_b.uid in affected:
-                    yield entity_a, entity_b
-
         return _chunked(
-            touched(self._iter_pairs(source_a, source_b, session)), batch_size
+            _touching(self.candidates(source_a, source_b), affected), batch_size
         )
 
-    def _resolve_index(
-        self,
-        source: DataSource,
-        session: "EngineSession | None",
-        build: Callable[[], object],
-        patcher=None,
-    ) -> object:
-        """Index lookup through the session memo / persistent tier /
-        the blocker's own one-entry memo, building on miss. With a
-        ``patcher``, an ancestor epoch's payload (session, store or
-        instance memo) is patched forward through the source's delta
-        chain instead of rebuilding."""
-        token = self.signature()
-        if token is None:
-            return build()
-        if session is not None:
-            return session.blocking_index(
-                source.fingerprint(),
-                token,
-                build,
-                lineage=source.delta_chain(),
-                patcher=patcher,
-            )
-        fingerprint = source.fingerprint()
-        memo = self._index_memo
-        if memo is not None and memo[0] == fingerprint and memo[1] == token:
-            return memo[2]
-        payload = _patch_memo_payload(
-            memo, fingerprint, token, source.delta_chain(), patcher
-        )
-        if payload is None:
-            payload = build()
-        self._index_memo = (fingerprint, token, payload)
-        return payload
 
-    def _resolve_probe_index(
-        self,
-        source: DataSource,
-        session: "EngineSession | None",
-        token: str,
-        build: Callable[[], object],
-        patcher=None,
-        slot: str = "_probe_index_memo",
-    ) -> object:
-        """Probe-view lookup, mirroring :meth:`_resolve_index` with an
-        explicit token and its own instance-memo slot (``slot``):
-        session memo / persistent index tier when a session is
-        available, a one-entry fingerprint-keyed memo otherwise."""
-        if session is not None:
-            return session.blocking_index(
-                source.fingerprint(),
-                token,
-                build,
-                lineage=source.delta_chain(),
-                patcher=patcher,
-            )
-        fingerprint = source.fingerprint()
-        memo = getattr(self, slot)
-        if memo is not None and memo[0] == fingerprint and memo[1] == token:
-            return memo[2]
-        payload = _patch_memo_payload(
-            memo, fingerprint, token, source.delta_chain(), patcher
-        )
-        if payload is None:
-            payload = build()
-        setattr(self, slot, (fingerprint, token, payload))
-        return payload
+def _touching(
+    pairs: Iterable[CandidatePair], affected: frozenset
+) -> Iterator[CandidatePair]:
+    """The pairs of a stream with at least one side in ``affected``."""
+    for entity_a, entity_b in pairs:
+        if entity_a.uid in affected or entity_b.uid in affected:
+            yield entity_a, entity_b
 
 
 class FullIndexBlocker(Blocker):
@@ -814,6 +669,181 @@ class FullIndexBlocker(Blocker):
             return n * (n - 1) // 2
         return len(source_a.entities()) * len(source_b.entities())
 
+
+class CodeProbeBlocker(Blocker):
+    """A blocker that probes a target index in integer code space.
+
+    Subclasses supply the probe side — :meth:`probe_index` (whose
+    ``uids`` is the sorted code -> uid table), :meth:`probe_batch`, a
+    probe-ledger token and the two-source reverse pass — and inherit
+    everything downstream of it: the flat :meth:`candidates` stream,
+    :meth:`probe_uids`, shards cut straight from partner-code arrays
+    (:func:`_code_shards`), the affected-only rescore stream, and the
+    probe-result ledger. Candidates are emitted grouped per A entity in
+    source order, each entity's partners in sorted uid order — the
+    same deterministic stream for every chunking, worker count and
+    batch size.
+    """
+
+    @abstractmethod
+    def probe_index(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        session: "EngineSession | None" = None,
+    ) -> object:
+        """The probe-side state of this blocker over a source pairing
+        (the argument :meth:`probe_batch` expects as ``index``): an
+        integer *code view* of the target index — one code per
+        distinct B uid, in sorted uid order (``index.uids``), each
+        block a sorted unique ``int32`` code array — so batch probing
+        unions postings with numpy instead of per-uid Python. The view
+        resolves through the same session index memo / persistent
+        index tier as the block tables themselves.
+        """
+
+    @abstractmethod
+    def probe_batch(
+        self,
+        entities: Sequence[Entity],
+        index: object,
+        session: "EngineSession | None" = None,
+        memo: dict | None = None,
+    ) -> list[np.ndarray]:
+        """Candidate B-side partners for a whole chunk of probe
+        entities, against this blocker's :meth:`probe_index`.
+
+        Returns one sorted partner-code array per probe entity, in
+        input order: already partner-deduped, **unfiltered** —
+        self-pairs and dedup-mode ordering are the caller's concern
+        (the pair stream applies them), so parity suites can compare
+        raw probe results directly. Code arrays are references into
+        the probe index and are never mutated; :meth:`probe_uids`
+        materialises the uid view. ``memo`` lets a streaming caller
+        share the distinct-value probe memo across batches (the shard
+        stream threads one through the whole run); ``None`` scopes it
+        to this call.
+
+        With a ``session``, chunks fan across its shared-memory
+        executor (:func:`fan_entity_chunks`) and probe traffic is
+        recorded in the session's probe counters. Results never depend
+        on the session, the worker count, or how entities are chunked
+        across calls.
+        """
+
+    @abstractmethod
+    def _ledger_token(self) -> str:
+        """Index-tier token of this blocker's probe-result ledger."""
+
+    @abstractmethod
+    def _reverse_pair_lists(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        affected: frozenset,
+        index: object,
+        session: "EngineSession | None",
+    ) -> Iterator[list[CandidatePair]]:
+        """Two-source pairs of *unaffected* probe entities with
+        affected stored entities, per stored entity. Only A probes, so
+        these never surface from the affected probes; affected probe
+        entities are excluded (their own probe already emits the
+        pair), which keeps every affected pair emitted exactly once."""
+
+    def _probe_plan(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        session: "EngineSession | None",
+    ) -> "tuple[object, EngineSession | None] | None":
+        """``(probe index, session)`` the probe streams run under, or
+        None when the index cannot prune (the streams then fall back to
+        the full product). The default probes under the caller's
+        session."""
+        return self.probe_index(source_a, source_b, session=session), session
+
+    def probe_uids(self, index: object, partners: np.ndarray) -> tuple[str, ...]:
+        """The uid view of one entity's :meth:`probe_batch` result."""
+        return tuple(map(index.uids.__getitem__, partners.tolist()))
+
+    def candidates(self, source_a, source_b):
+        return chain.from_iterable(
+            self._shards(source_a, source_b, None, _STREAM_BATCH)
+        )
+
+    def _shards(self, source_a, source_b, session, batch_size):
+        """Shards cut straight from the batch probe's partner codes
+        (:func:`_code_shards`), or the chunked full product when the
+        index cannot prune."""
+        plan = self._probe_plan(source_a, source_b, session)
+        if plan is None:
+            yield from _chunked(
+                FullIndexBlocker().candidates(source_a, source_b), batch_size
+            )
+            return
+        index, session = plan
+        ledger = self._probe_ledger(source_b, session)
+        yield from _code_shards(
+            _probed_chunks(self, source_a.entities(), index, ledger, session),
+            index.uids,
+            # Entities resolve by integer code instead of by uid string.
+            list(map(source_b.get, index.uids)),
+            source_a is source_b,
+            batch_size,
+        )
+
+    def iter_affected_shards(
+        self, source_a, source_b, affected, batch_size, session=None
+    ):
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        return self._affected_shards(
+            source_a, source_b, affected, session, batch_size
+        )
+
+    def _affected_shards(self, source_a, source_b, affected, session, batch_size):
+        plan = self._probe_plan(source_a, source_b, session)
+        if plan is None:
+            pairs = _touching(
+                FullIndexBlocker().candidates(source_a, source_b), affected
+            )
+        else:
+            pairs = chain.from_iterable(
+                self._affected_pair_lists(source_a, source_b, affected, *plan)
+            )
+        yield from _chunked(pairs, batch_size)
+
+    def _affected_pair_lists(self, source_a, source_b, affected, index, session):
+        """Per-entity pair lists of an affected-only rescore: the
+        affected probe entities' own probes, then (two-source) the
+        reverse pass for affected stored entities."""
+        dedup = source_a is source_b
+        by_code = list(map(source_b.get, index.uids))
+        entities = [
+            entity for entity in source_a.entities() if entity.uid in affected
+        ]
+        ledger = self._probe_ledger(source_b, session)
+        for chunk, results in _probed_chunks(
+            self, entities, index, ledger, session
+        ):
+            yield from _affected_code_pair_lists(
+                chunk, results, index.uids, by_code, dedup, affected
+            )
+        if not dedup:
+            yield from self._reverse_pair_lists(
+                source_a, source_b, affected, index, session
+            )
+
+    def _probe_ledger(self, source_b: DataSource, session) -> _ProbeLedger:
+        """The probe-result ledger against ``source_b``'s epoch (a
+        pass-through without a session store)."""
+        from repro.engine.store import index_key
+
+        if session is None or session.store is None:
+            return _ProbeLedger(None, "")
+        return _ProbeLedger(
+            session, index_key(source_b.fingerprint(), self._ledger_token())
+        )
 
 
 def _tokens_of(entity: Entity, properties: Iterable[str]) -> set[str]:
@@ -911,15 +941,16 @@ def _token_code_payload(blocks: dict) -> tuple[tuple[str, ...], dict]:
     return tuple(uids), code_blocks
 
 
-class TokenBlocker(Blocker):
+class TokenBlocker(CodeProbeBlocker):
     """Standard token blocking: pairs sharing a token on key properties.
 
     ``max_block_size`` drops high-frequency tokens (stop words) whose
     blocks would reintroduce quadratic behaviour. Probing is batch
-    (:meth:`probe_batch`, over the :meth:`probe_index` code view):
-    candidates are emitted grouped per A entity in source order, each
-    entity's partners in sorted uid order — the same deterministic
-    stream for every chunking, worker count and batch size.
+    (:meth:`probe_batch`, over the :meth:`probe_index` code view).
+    Without a session every index this blocker resolves — raw table,
+    filtered view, probe codes, reverse table — lives in one memo keyed
+    by index token, one epoch per token, and patches forward along the
+    source's delta chain like the session's index tier does.
     """
 
     def __init__(
@@ -933,6 +964,8 @@ class TokenBlocker(Blocker):
             list(properties_b) if properties_b is not None else self._properties_a
         )
         self._max_block_size = max_block_size
+        #: index token -> (source fingerprint, payload).
+        self._index_memo: dict[str, tuple[str, object]] = {}
 
     def signature(self) -> str:
         # v2: the persisted payload is the *unfiltered* block table
@@ -941,6 +974,39 @@ class TokenBlocker(Blocker):
             f"token-index:v2:props={sorted(self._properties_b)!r}:"
             f"max={self._max_block_size}"
         )
+
+    def _resolve(
+        self,
+        source: DataSource,
+        session: "EngineSession | None",
+        token: str,
+        build: Callable[[], object],
+        patcher: Callable,
+    ) -> object:
+        """One index of ``source`` under ``token``: through the
+        session's index memo / persistent tier when there is a session,
+        else through this blocker's own memo. Either way an ancestor
+        epoch's payload patches forward along the source's delta chain
+        instead of rebuilding."""
+        fingerprint = source.fingerprint()
+        if session is not None:
+            return session.blocking_index(
+                fingerprint,
+                token,
+                build,
+                lineage=source.delta_chain(),
+                patcher=patcher,
+            )
+        memo = self._index_memo.get(token)
+        if memo is not None and memo[0] == fingerprint:
+            return memo[1]
+        payload = _patch_memo_payload(
+            memo, fingerprint, source.delta_chain(), patcher
+        )
+        if payload is None:
+            payload = build()
+        self._index_memo[token] = (fingerprint, payload)
+        return payload
 
     def build_index(self, source, session=None):
         """Token index of a target source: ``{token: (uids...)}`` in
@@ -960,26 +1026,21 @@ class TokenBlocker(Blocker):
                 token: uids for token, uids in raw.items() if len(uids) <= limit
             }
 
-        return self._resolve_probe_index(
+        return self._resolve(
             source,
             session,
             f"{self.signature()}|filtered-blocks-v1",
             filtered,
             patcher=lambda payload, delta: filtered(),
-            slot="_view_index_memo",
         )
 
     def _raw_blocks(self, source: DataSource, session) -> dict:
-        return self._resolve_index(
+        return self._resolve(
             source,
             session,
+            self.signature(),
             lambda: _token_blocks(source, self._properties_b, session),
             patcher=_raw_token_patcher(source, self._properties_b),
-        )
-
-    def candidates(self, source_a, source_b):
-        return chain.from_iterable(
-            self._shards(source_a, source_b, None, _STREAM_BATCH)
         )
 
     def probe_index(self, source_a, source_b, session=None):
@@ -993,7 +1054,7 @@ class TokenBlocker(Blocker):
         changed), affected blocks recompute from the patched table."""
         # The raw block table is only materialised inside the builder:
         # a probe-view hit (warm session or warm store) never loads it.
-        uids, blocks = self._resolve_probe_index(
+        uids, blocks = self._resolve(
             source_b,
             session,
             f"{self.signature()}|probe-codes-v1",
@@ -1108,9 +1169,6 @@ class TokenBlocker(Blocker):
             session.record_probe(batches=1)
         return fan_entity_chunks(session, entities, probe)
 
-    def probe_uids(self, index, partners):
-        return tuple(map(index.uids.__getitem__, partners.tolist()))
-
     def affected_probe_uids(
         self, source_a, source_b, deltas_a, deltas_b, session=None
     ):
@@ -1126,10 +1184,12 @@ class TokenBlocker(Blocker):
         ``max_block_size``: pairs among otherwise-unchanged members
         appear when a block shrinks under the limit, vanish when it
         grows past it. The affected set is therefore the changed uids
-        plus, for every limit-crossing block, its probe-side holders
-        (two-source, via the unfiltered reverse table) or its members
-        (dedup, where the two coincide). Parent-epoch block sizes
-        reconstruct exactly from the chain's membership deltas.
+        (dedup) plus, for every limit-crossing block, its probe-side
+        holders: its members in dedup mode (members that *left* the
+        block are changed uids, already in the set), the holders in
+        the unfiltered reverse table in two-source mode. Parent-epoch
+        block sizes reconstruct exactly from the chain's membership
+        deltas.
         """
         properties_b = self._properties_b
 
@@ -1153,51 +1213,30 @@ class TokenBlocker(Blocker):
         if not baseline and not final:
             return frozenset()
 
-        if source_a is source_b:
-            limit = self._max_block_size
-            raw = self._raw_blocks(source_b, session)
-            affected: set[str] = set(baseline) | set(final)
-            growth: dict[str, int] = {}
-            for uid in affected:
-                before = baseline.get(uid) or frozenset()
-                after = final.get(uid) or frozenset()
-                for token in after - before:
-                    growth[token] = growth.get(token, 0) + 1
-                for token in before - after:
-                    growth[token] = growth.get(token, 0) - 1
-            for token, delta_size in growth.items():
-                members = raw.get(token, ())
-                new_size = len(members)
-                old_size = new_size - delta_size
-                if (old_size > limit) != (new_size > limit):
-                    # Members that *left* the block are changed uids,
-                    # already in the set.
-                    affected.update(members)
-            return frozenset(affected)
-
         limit = self._max_block_size
         raw = self._raw_blocks(source_b, session)
+        changed = set(baseline) | set(final)
         growth: dict[str, int] = {}
-        for uid in set(baseline) | set(final):
+        for uid in changed:
             before = baseline.get(uid) or frozenset()
             after = final.get(uid) or frozenset()
             for token in after - before:
                 growth[token] = growth.get(token, 0) + 1
             for token in before - after:
                 growth[token] = growth.get(token, 0) - 1
-        flipped = []
+        crossing = []
         for token, delta_size in growth.items():
             new_size = len(raw.get(token, ()))
             if (new_size - delta_size > limit) != (new_size > limit):
-                flipped.append(token)
-        if not flipped:
+                crossing.append(token)
+        if source_a is source_b:
+            affected, holders = changed, raw
+        elif crossing:
+            affected, holders = set(), self._reverse_blocks(source_a, session)
+        else:
             return frozenset()
-        reverse = self._reverse_blocks(source_a, session)
-        affected: set[str] = set()
-        for token in flipped:
-            block = reverse.get(token)
-            if block:
-                affected.update(block)
+        for token in crossing:
+            affected.update(holders.get(token, ()))
         return frozenset(affected)
 
     def _reverse_blocks(self, source_a: DataSource, session) -> dict:
@@ -1208,62 +1247,18 @@ class TokenBlocker(Blocker):
         over-approximate, never drop. Persisted and patched like the
         forward table, under its own ``:rev:`` token."""
         properties = self._properties_a
-        token = f"token-index:v2:rev:props={sorted(properties)!r}"
-        build = lambda: _token_blocks(source_a, properties, session)
-        patcher = _raw_token_patcher(source_a, properties)
-        return self._resolve_probe_index(
+        return self._resolve(
             source_a,
             session,
-            token,
-            build,
-            patcher=patcher,
-            slot="_reverse_index_memo",
+            f"token-index:v2:rev:props={sorted(properties)!r}",
+            lambda: _token_blocks(source_a, properties, session),
+            patcher=_raw_token_patcher(source_a, properties),
         )
 
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return _chunked(
-            chain.from_iterable(
-                self._iter_affected_pair_lists(
-                    source_a, source_b, affected, session
-                )
-            ),
-            batch_size,
-        )
-
-    def _iter_affected_pair_lists(self, source_a, source_b, affected, session):
-        index = self.probe_index(source_a, source_b, session=session)
-        dedup = source_a is source_b
-        by_code = list(map(source_b.get, index.uids))
-        entities = [
-            entity for entity in source_a.entities() if entity.uid in affected
-        ]
-        ledger = self._probe_ledger(source_a, source_b, session)
-        for chunk, results in _probed_chunks(
-            self, entities, index, ledger, session
-        ):
-            yield from _affected_code_pair_lists(
-                chunk, results, index.uids, by_code, dedup, affected
-            )
-        if not dedup:
-            yield from self._targeted_reverse_pair_lists(
-                source_a, source_b, affected, session
-            )
-
-    def _targeted_reverse_pair_lists(
-        self, source_a, source_b, affected, session
-    ):
-        """Pairs of *unaffected* probe entities with affected stored
-        entities. Two-source emission is one-directional (only A
-        probes), so a changed B entity's pairs with unchanged A
-        partners never surface from the affected probes above; the
-        reverse table answers them directly, under the same stop-word
-        filter the forward probe applies. Affected probe entities are
-        excluded — their own full probe already emits these pairs —
-        which keeps every affected pair emitted exactly once."""
+    def _reverse_pair_lists(self, source_a, source_b, affected, index, session):
+        """The reverse table answers a changed B entity's unchanged A
+        partners directly, under the same stop-word filter the forward
+        probe applies."""
         limit = self._max_block_size
         raw = self._raw_blocks(source_b, session)
         reverse = self._reverse_blocks(source_a, session)
@@ -1287,478 +1282,11 @@ class TokenBlocker(Blocker):
                     (get_a(partner), entity_b) for partner in sorted(partners)
                 ]
 
-    def _probe_ledger(self, source_a, source_b, session) -> _ProbeLedger:
-        from repro.engine.store import index_key
-
-        if session is None or session.store is None:
-            return _ProbeLedger(None, "")
-        token = (
+    def _ledger_token(self) -> str:
+        return (
             f"{self.signature()}|probe-results-v1:"
             f"probe_props={sorted(self._properties_a)!r}"
         )
-        return _ProbeLedger(
-            session, index_key(source_b.fingerprint(), token)
-        )
-
-    def _shards(self, source_a, source_b, session, batch_size):
-        """Shards cut straight from the batch probe's partner codes
-        (:func:`_code_shards`)."""
-        index = self.probe_index(source_a, source_b, session=session)
-        # Entities resolve by integer code instead of by uid string.
-        by_code = list(map(source_b.get, index.uids))
-        ledger = self._probe_ledger(source_a, source_b, session)
-        yield from _code_shards(
-            _probed_chunks(self, source_a.entities(), index, ledger, session),
-            index.uids,
-            by_code,
-            source_a is source_b,
-            batch_size,
-        )
-
-
-@dataclass(frozen=True)
-class _SnbProbeState:
-    """Precomputed probe geometry of one sorted-neighbourhood pairing.
-
-    Positions are indices into the stable merged key order (A before B
-    on ties). ``partner_positions`` is sorted ascending — that is what
-    lets :meth:`SortedNeighbourhoodBlocker.probe_batch` resolve every
-    window with one vectorized ``numpy.searchsorted``.
-    """
-
-    dedup: bool
-    #: Probe entities in merged order (dedup: every entity; two-source:
-    #: the A side) — the deterministic emission order of the blocker.
-    probe_entities: list[Entity]
-    #: Merged position per probe entity, aligned with probe_entities.
-    positions: np.ndarray
-    #: uid -> merged position, so arbitrary entity chunks can probe.
-    position_of: dict[str, int]
-    #: Merged positions of the partner side, sorted ascending.
-    partner_positions: np.ndarray
-    #: Partner uids aligned with partner_positions.
-    partner_uids: list[str]
-
-
-def _snb_merged_positions(
-    index_a: Sequence[tuple[str, str]], index_b: Sequence[tuple[str, str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merged key-order positions of two key-sorted payloads (A before
-    B on ties), from the payloads alone — no live entities needed, so
-    affected-set computation can reconstruct a *previous* epoch's
-    geometry from peeked index payloads."""
-    keys_a, keys_b = _key_arrays(
-        [key for key, __ in index_a], [key for key, __ in index_b]
-    )
-    positions_a = np.arange(len(keys_a), dtype=np.int64) + np.searchsorted(
-        keys_b, keys_a, side="left"
-    )
-    positions_b = np.arange(len(keys_b), dtype=np.int64) + np.searchsorted(
-        keys_a, keys_b, side="right"
-    )
-    return positions_a, positions_b
-
-
-def _near_mask(
-    positions: np.ndarray, changed_sorted: np.ndarray, margin: int
-) -> np.ndarray:
-    """Boolean mask of positions within ``margin`` of any changed
-    position (one vectorized searchsorted against the sorted changed
-    array, then nearest-neighbour distance on either side)."""
-    if changed_sorted.size == 0 or positions.size == 0:
-        return np.zeros(positions.size, dtype=bool)
-    idx = np.searchsorted(changed_sorted, positions)
-    nearest = np.full(positions.size, np.inf)
-    right = idx < changed_sorted.size
-    nearest[right] = changed_sorted[idx[right]] - positions[right]
-    left = idx > 0
-    np.minimum(
-        nearest,
-        np.where(left, positions - changed_sorted[np.maximum(idx - 1, 0)], np.inf),
-        out=nearest,
-    )
-    return nearest <= margin
-
-
-def _key_arrays(
-    keys_a: Sequence[str], keys_b: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-key arrays for vectorized merging.
-
-    Fixed-width ``U`` dtype compares codepoint-lexicographically like
-    Python ``str`` — except embedded NULs (numpy pads with NUL and
-    strips trailing ones), so those pathological keys demote both
-    sides to object arrays (exact Python comparisons, still one
-    C-level searchsorted loop).
-    """
-    if any("\x00" in key for key in keys_a) or any(
-        "\x00" in key for key in keys_b
-    ):
-        dtype: object = object
-    else:
-        dtype = np.str_
-    return np.array(keys_a, dtype=dtype), np.array(keys_b, dtype=dtype)
-
-
-class SortedNeighbourhoodBlocker(Blocker):
-    """Sorted neighbourhood: sort by a key property, slide a window.
-
-    The per-source index is the key-sorted ``(key, uid)`` list; two
-    sources merge stably (ties keep A-then-B order, matching a stable
-    sort of the concatenated list), so the candidate *set* is identical
-    to the seed sliding-window implementation while each side's sort is
-    reusable and persistable on its own. Probing is batch
-    (:meth:`probe_batch`): windows resolve via vectorized
-    ``numpy.searchsorted`` over the merged positions, and candidates
-    are emitted grouped per probe entity in merged order — the same
-    deterministic stream for every chunking, worker count and batch
-    size.
-    """
-
-    def __init__(self, key_property: str, window: int = 10):
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        self._key_property = key_property
-        self._window = window
-
-    def signature(self) -> str:
-        # The window is a probe-time parameter: every window shares the
-        # same sorted index.
-        return f"snb-index:v1:key={self._key_property!r}"
-
-    def _key(self, entity: Entity) -> str:
-        values = entity.values(self._key_property)
-        return values[0].lower() if values else ""
-
-    def build_index(self, source, session=None):
-        """Key-sorted ``((key, uid), ...)`` of one source (stable: tie
-        order is source insertion order)."""
-
-        def build():
-            key_property = self._key_property
-
-            def extract(chunk):
-                out = []
-                for entity in chunk:
-                    values = entity.values(key_property)
-                    out.append(
-                        (values[0].lower() if values else "", entity.uid)
-                    )
-                return out
-
-            keyed = fan_entity_chunks(session, source.entities(), extract)
-            keyed.sort(key=lambda item: item[0])
-            return tuple(keyed)
-
-        return self._resolve_index(
-            source, session, build, patcher=self._patch_keyed(source)
-        )
-
-    def _patch_keyed(self, source: DataSource):
-        """Patcher moving a key-sorted ``((key, uid), ...)`` payload one
-        delta forward: changed uids' entries drop, upserted versions'
-        entries merge, and one near-sorted Timsort by ``(key, current
-        source position)`` restores exactly the cold build's order —
-        the cold sort is stable over source order, and dict upsert
-        semantics preserve each surviving uid's source position."""
-
-        def patch(payload, delta):
-            touched = delta.changed_uids
-            entries = [
-                (key, uid) for key, uid in payload if uid not in touched
-            ]
-            entries.extend(
-                (self._key(entity), entity.uid) for entity in delta.upserts
-            )
-            order = {uid: i for i, uid in enumerate(source.uids())}
-            # Mid-chain entries for uids a *later* delta removes are
-            # absent from the live source; park them at the end (any
-            # stable position works — that later patch deletes them).
-            fallback = len(order)
-            entries.sort(key=lambda item: (item[0], order.get(item[1], fallback)))
-            return tuple(entries)
-
-        return patch
-
-    def candidates(self, source_a, source_b):
-        return self._iter_pairs(source_a, source_b, None)
-
-    def probe_index(
-        self, source_a, source_b, session: "EngineSession | None" = None
-    ) -> "_SnbProbeState":
-        """The probe-side state over a source pairing: merged positions
-        of both sides in the stable A-then-B key order, precomputed so
-        :meth:`probe_batch` resolves every window with vectorized
-        ``numpy.searchsorted`` instead of a Python merge + sliding
-        window.
-
-        The merge itself is vectorized: A's merged position is its own
-        rank plus the count of strictly-smaller B keys
-        (``searchsorted(..., "left")``); B's is its rank plus the count
-        of smaller-or-equal A keys (``"right"`` — ties take A first),
-        which reproduces the stable concat-sort order exactly.
-
-        The state holds live entity references, so it is re-derived
-        per run rather than memoised/persisted — the expensive part
-        (each side's key sort) already resolves through
-        :meth:`build_index`'s memo and the persistent index tier.
-        """
-        dedup = source_a is source_b
-        index_a = self.build_index(source_a, session=session)
-        if dedup:
-            uids = [uid for __, uid in index_a]
-            n = len(uids)
-            return _SnbProbeState(
-                dedup=True,
-                probe_entities=[source_a.get(uid) for uid in uids],
-                positions=np.arange(n, dtype=np.int64),
-                position_of={uid: i for i, uid in enumerate(uids)},
-                partner_positions=np.arange(n, dtype=np.int64),
-                partner_uids=uids,
-            )
-        index_b = self.build_index(source_b, session=session)
-        positions_a, positions_b = _snb_merged_positions(index_a, index_b)
-        uids_a = [uid for __, uid in index_a]
-        return _SnbProbeState(
-            dedup=False,
-            probe_entities=[source_a.get(uid) for uid in uids_a],
-            positions=positions_a,
-            position_of={uid: int(pos) for uid, pos in zip(uids_a, positions_a)},
-            partner_positions=positions_b,
-            partner_uids=[uid for __, uid in index_b],
-        )
-
-    def probe_batch(self, entities, index, session=None):
-        """Batch window probe: all windows of a chunk resolve through
-        one vectorized ``numpy.searchsorted`` over the sorted partner
-        positions (two-source mode probes ``window - 1`` positions to
-        either side; dedup mode slices the forward window only, each
-        unordered pair once)."""
-        state: _SnbProbeState = index
-        window = self._window
-
-        def probe(chunk):
-            positions = np.fromiter(
-                (state.position_of[entity.uid] for entity in chunk),
-                dtype=np.int64,
-                count=len(chunk),
-            )
-            partner_uids = state.partner_uids
-            if state.dedup:
-                low = positions + 1
-                high = np.minimum(positions + window, len(partner_uids))
-            else:
-                partner_positions = state.partner_positions
-                low = np.searchsorted(
-                    partner_positions, positions - (window - 1), side="left"
-                )
-                high = np.searchsorted(
-                    partner_positions, positions + window, side="left"
-                )
-            return [
-                partner_uids[lo:hi]
-                for lo, hi in zip(low.tolist(), high.tolist())
-            ]
-
-        if session is not None:
-            session.record_probe(batches=1)
-        return fan_entity_chunks(session, entities, probe)
-
-    def probe_uids(self, index, partners):
-        return tuple(partners)
-
-    def affected_probe_uids(
-        self, source_a, source_b, deltas_a, deltas_b, session=None
-    ):
-        """Probe entities whose sliding window may have changed.
-
-        Sorted-neighbourhood candidates couple *positionally*: an
-        insert or delete anywhere shifts every later merged position by
-        one, so a window's membership can change even when none of its
-        occupants did. The bound used here: a probe entity's window
-        content can only differ between the old and new epoch if the
-        entity sits within ``window + total_changed`` positions of a
-        changed entry — in *old* merged coordinates of a removed entry,
-        or *new* coordinates of an upserted one (positions shift by at
-        most the number of changed entries, so the margin absorbs the
-        drift; any membership flip has a changed entry between the two
-        endpoints in one of the coordinate systems).
-
-        Old-epoch geometry is rebuilt from the *peeked* chain-base
-        index payloads; when either side's old payload is no longer in
-        the session memo or store, returns None (full rescore).
-        """
-        dedup = source_a is source_b
-        deltas_a = tuple(deltas_a)
-        deltas_b = deltas_a if dedup else tuple(deltas_b)
-        chains = (deltas_a,) if dedup else (deltas_a, deltas_b)
-        changed_total = sum(
-            len(delta.upserts) + len(delta.deletes)
-            for chain in chains
-            for delta in chain
-        )
-        if changed_total == 0:
-            return frozenset()
-        token = self.signature()
-
-        def old_payload(source, deltas):
-            if not deltas:
-                # Side unchanged: the current index *is* the old one.
-                return self.build_index(source, session=session)
-            if session is None:
-                return None
-            return session.peek_blocking_index(
-                deltas[0].parent_fingerprint, token
-            )
-
-        old_a = old_payload(source_a, deltas_a)
-        if old_a is None:
-            return None
-        state = self.probe_index(source_a, source_b, session=session)
-        if dedup:
-            old_pos_of = {uid: pos for pos, (__, uid) in enumerate(old_a)}
-            old_pos_of_b = old_pos_of
-            new_partner_pos_of: Mapping[str, int] = state.position_of
-        else:
-            old_b = old_payload(source_b, deltas_b)
-            if old_b is None:
-                return None
-            old_positions_a, old_positions_b = _snb_merged_positions(
-                old_a, old_b
-            )
-            old_pos_of = {
-                uid: int(pos)
-                for (__, uid), pos in zip(old_a, old_positions_a.tolist())
-            }
-            old_pos_of_b = {
-                uid: int(pos)
-                for (__, uid), pos in zip(old_b, old_positions_b.tolist())
-            }
-            new_partner_pos_of = {
-                uid: int(pos)
-                for uid, pos in zip(
-                    state.partner_uids, state.partner_positions.tolist()
-                )
-            }
-
-        changed_old: set[int] = set()
-        changed_new: set[int] = set()
-
-        def collect(chain, old_map, new_map):
-            for delta in chain:
-                for entity in delta.old_entities():
-                    pos = old_map.get(entity.uid)
-                    if pos is not None:
-                        changed_old.add(pos)
-                for entity in delta.upserts:
-                    pos = new_map.get(entity.uid)
-                    if pos is not None:
-                        changed_new.add(pos)
-
-        collect(deltas_a, old_pos_of, state.position_of)
-        if not dedup:
-            collect(deltas_b, old_pos_of_b, new_partner_pos_of)
-
-        margin = self._window + changed_total
-        affected: set[str] = set()
-        probe_uids = [entity.uid for entity in state.probe_entities]
-        near_new = _near_mask(
-            state.positions,
-            np.array(sorted(changed_new), dtype=np.int64),
-            margin,
-        )
-        affected.update(
-            uid for uid, flag in zip(probe_uids, near_new.tolist()) if flag
-        )
-        old_uids: list[str] = []
-        old_positions: list[int] = []
-        for uid in probe_uids:
-            pos = old_pos_of.get(uid)
-            if pos is not None:
-                old_uids.append(uid)
-                old_positions.append(pos)
-        near_old = _near_mask(
-            np.array(old_positions, dtype=np.int64),
-            np.array(sorted(changed_old), dtype=np.int64),
-            margin,
-        )
-        affected.update(
-            uid for uid, flag in zip(old_uids, near_old.tolist()) if flag
-        )
-        return frozenset(affected)
-
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return _chunked(
-            self._iter_affected_pairs(source_a, source_b, affected, session),
-            batch_size,
-        )
-
-    def _iter_affected_pairs(self, source_a, source_b, affected, session):
-        """Pairs touching ``affected``, each exactly once, probing only
-        the affected entities. Dedup mode recovers the *backward*
-        window of each probed entity (pairs whose forward owner is an
-        unaffected earlier neighbour) by slicing the merged order
-        directly, skipping partners that are themselves affected —
-        those pairs are already owned by the partner's own forward
-        probe."""
-        state = self.probe_index(source_a, source_b, session=session)
-        window = self._window
-        entities = [
-            entity
-            for entity in state.probe_entities
-            if entity.uid in affected
-        ]
-        get_a = source_a.get
-        get_b = source_b.get
-        partner_uids = state.partner_uids
-        for start in range(0, len(entities), _PROBE_CHUNK):
-            chunk = entities[start : start + _PROBE_CHUNK]
-            for entity_i, uids in zip(
-                chunk, self.probe_batch(chunk, state, session)
-            ):
-                if state.dedup:
-                    uid_i = entity_i.uid
-                    pos = state.position_of[uid_i]
-                    low = max(0, pos - window + 1)
-                    for uid_j in partner_uids[low:pos]:
-                        if uid_j not in affected:
-                            if uid_i < uid_j:
-                                yield entity_i, get_a(uid_j)
-                            else:
-                                yield get_a(uid_j), entity_i
-                    for uid_j in uids:
-                        if uid_i < uid_j:
-                            yield entity_i, get_a(uid_j)
-                        else:
-                            yield get_a(uid_j), entity_i
-                else:
-                    yield from zip(repeat(entity_i), map(get_b, uids))
-
-    def _iter_pairs(self, source_a, source_b, session):
-        state = self.probe_index(source_a, source_b, session=session)
-        entities = state.probe_entities
-        get_a = source_a.get
-        get_b = source_b.get
-        for start in range(0, len(entities), _PROBE_CHUNK):
-            chunk = entities[start : start + _PROBE_CHUNK]
-            for entity_i, uids in zip(
-                chunk, self.probe_batch(chunk, state, session)
-            ):
-                if state.dedup:
-                    # Each unordered pair once (forward window); the
-                    # emitted pair is uid-ordered like the seed.
-                    uid_i = entity_i.uid
-                    for uid_j in uids:
-                        if uid_i < uid_j:
-                            yield entity_i, get_a(uid_j)
-                        else:
-                            yield get_a(uid_j), entity_i
-                else:
-                    yield from zip(repeat(entity_i), map(get_b, uids))
 
 
 def _root_property(node: ValueNode) -> str | None:

@@ -47,8 +47,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,16 +66,11 @@ from repro.engine.compiler import signature_token, value_tree_signature
 from repro.engine.session import EngineSession
 from repro.engine.values import evaluate_value_op
 from repro.matching.blocking import (
-    _STREAM_BATCH,
-    _affected_code_pair_lists,
-    _chunked,
-    _code_shards,
     _memo_put,
     _probed_chunks,
-    _ProbeLedger,
     _union_codes,
     Blocker,
-    CandidatePair,
+    CodeProbeBlocker,
     FullIndexBlocker,
     fan_entity_chunks,
 )
@@ -608,7 +602,7 @@ class MultiProbeIndex:
         return frozenset(self.uids)
 
 
-class MultiBlocker(Blocker):
+class MultiBlocker(CodeProbeBlocker):
     """Aggregation-aware multidimensional blocking for one rule.
 
     ``max_comparisons`` caps how many comparison indexes are built;
@@ -789,19 +783,23 @@ class MultiBlocker(Blocker):
         own = self._active_session(session)
         indexes = self.build_index(source_b, session=session)
 
-        def sorted_uids() -> tuple[str, ...]:
-            return tuple(sorted(entity.uid for entity in source_b))
+        def resolve(token: str, build):
+            # A view patcher re-derives from the already-patched block
+            # table and the current code table — the view *is* a
+            # derivation, so "patch" means re-derive against the final
+            # epoch (idempotent per chain step; counted as a patch, not
+            # a build).
+            return own.blocking_index(
+                source_b.fingerprint(),
+                token,
+                build,
+                lineage=source_b.delta_chain(),
+                patcher=lambda payload, delta: build(),
+            )
 
-        # View patchers recompute from the already-patched block table
-        # and the current code table — the view *is* a derivation, so
-        # "patch" means re-derive against the final epoch (idempotent
-        # per chain step; counted as a patch, not a build).
-        uids: tuple[str, ...] = self._resolve_probe_index(
-            source_b,
-            own,
+        uids: tuple[str, ...] = resolve(
             "multiblock-uid-codes-v1",
-            sorted_uids,
-            patcher=lambda payload, delta: sorted_uids(),
+            lambda: tuple(sorted(entity.uid for entity in source_b)),
         )
         code_of = {uid: code for code, uid in enumerate(uids)}
         views: dict[int, dict] = {}
@@ -812,15 +810,10 @@ class MultiBlocker(Blocker):
                 )
                 + "|probe-codes-v1"
             )
-            views[node_id] = self._resolve_probe_index(
-                source_b,
-                own,
+            views[node_id] = resolve(
                 token,
                 lambda ci=comparison_index: _blocks_code_view(
                     ci.blocks, code_of
-                ),
-                patcher=lambda payload, delta, ci=comparison_index: (
-                    _blocks_code_view(ci.blocks, code_of)
                 ),
             )
         return MultiProbeIndex(
@@ -861,15 +854,22 @@ class MultiBlocker(Blocker):
         own.record_probe(batches=1)
         return fan_entity_chunks(own, entities, probe)
 
-    def probe_uids(self, index, partners):
-        return tuple(map(index.uids.__getitem__, partners.tolist()))
+    def _probe_plan(self, source_a, source_b, session):
+        """Probes run under the active session (the pinned one unless
+        this blocker is adoptable); with no indexable comparison the
+        streams take the (lazy) full product rather than a degenerate
+        everything-matches probe."""
+        probe = self.probe_index(source_a, source_b, session=session)
+        if not probe.indexes:
+            return None
+        return probe, self._active_session(session)
 
     def _reverse_blocks(
         self,
         comparison: ComparisonNode,
         indexer: ComparisonIndexer,
         source_a: DataSource,
-        session: "EngineSession | None",
+        session: EngineSession,
     ) -> dict:
         """Reverse comparison index: probe-side (A) entities filed
         under the block keys of the comparison's *source* value tree.
@@ -877,7 +877,6 @@ class MultiBlocker(Blocker):
         reach ``key``" (after :meth:`ComparisonIndexer.
         reverse_probe_keys` expansion at lookup time). Persisted and
         patched like the forward tables, under its own ``rev`` token."""
-        own = self._active_session(session)
         token = (
             f"cmpidx-rev:v1:{indexer.cache_token()}:"
             f"{signature_token(value_tree_signature(comparison.source))}"
@@ -886,8 +885,8 @@ class MultiBlocker(Blocker):
             comparison.source,
             source_a,
             indexer,
-            own.transforms,
-            own,
+            session.transforms,
+            session,
             True,
             token,
         )
@@ -933,70 +932,20 @@ class MultiBlocker(Blocker):
             return None
         return frozenset()
 
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        probe = self.probe_index(source_a, source_b, session=session)
-        if not probe.indexes:
-            return super().iter_affected_shards(
-                source_a, source_b, affected, batch_size, session=session
-            )
-        return _chunked(
-            chain.from_iterable(
-                self._iter_affected_pair_lists(
-                    source_a, source_b, affected, session, probe
-                )
-            ),
-            batch_size,
-        )
-
-    def _iter_affected_pair_lists(
-        self, source_a, source_b, affected, session, probe
-    ):
-        by_code = list(map(source_b.get, probe.uids))
-        dedup = source_a is source_b
-        entities = [
-            entity for entity in source_a.entities() if entity.uid in affected
-        ]
-        ledger = self._probe_ledger(source_a, source_b, session)
-        for chunk, results in _probed_chunks(
-            self, entities, probe, ledger, session
-        ):
-            yield from _affected_code_pair_lists(
-                chunk, results, probe.uids, by_code, dedup, affected
-            )
-        if not dedup:
-            yield from self._targeted_reverse_pair_lists(
-                source_a, source_b, affected, session, probe
-            )
-
-    def _targeted_reverse_pair_lists(
-        self, source_a, source_b, affected, session, probe
-    ):
-        """Pairs of *unaffected* probe entities with affected stored
-        entities (two-source mode; dedup probes emit both directions
-        via :func:`_affected_code_pair_lists`).
-
-        Two-source emission is one-directional — only A probes — so a
-        changed B entity's pairs with unchanged A partners never
-        surface from the affected probes above. For each affected B
-        entity this pass derives a coarse A-partner superset from the
-        per-comparison reverse indexes (sound because a candidate pair
-        satisfies at least one built comparison's block relation, and
+    def _reverse_pair_lists(self, source_a, source_b, affected, index, session):
+        """For each affected B entity this pass derives a coarse
+        A-partner superset from the per-comparison reverse indexes
+        (sound because a candidate pair satisfies at least one built
+        comparison's block relation, and
         :meth:`ComparisonIndexer.reverse_probe_keys` over-approximates
         it), then *verifies* exact candidacy by probing those partners
         against the current index and checking the B entity's code in
         their partner-code arrays — emission without verification
         would leak non-candidate pairs and break byte-parity with a
-        cold execute. Affected partners are excluded (their own probe
-        already emits the pair), keeping every affected pair emitted
-        exactly once; verification probes ride the probe-result ledger
+        cold execute. Verification probes ride the probe-result ledger
         and distinct-value memo like every other probe."""
-        own = self._active_session(session)
-        transforms = own.transforms
-        uids = probe.uids
+        transforms = session.transforms
+        uids = index.uids
         get_a = source_a.get
         reverse_tables: dict[int, dict] = {}
         coarse: list[tuple[str, int, list[str]]] = []
@@ -1009,7 +958,7 @@ class MultiBlocker(Blocker):
                 continue
             entity_b = source_b.get(uid)
             partners: set[str] = set()
-            for node_id, comparison_index in probe.indexes.items():
+            for node_id, comparison_index in index.indexes.items():
                 comparison = comparison_index.comparison
                 indexer = comparison_index.indexer
                 reverse = reverse_tables.get(node_id)
@@ -1020,7 +969,7 @@ class MultiBlocker(Blocker):
                     reverse_tables[node_id] = reverse
                 get = reverse.get
                 values = _entity_values(
-                    comparison.target, entity_b, transforms, own
+                    comparison.target, entity_b, transforms, session
                 )
                 for key in indexer.reverse_probe_keys(values):
                     block = get(key)
@@ -1035,9 +984,9 @@ class MultiBlocker(Blocker):
             return
         entities = [get_a(uid) for uid in sorted(partner_uids)]
         codes_of: dict[str, np.ndarray] = {}
-        ledger = self._probe_ledger(source_a, source_b, session)
+        ledger = self._probe_ledger(source_b, session)
         for chunk, results in _probed_chunks(
-            self, entities, probe, ledger, session
+            self, entities, index, ledger, session
         ):
             for entity, codes in zip(chunk, results):
                 codes_of[entity.uid] = codes
@@ -1052,50 +1001,15 @@ class MultiBlocker(Blocker):
             if pairs:
                 yield pairs
 
-    def _probe_ledger(self, source_a, source_b, session) -> _ProbeLedger:
+    def _ledger_token(self) -> str:
         from repro.core.serialization import rule_to_json
-        from repro.engine.store import index_key
 
-        own = self._active_session(session)
-        if own.store is None:
-            return _ProbeLedger(None, "")
         rule_token = hashlib.sha256(
             rule_to_json(self._rule, indent=None).encode("utf-8")
         ).hexdigest()[:24]
-        token = (
+        return (
             f"multiblock:v1:rule={rule_token}:"
             f"max={self._max_comparisons}|probe-results-v1"
-        )
-        return _ProbeLedger(own, index_key(source_b.fingerprint(), token))
-
-    def candidates(
-        self, source_a: DataSource, source_b: DataSource
-    ) -> Iterator[CandidatePair]:
-        return self._iter_pairs(source_a, source_b, None)
-
-    def _iter_pairs(self, source_a, source_b, session):
-        return chain.from_iterable(
-            self._shards(source_a, source_b, session, _STREAM_BATCH)
-        )
-
-    def _shards(self, source_a, source_b, session, batch_size):
-        """Shards cut straight from the batch probe's partner codes,
-        or the chunked full product when no comparison is indexable."""
-        probe = self.probe_index(source_a, source_b, session=session)
-        if not probe.indexes:
-            # No indexable comparison: fall back to the (lazy) full
-            # product rather than a degenerate everything-matches probe.
-            yield from _chunked(
-                FullIndexBlocker().candidates(source_a, source_b), batch_size
-            )
-            return
-        ledger = self._probe_ledger(source_a, source_b, session)
-        yield from _code_shards(
-            _probed_chunks(self, source_a.entities(), probe, ledger, session),
-            probe.uids,
-            list(map(source_b.get, probe.uids)),
-            source_a is source_b,
-            batch_size,
         )
 
 
@@ -1129,18 +1043,31 @@ def blocking_quality(
     source_b: DataSource,
     true_matches: Iterable[tuple[str, str]],
 ) -> BlockingQuality:
-    """Measure a blocker against known matches (e.g. reference links)."""
-    matches = set(true_matches)
+    """Measure a blocker against known matches (e.g. reference links).
+
+    The baseline is the full index's candidate count, so a
+    deduplication source (``source_a is source_b``) counts its
+    n(n-1)/2 unordered pairs; there, matches and candidates compare as
+    unordered uid pairs, whichever way round either names them.
+    """
+    dedup = source_a is source_b
+
+    def key(uid_a: str, uid_b: str) -> tuple[str, str]:
+        if dedup and uid_b < uid_a:
+            return uid_b, uid_a
+        return uid_a, uid_b
+
+    matches = {key(uid_a, uid_b) for uid_a, uid_b in true_matches}
     candidate_pairs = 0
     covered: set[tuple[str, str]] = set()
     for entity_a, entity_b in blocker.candidates(source_a, source_b):
         candidate_pairs += 1
-        key = (entity_a.uid, entity_b.uid)
-        if key in matches:
-            covered.add(key)
+        pair = key(entity_a.uid, entity_b.uid)
+        if pair in matches:
+            covered.add(pair)
     return BlockingQuality(
         candidate_pairs=candidate_pairs,
-        total_pairs=len(source_a.entities()) * len(source_b.entities()),
+        total_pairs=FullIndexBlocker().candidate_count(source_a, source_b),
         covered_matches=len(covered),
         total_matches=len(matches),
     )

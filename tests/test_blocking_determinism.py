@@ -23,7 +23,6 @@ from repro.engine.session import EngineSession
 from repro.matching.blocking import (
     FullIndexBlocker,
     RuleBlocker,
-    SortedNeighbourhoodBlocker,
     TokenBlocker,
 )
 from repro.matching.engine import MatchingEngine
@@ -47,9 +46,8 @@ def _sources(draw):
 
     Labels are single words unique per source, so *every* blocker
     under test is complete: equal-after-lowercase pairs share a token
-    (token/rule blocking), an equality block on the transformed value
-    (MultiBlock), and are adjacent in the sorted key order (sorted
-    neighbourhood with window >= 2).
+    (token/rule blocking) and an equality block on the transformed
+    value (MultiBlock).
     """
     pool = draw(
         st.lists(
@@ -84,7 +82,6 @@ def _blockers(rule):
         "full": lambda: FullIndexBlocker(),
         "token": lambda: TokenBlocker(["label"]),
         "rule": lambda: RuleBlocker(rule),
-        "snb": lambda: SortedNeighbourhoodBlocker("label", window=4),
         "multiblock": lambda: MultiBlocker(rule),
     }
 

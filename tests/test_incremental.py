@@ -17,7 +17,7 @@ import pytest
 
 from repro.data.source import DataSource
 from repro.datasets import load_dataset
-from repro.matching.blocking import SortedNeighbourhoodBlocker, TokenBlocker
+from repro.matching.blocking import TokenBlocker
 from repro.matching.engine import MatchingEngine
 from repro.matching.incremental import (
     DATASET_RULE_PROPERTIES,
@@ -42,7 +42,7 @@ _SCALES = {
 #: gate exercises multi-epoch chains (patch replay, not just one hop).
 _STEPS = ((9, 4), (8, 4))
 
-_BLOCKERS = ("multiblock", "token", "snb")
+_BLOCKERS = ("multiblock", "token")
 _WORKERS = (0, 2, "process:2")
 
 
@@ -50,8 +50,6 @@ def _blocker(kind: str, name: str):
     prop_a, prop_b = DATASET_RULE_PROPERTIES[name]
     if kind == "token":
         return TokenBlocker([prop_a], [prop_b], max_block_size=200)
-    if kind == "snb":
-        return SortedNeighbourhoodBlocker(prop_a, window=6)
     return MultiBlocker(dataset_rule(name))
 
 
@@ -202,6 +200,53 @@ def test_full_rescore_fallback(tmp_path):
     assert diff.affected_uids is None
     assert diff.kept_links == 0
     assert _links(diff.links) == _links(cold)
+
+
+def test_unindexable_multiblock_probe_side_delta(tmp_path):
+    """MultiBlock over a rule with no indexable comparison, after a
+    probe-side-only delta: the affected set is just the changed uids,
+    so link_diff rescores them through the filtered full product — and
+    still equals a cold execute."""
+    from repro.core.nodes import ComparisonNode, PropertyNode
+    from repro.core.rule import LinkageRule
+    from repro.data.entity import Entity
+
+    rule = LinkageRule(
+        ComparisonNode(
+            "relativeNumeric", 0.05, PropertyNode("n"), PropertyNode("n")
+        )
+    )
+    source_a = DataSource(
+        "A", [Entity(f"a{i}", {"n": str(100 + i)}) for i in range(30)]
+    )
+    source_b = DataSource(
+        "B", [Entity(f"b{i}", {"n": str(100 + 2 * i)}) for i in range(30)]
+    )
+    engine = MatchingEngine(
+        blocker=MultiBlocker(rule), cache_dir=str(tmp_path), batch_size=16
+    )
+    try:
+        previous = list(engine.execute(rule, source_a, source_b))
+        delta = source_a.apply_delta(
+            [Entity("a4", {"n": "131"}), Entity("a99", {"n": "150"})], ["a3"]
+        )
+        diff = engine.link_diff(
+            rule, source_a, source_b, previous, deltas_a=[delta]
+        )
+    finally:
+        engine.close()
+    verifier = MatchingEngine(blocker=MultiBlocker(rule))
+    try:
+        cold = list(
+            verifier.execute(rule, rebuilt(source_a), rebuilt(source_b))
+        )
+    finally:
+        verifier.close()
+    assert diff.affected_uids == {"a3", "a4", "a99"}
+    # Two live affected probe entities, each against all 30 B entities.
+    assert diff.rescored_pairs == 60
+    assert cold and _links(diff.links) == _links(cold)
+    assert diff.kept_links < len(previous)
 
 
 def test_iter_link_diff_streams_the_diff(tmp_path):

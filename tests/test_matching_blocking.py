@@ -7,13 +7,14 @@ from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
 from repro.data.source import DataSource
 from repro.engine.session import EngineSession
+from repro.matching import blocking
 from repro.matching.blocking import (
     FullIndexBlocker,
     RuleBlocker,
-    SortedNeighbourhoodBlocker,
     TokenBlocker,
     _tokens_of,
 )
+from repro.matching.incremental import rebuilt
 
 
 def _sources():
@@ -34,6 +35,42 @@ def _sources():
         ],
     )
     return source_a, source_b
+
+
+def _delta_sources():
+    """Two sources whose ``tok<k>`` blocks hold three entities each."""
+    source_a = DataSource(
+        "A",
+        [Entity(f"a{i}", {"label": f"tok{i % 4} word{i}"}) for i in range(12)],
+    )
+    source_b = DataSource(
+        "B",
+        [
+            Entity(f"b{i}", {"name": f"tok{i % 4} word{i} common"})
+            for i in range(12)
+        ],
+    )
+    return source_a, source_b
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    """Record every cold token-table build (``blocks:<source>``) and
+    every cold probe-code derivation (``codes``)."""
+    builds: list[str] = []
+    token_blocks = blocking._token_blocks
+    token_code_payload = blocking._token_code_payload
+
+    def counted_blocks(source, properties, session):
+        builds.append(f"blocks:{source.name}")
+        return token_blocks(source, properties, session)
+
+    def counted_codes(blocks):
+        builds.append("codes")
+        return token_code_payload(blocks)
+
+    monkeypatch.setattr(blocking, "_token_blocks", counted_blocks)
+    monkeypatch.setattr(blocking, "_token_code_payload", counted_codes)
+    return builds
 
 
 class TestFullIndexBlocker:
@@ -150,6 +187,69 @@ class TestTokenIndex:
         blocker = TokenBlocker(["name"])
         assert blocker.build_index(source_b) is blocker.build_index(source_b)
 
+    def test_sessionless_memo_patches_every_index_forward(self, monkeypatch):
+        """Without a session, the raw table, filtered view, probe codes
+        and reverse table all patch forward along the delta chains from
+        the blocker's own memo: no table is rebuilt, and every result
+        equals a fresh blocker's cold build over rebuilt sources."""
+        source_a, source_b = _delta_sources()
+        blocker = TokenBlocker(["label"], ["name"], max_block_size=3)
+        blocker.build_index(source_b)
+        blocker.probe_index(source_a, source_b)
+        blocker._reverse_blocks(source_a, None)
+        builds = _count_builds(monkeypatch)
+        source_b.apply_delta(
+            [
+                Entity("b12", {"name": "tok0 fresh"}),
+                Entity("b1", {"name": "tok2 moved"}),
+            ],
+            ["b5"],
+        )
+        source_b.apply_delta([Entity("b13", {"name": "tok3 later"})], ["b12"])
+        source_a.apply_delta([Entity("a12", {"label": "tok1 new"})], ["a3"])
+        filtered = blocker.build_index(source_b)
+        raw = blocker._raw_blocks(source_b, None)
+        probe = blocker.probe_index(source_a, source_b)
+        reverse = blocker._reverse_blocks(source_a, None)
+        assert builds == []
+
+        fresh = TokenBlocker(["label"], ["name"], max_block_size=3)
+        cold_a, cold_b = rebuilt(source_a), rebuilt(source_b)
+        assert filtered == fresh.build_index(cold_b)
+        assert raw == fresh._raw_blocks(cold_b, None)
+        cold_probe = fresh.probe_index(cold_a, cold_b)
+        assert probe.uids == cold_probe.uids
+        assert probe.blocks.keys() == cold_probe.blocks.keys()
+        for token, codes in cold_probe.blocks.items():
+            assert probe.blocks[token].tolist() == codes.tolist(), token
+        assert reverse == fresh._reverse_blocks(cold_a, None)
+        assert builds == ["blocks:B", "codes", "blocks:A"]
+
+    def test_alternating_resolution_never_rebuilds(self, monkeypatch):
+        """Alternating the filtered view, the probe codes and the
+        affected-set tables over one unchanged source builds each once:
+        every index kind keeps its own memo entry."""
+        source_a, source_b = _delta_sources()
+        source_b.apply_delta([Entity("b12", {"name": "tok0 fresh"})])
+        deltas_b = source_b.delta_chain()
+        blocker = TokenBlocker(["label"], ["name"], max_block_size=3)
+        builds = _count_builds(monkeypatch)
+        filtered = blocker.build_index(source_b)
+        probe = blocker.probe_index(source_a, source_b)
+        # b12 pushes the tok0 block over the limit: its A-side holders
+        # come from the reverse table.
+        affected = blocker.affected_probe_uids(source_a, source_b, (), deltas_b)
+        assert affected == {"a0", "a4", "a8"}
+        assert builds == ["blocks:B", "codes", "blocks:A"]
+        for _ in range(3):
+            assert (
+                blocker.affected_probe_uids(source_a, source_b, (), deltas_b)
+                == affected
+            )
+            assert blocker.probe_index(source_a, source_b).blocks is probe.blocks
+            assert blocker.build_index(source_b) is filtered
+        assert builds == ["blocks:B", "codes", "blocks:A"]
+
     def test_session_memo_shared_across_blocker_instances(self):
         _, source_b = _sources()
         session = EngineSession()
@@ -206,74 +306,6 @@ class TestIterShards:
         shards = list(FullIndexBlocker().iter_shards(source_a, source_b, 4))
         assert sum(len(s) for s in shards) == 9
         assert [len(s) for s in shards] == [4, 4, 1]
-
-
-class TestSortedNeighbourhood:
-    def test_window_pairs_nearby_keys(self):
-        source_a, source_b = _sources()
-        blocker = SortedNeighbourhoodBlocker("label", window=6)
-        pairs = list(blocker.candidates(source_a, source_b))
-        assert pairs  # produces candidates
-        for entity_a, entity_b in pairs:
-            assert entity_a.uid.startswith("a")
-            assert entity_b.uid.startswith("b")
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            SortedNeighbourhoodBlocker("label", window=1)
-
-    def test_dedup_window(self):
-        source_a, _ = _sources()
-        blocker = SortedNeighbourhoodBlocker("label", window=3)
-        pairs = list(blocker.candidates(source_a, source_a))
-        for entity_a, entity_b in pairs:
-            assert entity_a.uid < entity_b.uid
-
-    def test_merge_matches_stable_concat_sort(self):
-        """The two-index merge reproduces a stable sort of the
-        concatenated tagged list: on key ties, all A entities come
-        before all B entities, each side in source order."""
-        source_a = DataSource(
-            "A",
-            [
-                Entity("a1", {"k": "m"}),
-                Entity("a2", {"k": "m"}),
-                Entity("a3", {"k": "a"}),
-            ],
-        )
-        source_b = DataSource(
-            "B",
-            [Entity("b1", {"k": "M"}), Entity("b2", {"k": "z"})],
-        )
-        blocker = SortedNeighbourhoodBlocker("k", window=5)
-        pairs = [(a.uid, b.uid) for a, b in blocker.candidates(source_a, source_b)]
-        # Sorted order: a3(a), a1(m), a2(m), b1(m), b2(z) — ties keep
-        # A-then-B, so a1 and a2 both precede b1.
-        assert pairs == [
-            ("a3", "b1"),
-            ("a3", "b2"),
-            ("a1", "b1"),
-            ("a1", "b2"),
-            ("a2", "b1"),
-            ("a2", "b2"),
-        ]
-
-    def test_every_window_shares_one_index(self):
-        """The window is probe-time-only: different windows share the
-        same signature and hence the same memoised sorted index."""
-        source_a, _ = _sources()
-        assert (
-            SortedNeighbourhoodBlocker("label", window=2).signature()
-            == SortedNeighbourhoodBlocker("label", window=9).signature()
-        )
-        session = EngineSession()
-        narrow = SortedNeighbourhoodBlocker("label", window=2).build_index(
-            source_a, session=session
-        )
-        wide = SortedNeighbourhoodBlocker("label", window=9).build_index(
-            source_a, session=session
-        )
-        assert narrow is wide
 
 
 class TestRuleBlocker:

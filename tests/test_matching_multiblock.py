@@ -390,6 +390,39 @@ class TestBlockingQuality:
         )
         assert quality.pairs_completeness == 1.0
 
+    def test_dedup_counts_unordered_pairs(self):
+        """A dedup source has n(n-1)/2 candidate pairs, and a match
+        names an unordered pair whichever way round it is given: the
+        full index prunes nothing and covers both matches."""
+        source = DataSource(
+            "S", [Entity(f"e{i}", {"label": "x"}) for i in range(10)]
+        )
+        quality = blocking_quality(
+            FullIndexBlocker(), source, source, [("e1", "e2"), ("e3", "e2")]
+        )
+        assert quality.total_pairs == 45
+        assert quality.reduction_ratio == 0.0
+        assert quality.pairs_completeness == 1.0
+
+    def test_two_source_pairs_stay_ordered(self):
+        """Two sources keep the Cartesian baseline and ordered pairs:
+        a match given B-side first is not a candidate pair."""
+        source_a = DataSource(
+            "A", [Entity(f"a{i}", {"label": f"w{i % 5}"}) for i in range(10)]
+        )
+        source_b = DataSource(
+            "B", [Entity(f"b{i}", {"label": f"w{i % 5}"}) for i in range(10)]
+        )
+        blocker = MultiBlocker(LinkageRule(compare(metric="equality", threshold=0.0)))
+        quality = blocking_quality(
+            blocker, source_a, source_b, [("a1", "b6"), ("b6", "a1"), ("a1", "b2")]
+        )
+        assert quality.candidate_pairs == 20
+        assert quality.total_pairs == 100
+        assert quality.reduction_ratio == pytest.approx(0.8)
+        assert quality.covered_matches == 1
+        assert quality.pairs_completeness == pytest.approx(1 / 3)
+
 
 # -- property-based: grid dismissal-freedom -----------------------------------
 

@@ -26,7 +26,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from _seed_blocking import (  # noqa: E402  (path set up above)
     seed_multiblock_probe_kernel,
-    seed_snb_probe_kernel,
     seed_token_probe_kernel,
 )
 
@@ -40,10 +39,7 @@ from repro.core.rule import LinkageRule  # noqa: E402
 from repro.data.entity import Entity  # noqa: E402
 from repro.data.source import DataSource  # noqa: E402
 from repro.engine.session import EngineSession  # noqa: E402
-from repro.matching.blocking import (  # noqa: E402
-    SortedNeighbourhoodBlocker,
-    TokenBlocker,
-)
+from repro.matching.blocking import TokenBlocker  # noqa: E402
 from repro.matching.engine import MatchingEngine  # noqa: E402
 from repro.matching.multiblock import MultiBlocker  # noqa: E402
 
@@ -173,37 +169,6 @@ def test_multiblock_probe_batch_matches_seed(sources, chunk):
             assert (
                 list(blocker.probe_uids(probe_index, codes)) == partners
             ), (label, uid_a)
-
-
-@given(sources=_sources(), chunk=st.sampled_from(CHUNK_SIZES))
-@settings(max_examples=40, deadline=None)
-def test_snb_probe_batch_matches_seed(sources, chunk):
-    """Sorted-neighbourhood batch probing covers exactly the window
-    pairs the frozen merge + sliding-window scan produced."""
-    source_a, source_b = sources
-    window = 4
-    blocker = SortedNeighbourhoodBlocker("label", window=window)
-    seed_pairs = set(
-        seed_snb_probe_kernel(
-            source_a,
-            source_b,
-            blocker.build_index(source_a),
-            blocker.build_index(source_b),
-            window,
-        )
-    )
-    state = blocker.probe_index(source_a, source_b)
-    entities = state.probe_entities
-    results = _chunked_probe(blocker, entities, state, chunk)
-    dedup = source_a is source_b
-    batch_pairs = set()
-    for entity, partners in zip(entities, results):
-        for uid in blocker.probe_uids(state, partners):
-            if dedup and entity.uid > uid:
-                batch_pairs.add((uid, entity.uid))
-            else:
-                batch_pairs.add((entity.uid, uid))
-    assert batch_pairs == seed_pairs
 
 
 class TestProbeMemo:
