@@ -6,8 +6,9 @@ undefined (empty inputs, unparseable values); any comparison operator
 then yields similarity 0 because the distance exceeds every threshold.
 
 Measures additionally expose a **batch API**: :meth:`evaluate_column`
-takes two aligned columns of value sets (one entry per candidate pair)
-and returns a float64 distance vector. Batch-capable measures override
+takes two aligned columns of value sets (one entry per candidate pair,
+in the engine an :class:`IndexedColumn` per pair side) and returns a
+float64 distance vector. Batch-capable measures override
 it with vectorized kernels — every measure that lifts a pair distance
 through :func:`min_over_pairs` does so with a pair kernel under the one
 column driver :func:`pairwise_min_column`; everything else inherits a
@@ -20,8 +21,10 @@ with empty value sets on either side yielding ``INFINITE_DISTANCE``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
+from collections.abc import Sequence
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,10 +36,50 @@ INFINITE_DISTANCE = 1.0e12
 #: of the cross product, row-major (the Silk convention's work bound).
 MAX_PAIRS = 256
 
-#: A column of value sets, one entry per candidate pair. Entries are the
-#: transformed value tuples the engine materialises per unique entity,
-#: so the same tuple object typically recurs across many rows.
+#: A column of value sets, one entry per candidate pair: any read-only
+#: sequence of value tuples. The engine passes an :class:`IndexedColumn`
+#: (one tuple per unique entity plus the pair -> entity index), so the
+#: same tuple object recurs across many rows; the column drivers read
+#: that form directly and treat a plain sequence as an indexed column
+#: over ``arange(len)``.
 ValueColumn = Sequence[tuple[str, ...]]
+
+
+class IndexedColumn(Sequence):
+    """A read-only column of value sets in per-entity form.
+
+    ``values`` holds one value tuple per unique entity and ``index`` is
+    an ``intp`` array with one entry per row: row ``k`` is
+    ``values[index[k]]``. It is the value-side counterpart of
+    :class:`repro.data.pairs.PairBatch`: the engine hands a measure one
+    per pair side, the side's per-entity value column plus the batch's
+    index array, instead of a gathered list per pair. ``len``,
+    iteration and integer indexing match the gathered list, so measures
+    written against plain sequences keep working.
+    """
+
+    __slots__ = ("values", "index")
+
+    def __init__(self, values: Sequence[tuple[str, ...]], index) -> None:
+        self.values = values
+        self.index = np.asarray(index, dtype=np.intp)
+
+    @classmethod
+    def of(cls, column: ValueColumn) -> "IndexedColumn":
+        """The column itself, or a plain sequence as the indexed column
+        over ``arange(len)`` (every row its own entity)."""
+        if isinstance(column, cls):
+            return column
+        return cls(column, np.arange(len(column)))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, k):
+        return self.values[self.index[k]]
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return map(self.values.__getitem__, self.index.tolist())
 
 
 class DistanceMeasure(ABC):
@@ -228,29 +271,62 @@ def pairwise_min_column(
 
 def distinct_rows(
     columns_a: ValueColumn, columns_b: ValueColumn
-) -> tuple[slice | list[int], list[tuple[str, ...]], np.ndarray, np.ndarray]:
+) -> tuple[slice | np.ndarray, list[tuple[str, ...]], np.ndarray, np.ndarray]:
     """The rows of two aligned columns that have values on both sides,
     deduped through one table of distinct value tuples shared by both
-    sides (the engine hands out one tuple per unique entity, and dedup
-    datasets put the same tuple on both sides). Tuples key the table by
-    value, so identical tuples and equal ones share a slot.
+    sides (dedup datasets put the same tuple on both sides). Tuples key
+    the table by value, so identical tuples and equal ones share a slot.
+
+    Works per entity (:class:`IndexedColumn`; a plain sequence is the
+    indexed column over ``arange(len)``): the kept rows come from
+    :func:`kept_rows`, only the entities that kept rows reference enter
+    the table, each once, and the rows' slots are gathered through the
+    index arrays.
 
     Returns ``(rows, tuples, slot_a, slot_b)``: the kept rows (a slice
     when every row qualifies), the distinct tuples, and each kept row's
     tuple index per side.
     """
-    rows: slice | list[int] = slice(None)
-    both = [*columns_a, *columns_b]
-    if not all(both):
-        rows = [
-            i for i, a, b in zip(range(len(columns_a)), columns_a, columns_b) if a and b
-        ]
-        both = [*map(columns_a.__getitem__, rows), *map(columns_b.__getitem__, rows)]
-    tuples = list(dict.fromkeys(both))
-    slot_of = dict(zip(tuples, range(len(tuples))))
-    slots = np.fromiter(map(slot_of.__getitem__, both), np.intp, len(both))
-    half = len(both) // 2
-    return rows, tuples, slots[:half], slots[half:]
+    column_a, column_b = IndexedColumn.of(columns_a), IndexedColumn.of(columns_b)
+    rows, kept_a, kept_b = kept_rows(column_a, column_b)
+    # Slots number the distinct tuples in order of first appearance: a
+    # missing tuple's slot is the table's size before it is inserted.
+    table: defaultdict[tuple[str, ...], int] = defaultdict()
+    table.default_factory = table.__len__
+    slots = []
+    for column, kept in ((column_a, kept_a), (column_b, kept_b)):
+        referenced = np.zeros(len(column.values), dtype=bool)
+        referenced[kept] = True
+        entities = np.flatnonzero(referenced)
+        entity_slot = np.zeros(len(column.values), dtype=np.intp)
+        entity_slot[entities] = np.fromiter(
+            map(table.__getitem__, map(column.values.__getitem__, entities.tolist())),
+            np.intp,
+            len(entities),
+        )
+        slots.append(entity_slot[kept])
+    return rows, list(table), slots[0], slots[1]
+
+
+def kept_rows(
+    column_a: IndexedColumn, column_b: IndexedColumn
+) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of two aligned indexed columns with values on both
+    sides, from per-entity non-empty masks gathered through the index.
+
+    Returns ``(rows, index_a, index_b)``: the kept rows (a slice when
+    every row qualifies) and their entity indexes per side.
+    """
+    index_a, index_b = column_a.index, column_b.index
+    if all(column_a.values) and all(column_b.values):
+        return slice(None), index_a, index_b
+    has_a, has_b = _nonempty(column_a.values), _nonempty(column_b.values)
+    rows = np.flatnonzero(has_a[index_a] & has_b[index_b])
+    return rows, index_a[rows], index_b[rows]
+
+
+def _nonempty(values: Sequence[tuple[str, ...]]) -> np.ndarray:
+    return np.fromiter(map(bool, values), dtype=bool, count=len(values))
 
 
 def _distinct_pair_kernel(pair_kernel, strings, index_a, index_b) -> np.ndarray:

@@ -13,8 +13,10 @@ which is accurate to ~0.5% — far below any threshold the GP learns.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +39,13 @@ _PAIR_RE = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=8192)
 def parse_point(value: str) -> tuple[float, float] | None:
-    """Parse a value into (lat, lon) degrees, or None."""
+    """Parse a value into (lat, lon) degrees, or None.
+
+    Memoised per process: geographic columns, seeding and MultiBlock's
+    latitude grid parse the same coordinate strings over and over.
+    """
     wkt = _WKT_RE.search(value)
     if wkt is not None:
         lon, lat = float(wkt.group(1)), float(wkt.group(2))
@@ -75,14 +82,6 @@ def _pair_distance(a: str, b: str) -> float:
     return haversine_metres(pa[0], pa[1], pb[0], pb[1])
 
 
-def _parsed_pair_distance(
-    point_a: tuple[float, float] | None, point_b: tuple[float, float] | None
-) -> float:
-    if point_a is None or point_b is None:
-        return INFINITE_DISTANCE
-    return haversine_metres(point_a[0], point_a[1], point_b[0], point_b[1])
-
-
 class GeographicDistance(DistanceMeasure):
     """Great-circle distance in metres between coordinate values."""
 
@@ -96,22 +95,51 @@ class GeographicDistance(DistanceMeasure):
     def evaluate_column(
         self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
-        """Batch haversine: each distinct value is regex-parsed once per
-        column and each distinct value pair measured once. The
-        trigonometry stays on scalar ``math`` functions: numpy's SIMD
-        ``sin``/``cos`` loops may differ from libm in the last ulp, and
-        the engine guarantees bit-identical scores between the batch
-        and per-pair paths."""
+        """Batch haversine over arrays: each distinct value parses once
+        (through the ``parse_point`` memo) and each distinct value pair
+        is measured once. Numpy does only the IEEE-exact steps
+        (differences, degree-to-radian products, halving, the products
+        and sum of the haversine term, ``sqrt``, the clamp at 1 and the
+        final scaling), in the scalar expression's order. ``sin``,
+        ``** 2``, ``cos`` and ``asin`` stay the libm calls the scalar
+        path makes, mapped over Python floats: numpy's SIMD
+        trigonometry and ``square`` may differ from libm in the last
+        ulp, and the engine guarantees bit-identical scores between the
+        batch and per-pair paths."""
         return pairwise_min_column(columns_a, columns_b, _haversine_kernel)
 
 
+#: ``math.radians(x)`` is ``x * (pi / 180)`` in one IEEE product.
+_DEGREES_TO_RADIANS = math.pi / 180.0
+
+#: Coordinates of an unparseable value: NaN distances, which
+#: :func:`~repro.distances.base.pairwise_min_column` skips exactly like
+#: the scalar loop skips ``INFINITE_DISTANCE``.
+_NO_POINT = (math.nan, math.nan)
+
+
 def _haversine_kernel(strings, index_a, index_b) -> np.ndarray:
-    points = list(map(parse_point, strings))
+    """:func:`haversine_metres` over the pairs ``(strings[index_a[k]],
+    strings[index_b[k]])``, bit for bit, with NaN for unparseable
+    values."""
+    points = [parse_point(value) or _NO_POINT for value in strings]
+    lat, lon = np.array(points, dtype=np.float64).reshape(len(strings), 2).T
+    cos_lat = _libm(math.cos, lat * _DEGREES_TO_RADIANS)
+    half_phi = ((lat[index_b] - lat[index_a]) * _DEGREES_TO_RADIANS) / 2.0
+    half_lambda = ((lon[index_b] - lon[index_a]) * _DEGREES_TO_RADIANS) / 2.0
+    sin2_phi, sin2_lambda = _sin_squared(half_phi), _sin_squared(half_lambda)
+    h = sin2_phi + (cos_lat[index_a] * cos_lat[index_b]) * sin2_lambda
+    root = np.minimum(1.0, np.sqrt(h))
+    return (2.0 * EARTH_RADIUS_METRES) * _libm(math.asin, root)
+
+
+def _libm(function, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(function, x.tolist()), np.float64, len(x))
+
+
+def _sin_squared(x: np.ndarray) -> np.ndarray:
+    """``math.sin(x) ** 2`` per element: float ``**`` is libm ``pow``,
+    which is not always ``sin * sin``."""
     return np.fromiter(
-        (
-            _parsed_pair_distance(points[a], points[b])
-            for a, b in zip(index_a.tolist(), index_b.tolist())
-        ),
-        np.float64,
-        len(index_a),
+        map(pow, map(math.sin, x.tolist()), repeat(2.0)), np.float64, len(x)
     )

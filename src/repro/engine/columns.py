@@ -8,7 +8,10 @@ A entity against a whole block of B candidates), so this collapses both
 the number of transformation evaluations and the per-pair dict lookups
 the seed evaluator paid on its hot path. Blockers hand over batches
 directly; any other pair sequence is factored by
-:meth:`PairBatch.from_pairs`.
+:meth:`PairBatch.from_pairs`. Distance columns stay per entity as well:
+each measure receives one :class:`~repro.distances.base.IndexedColumn`
+per side, the side's value column plus the batch's index array, so no
+list of value tuples is built per pair.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from repro.data.entity import Entity
 from repro.data.pairs import PairBatch
+from repro.distances.base import IndexedColumn, kept_rows
 from repro.distances.registry import DistanceRegistry
 from repro.distances.strings import StringKernelMemo
 from repro.engine.compiler import ComparisonOp, signature_token
@@ -132,12 +136,12 @@ class PairStore:
             if loaded is not None:
                 self._column_cache.put(key, loaded)
                 return loaded
-        values_a = self.value_column(op.source_sig, op.source, "a")
-        values_b = self.value_column(op.target_sig, op.target, "b")
-        index_a = self._batch.index_a
-        index_b = self._batch.index_b
-        columns_a = list(map(values_a.__getitem__, index_a.tolist()))
-        columns_b = list(map(values_b.__getitem__, index_b.tolist()))
+        columns_a = IndexedColumn(
+            self.value_column(op.source_sig, op.source, "a"), self._batch.index_a
+        )
+        columns_b = IndexedColumn(
+            self.value_column(op.target_sig, op.target, "b"), self._batch.index_b
+        )
         memo = self._string_memo
         if measure.memo_capable and memo is not None:
             # Memo-capable measures take the session's string-kernel
@@ -148,7 +152,7 @@ class PairStore:
         if memo is not None:
             # Routing counts non-empty pairs by path: a measure's batch
             # kernel, or the inherited per-pair fallback.
-            pairs = _nonempty_pairs(values_a, values_b, index_a, index_b)
+            pairs = len(kept_rows(columns_a, columns_b)[1])
             if measure.batch_capable:
                 memo.record_routing(op.metric, batch=pairs)
             else:
@@ -171,16 +175,3 @@ class PairStore:
             fingerprint = pairs_fingerprint(self._batch)
             self._pairs_fingerprint = fingerprint
         return fingerprint
-
-
-def _nonempty_pairs(
-    values_a: list, values_b: list, index_a: np.ndarray, index_b: np.ndarray
-) -> int:
-    """Pairs where both sides have values (the pairs a kernel actually
-    evaluates — the routing-counter unit), from the per-entity value
-    columns: no per-pair work when every entity has values."""
-    if all(values_a) and all(values_b):
-        return len(index_a)
-    has_a = np.fromiter(map(bool, values_a), dtype=bool, count=len(values_a))
-    has_b = np.fromiter(map(bool, values_b), dtype=bool, count=len(values_b))
-    return int(np.count_nonzero(has_a[index_a] & has_b[index_b]))

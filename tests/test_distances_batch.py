@@ -1,7 +1,8 @@
 """Batch distance-kernel parity: ``evaluate_column`` must be
 bit-identical to the per-pair ``evaluate`` loop for every measure —
-vectorized kernels and the generic fallback alike — including empty
-value sets (``INFINITE_DISTANCE`` propagation), unparseable values,
+vectorized kernels and the generic fallback alike, on plain lists and
+on the engine's per-entity ``IndexedColumn`` — including empty value
+sets (``INFINITE_DISTANCE`` propagation), unparseable values,
 multi-valued properties, tuples shared across rows and sides, and the
 min-over-pairs budget."""
 
@@ -19,13 +20,16 @@ from repro.data.entity import Entity
 from repro.distances.base import (
     INFINITE_DISTANCE,
     MAX_PAIRS,
+    DistanceMeasure,
+    IndexedColumn,
     fallback_column,
     min_over_pairs,
     pairwise_min_column,
 )
-from repro.distances.registry import default_registry
+from repro.distances.registry import DistanceRegistry, default_registry
 from repro.distances.strings import StringKernelMemo
 from repro.engine import EngineSession
+from repro.engine.kernels import threshold_scores
 
 _REGISTRY = default_registry()
 
@@ -47,7 +51,7 @@ BATCH_CAPABLE = (
 )
 
 #: Measures still on the generic per-pair column path.
-FALLBACK = ("softJaccard", "mongeElkan")
+FALLBACK = ("softJaccard", "mongeElkan", "relativeNumeric")
 
 #: Measures whose columns run on the string kernels and take the
 #: session's ``StringKernelMemo``.
@@ -101,21 +105,33 @@ _VALUES = (
 
 
 def _column_strategy(values):
-    """Two aligned columns whose rows draw from one pool of value tuples,
-    so the same tuple object recurs across rows and sits on both sides
-    (as dedup datasets produce), with value sets long enough (up to 20
-    values) to cross the 256-pair budget of ``min_over_pairs``."""
+    """Two aligned columns whose rows index one pool of six value
+    tuples, the last of them empty: the same tuple object recurs across
+    rows and sits on both sides (as dedup datasets produce), some rows
+    have values on one side only, and value sets run long enough (up to
+    20 values) to cross the 256-pair budget of ``min_over_pairs``.
+    Draws ``(pool, index_a, index_b)``; :func:`_forms` builds the
+    columns."""
     value_set = st.lists(st.sampled_from(values), max_size=20).map(tuple)
     slot = st.integers(min_value=0, max_value=5)
     return st.tuples(
-        st.lists(value_set, min_size=6, max_size=6),
+        st.lists(value_set, min_size=5, max_size=5),
         st.lists(st.tuples(slot, slot), max_size=8),
     ).map(
         lambda drawn: (
-            [drawn[0][i] for i, _ in drawn[1]],
-            [drawn[0][j] for _, j in drawn[1]],
+            [*drawn[0], ()],
+            [i for i, _ in drawn[1]],
+            [j for _, j in drawn[1]],
         )
     )
+
+
+def _forms(drawn):
+    """A drawn column pair in both forms a measure receives: gathered
+    lists, and the engine's ``IndexedColumn`` over the pool."""
+    pool, index_a, index_b = drawn
+    gathered = ([pool[i] for i in index_a], [pool[j] for j in index_b])
+    return gathered, (IndexedColumn(pool, index_a), IndexedColumn(pool, index_b))
 
 
 def _reference(measure, columns_a, columns_b):
@@ -141,14 +157,16 @@ def test_fallback_measures_not_flagged(name):
 @given(columns=_column_strategy(_VALUES))
 @settings(max_examples=40, deadline=None)
 def test_evaluate_column_matches_per_pair(name, columns):
-    columns_a, columns_b = columns
     measure = _REGISTRY.get(name)
-    batch = measure.evaluate_column(columns_a, columns_b)
-    expected = _reference(measure, columns_a, columns_b)
-    assert batch.dtype == np.float64
-    # Bit-identical, not approximately equal: the engine caches these
-    # columns and guarantees byte-identical scores across code paths.
-    np.testing.assert_array_equal(batch, expected)
+    gathered, indexed = _forms(columns)
+    expected = _reference(measure, *gathered)
+    for columns_a, columns_b in (gathered, indexed):
+        batch = measure.evaluate_column(columns_a, columns_b)
+        assert batch.dtype == np.float64
+        # Bit-identical, not approximately equal: the engine caches
+        # these columns and guarantees byte-identical scores across
+        # code paths.
+        np.testing.assert_array_equal(batch, expected)
 
 
 @pytest.mark.parametrize("name", BATCH_CAPABLE + FALLBACK)
@@ -227,8 +245,12 @@ _PAIR_DISTANCES = (0.0, 0.5, 3.0, math.nan, math.inf, INFINITE_DISTANCE, 2e12)
 def test_pairwise_min_column_matches_min_over_pairs(columns, table):
     """The driver reduces exactly like the scalar loop: NaN skipped,
     values at or above the sentinel clamped, the budget honoured, and
-    the kernel only ever asked about distinct pairs."""
-    columns_a, columns_b = columns
+    the kernel only ever asked about distinct pairs of strings that a
+    row with values on both sides references — on gathered lists and
+    on indexed columns alike."""
+    gathered, indexed = _forms(columns)
+    columns_a, columns_b = gathered
+    kept = {value for a, b in zip(*gathered) if a and b for value in (*a, *b)}
 
     def pair_distance(a, b):
         return table[(ord(a) - 97) * 8 + ord(b) - 97]
@@ -239,21 +261,24 @@ def test_pairwise_min_column_matches_min_over_pairs(columns, table):
         pairs = list(zip(index_a.tolist(), index_b.tolist()))
         assert len(set(pairs)) == len(pairs)
         assert len(set(strings)) == len(strings)
+        assert set(strings) <= kept
         seen.extend(pairs)
         return np.array(
             [pair_distance(strings[a], strings[b]) for a, b in pairs],
             dtype=np.float64,
         )
 
-    batch = pairwise_min_column(columns_a, columns_b, kernel)
     expected = [
         min_over_pairs(a, b, pair_distance) if a and b else INFINITE_DISTANCE
         for a, b in zip(columns_a, columns_b)
     ]
-    np.testing.assert_array_equal(batch, np.array(expected, dtype=np.float64))
-    assert len(seen) <= sum(
-        min(len(a) * len(b), MAX_PAIRS) for a, b in zip(columns_a, columns_b)
-    )
+    for form in (gathered, indexed):
+        seen.clear()
+        batch = pairwise_min_column(*form, kernel)
+        np.testing.assert_array_equal(batch, np.array(expected, dtype=np.float64))
+        assert len(seen) <= sum(
+            min(len(a) * len(b), MAX_PAIRS) for a, b in zip(columns_a, columns_b)
+        )
 
 
 def test_column_length_mismatch_rejected():
@@ -299,18 +324,19 @@ _FILLER_TOKENS = tuple(f"filler{i}" for i in range(5000))
 def test_string_kernels_match_scalar_on_all_backends(name, columns):
     """Batch/scalar bit-parity for the string kernels over adversarial
     inputs, with and without the session memo (the memoised call runs
-    twice, so the second one reads warm encode and token tables). The
+    twice, gathered then indexed, so the second call reads warm encode
+    and token tables). The
     memo starts with more than 4096 interned tokens, which moves the
     set measures from packed bitsets to the sorted-key intersection
     pass; the plain call keeps the bitsets."""
-    columns_a, columns_b = columns
+    gathered, indexed = _forms(columns)
     measure = _REGISTRY.get(name)
-    expected = _reference(measure, columns_a, columns_b)
+    expected = _reference(measure, *gathered)
     memo = StringKernelMemo()
     memo.token_sets([_FILLER_TOKENS])
-    plain = measure.evaluate_column(columns_a, columns_b)
+    plain = measure.evaluate_column(*gathered)
     np.testing.assert_array_equal(plain, expected)
-    for _ in range(2):
+    for columns_a, columns_b in (gathered, indexed):
         memoised = measure.evaluate_column(columns_a, columns_b, memo=memo)
         np.testing.assert_array_equal(memoised, expected)
 
@@ -367,6 +393,50 @@ def test_routing_counters_split_batch_and_fallback():
             )
         routing = session.stats().kernel_routing
     assert routing == (("levenshtein", 3, 0), ("softJaccard", 0, 3))
+
+
+def test_plain_custom_measure_walks_the_engine_column():
+    """A registered measure with the plain two-argument
+    ``evaluate_column`` receives columns it can take the length of,
+    iterate twice and index, holding the gathered per-pair value sets,
+    and the engine scores them as it scores the gathered lists."""
+    received = []
+
+    class SizeGap(DistanceMeasure):
+        name = "sizeGap"
+
+        def evaluate(self, values_a, values_b):
+            if not values_a or not values_b:
+                return INFINITE_DISTANCE
+            return float(abs(len(values_a) - len(values_b)))
+
+        def evaluate_column(self, columns_a, columns_b):
+            for column in (columns_a, columns_b):
+                rows = [column[k] for k in range(len(column))]
+                assert list(column) == list(column) == rows
+            received.append((list(columns_a), list(columns_b)))
+            return np.array(
+                [self.evaluate(a, b) for a, b in zip(columns_a, columns_b)],
+                dtype=np.float64,
+            )
+
+    measure = SizeGap()
+    registry = DistanceRegistry()
+    registry.register(measure)
+    a0 = Entity("a0", {"name": ("x", "y", "z")})
+    a1 = Entity("a1", {"name": "x"})
+    b0 = Entity("b0", {"name": "y"})
+    b1 = Entity("b1", {})
+    pairs = [(a0, b0), (a0, b1), (a1, b0), (a0, b0), (a1, b1)]
+    node = ComparisonNode("sizeGap", 3.0, PropertyNode("name"), PropertyNode("name"))
+    with EngineSession(distances=registry) as session:
+        scores = session.context(pairs).scores(node)
+    gathered_a = [a.values("name") for a, _ in pairs]
+    gathered_b = [b.values("name") for _, b in pairs]
+    assert received == [(gathered_a, gathered_b)]
+    expected = threshold_scores(measure.evaluate_column(gathered_a, gathered_b), 3.0)
+    np.testing.assert_array_equal(scores, expected)
+    assert scores.tolist() == [1.0 - 2.0 / 3.0, 0.0, 1.0, 1.0 - 2.0 / 3.0, 0.0]
 
 
 def test_string_memo_tables_are_bounded():

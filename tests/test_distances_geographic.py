@@ -1,10 +1,15 @@
 """Tests for the geographic distance."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.distances.base import INFINITE_DISTANCE
 from repro.distances.geographic import (
     GeographicDistance,
+    _haversine_kernel,
     haversine_metres,
     parse_point,
 )
@@ -37,6 +42,14 @@ class TestParsePoint:
 
     def test_plain_number_is_not_a_point(self):
         assert parse_point("42") is None
+
+    def test_repeated_calls_hit_the_memo(self):
+        parse_point.cache_clear()
+        parse_point("52.52,13.405")
+        parse_point("52.52,13.405")
+        info = parse_point.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize == 8192
 
 
 class TestHaversine:
@@ -75,3 +88,105 @@ class TestGeographicDistance:
             ("0.0,0.0", "52.52,13.405"), ("52.53,13.405",)
         )
         assert distance < 2000
+
+
+#: Edge-case coordinates for the batch kernel: both poles, longitude
+#: +-180, signed zeros, one point in two notations (an exact 0.0),
+#: separations under a micro-degree, and unparseable strings.
+_EDGE_POINTS = (
+    "90,0",
+    "-90,0",
+    "90,180",
+    "-90,-180",
+    "0,180",
+    "0,-180",
+    "45.5,180",
+    "45.5,-180",
+    "0.0,0.0",
+    "-0.0,-0.0",
+    "0.0,-0.0",
+    "52.52,13.405",
+    "POINT(13.405 52.52)",
+    "52.5200001,13.405",
+    "52.52,13.4050001",
+    "52.52000000001,13.40499999999",
+    "somewhere",
+    "95.0,10.0",
+    "",
+)
+
+
+def _random_points(count: int) -> list[str]:
+    rng = random.Random(20121)
+    return [
+        f"{rng.uniform(-90.0, 90.0):.6f},{rng.uniform(-180.0, 180.0):.6f}"
+        for _ in range(count)
+    ]
+
+
+def _scalar(point_a, point_b) -> float:
+    if point_a is None or point_b is None:
+        return INFINITE_DISTANCE
+    return haversine_metres(*point_a, *point_b)
+
+
+class TestHaversineKernel:
+    """The batch kernel against :func:`haversine_metres`, bit for bit,
+    after the column driver's clamp at ``INFINITE_DISTANCE`` (which
+    turns the kernel's NaN for unparseable values into the sentinel)."""
+
+    def test_bit_identical_to_scalar(self):
+        strings = [*_EDGE_POINTS, *_random_points(150)]
+        index_a, index_b = np.divmod(np.arange(len(strings) ** 2), len(strings))
+        batch = np.fmin(
+            _haversine_kernel(strings, index_a, index_b), INFINITE_DISTANCE
+        )
+        points = [parse_point(value) for value in strings]
+        expected = np.array(
+            [
+                _scalar(points[a], points[b])
+                for a, b in zip(index_a.tolist(), index_b.tolist())
+            ],
+            dtype=np.float64,
+        )
+        assert batch.tobytes() == expected.tobytes()
+        # ``** 2`` is libm ``pow``, which is not always ``sin * sin``:
+        # the draw must hold half-angles where the two differ, or a
+        # switch to ``np.square`` could pass unnoticed.
+        half_angles = [
+            math.radians(pb[axis] - pa[axis]) / 2.0
+            for pa in points
+            if pa is not None
+            for pb in points
+            if pb is not None
+            for axis in (0, 1)
+        ]
+        assert any(
+            math.sin(x) ** 2 != math.sin(x) * math.sin(x) for x in half_angles
+        )
+
+    def test_identical_points_are_exactly_zero(self):
+        strings = ["52.52,13.405", "POINT(13.405 52.52)", "-0.0,-0.0", "0,0"]
+        out = _haversine_kernel(strings, np.array([0, 0, 2]), np.array([0, 1, 3]))
+        assert out.tolist() == [0.0, 0.0, 0.0]
+        assert all(math.copysign(1.0, d) == 1.0 for d in out.tolist())
+
+    def test_unparseable_values_are_nan(self):
+        out = _haversine_kernel(
+            ["somewhere", "52.5,13.4"], np.array([0, 1]), np.array([1, 0])
+        )
+        assert np.isnan(out).all()
+
+    def test_column_matches_scalar_evaluate(self):
+        measure = GeographicDistance()
+        columns_a = [(value,) for value in _EDGE_POINTS] + [("somewhere", "0,1")]
+        columns_b = [(value,) for value in reversed(_EDGE_POINTS)] + [("0,1.5",)]
+        batch = measure.evaluate_column(columns_a, columns_b)
+        expected = np.array(
+            [
+                measure.evaluate(a, b) if a and b else INFINITE_DISTANCE
+                for a, b in zip(columns_a, columns_b)
+            ],
+            dtype=np.float64,
+        )
+        assert batch.tobytes() == expected.tobytes()
