@@ -33,7 +33,6 @@ exactly once.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -58,7 +57,7 @@ from repro.engine.counters import KEYED, LOG
 from repro.engine.executor import Executor, resolve_executor
 from repro.engine.kernels import aggregate_scores, threshold_scores
 from repro.engine.lru import CacheStats, LRUCache
-from repro.engine.store import ColumnStore, StoreStats, resolve_store
+from repro.engine.store import ColumnStore, StoreStats, index_key, resolve_store
 from repro.transforms.registry import TransformationRegistry
 from repro.transforms.registry import default_registry as default_transforms
 
@@ -307,21 +306,14 @@ class EngineSession:
             return cached
         payload = None
         store = self._store
-        persistent_key: str | None = None
         if store is not None:
-            from repro.engine.store import index_key
-
             persistent_key = index_key(source_fingerprint, blocker_token)
             payload = store.load_index(persistent_key)
         if payload is None:
-            patched_from: str | None = None
-            steps = 0
             if patcher is not None:
-                patched = self._patch_from_lineage(
+                payload = self._patch_from_lineage(
                     source_fingerprint, blocker_token, lineage, patcher
                 )
-                if patched is not None:
-                    payload, patched_from, steps = patched
             if payload is not None:
                 with self._probe_lock:
                     self._index_patches += 1
@@ -329,18 +321,8 @@ class EngineSession:
                 payload = build()
                 with self._probe_lock:
                     self._index_builds += 1
-            if store is not None and persistent_key is not None:
+            if store is not None:
                 store.save_index(persistent_key, payload)
-                if patched_from is not None:
-                    store.save_epoch(
-                        source_fingerprint,
-                        {
-                            "parent": patched_from,
-                            "token": blocker_token,
-                            "deltas": steps,
-                            "created": time.time(),
-                        },
-                    )
         self._index_cache.put(memo_key, payload)
         return payload
 
@@ -352,9 +334,9 @@ class EngineSession:
         Walks the delta chain newest-first looking for any ancestor
         epoch whose payload is already resolved (memo or store), then
         replays the intervening deltas oldest-first through ``patcher``.
-        Returns ``(payload, ancestor_fingerprint, steps)`` or None when
-        no ancestor is available, the chain doesn't lead to the current
-        fingerprint, or the patcher gives up.
+        Returns the patched payload, or None when no ancestor is
+        available, the chain doesn't lead to the current fingerprint,
+        or the patcher gives up.
         """
         chain = tuple(lineage)
         if not chain or chain[-1].fingerprint != source_fingerprint:
@@ -369,8 +351,6 @@ class EngineSession:
             ancestor = delta.parent_fingerprint
             base = self._index_cache.get((ancestor, blocker_token))
             if base is None and store is not None:
-                from repro.engine.store import index_key
-
                 base = store.load_index(index_key(ancestor, blocker_token))
             if base is None:
                 continue
@@ -379,7 +359,7 @@ class EngineSession:
                 payload = patcher(payload, step)
                 if payload is None:
                     return None
-            return payload, ancestor, len(pending)
+            return payload
         return None
 
     def record_probe(self, batches: int = 0, memo_hits: int = 0) -> None:

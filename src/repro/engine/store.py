@@ -44,29 +44,47 @@ Layout on disk
     <root>/columns-v1/<key[:2]>/<key>.npy    # float64 column blob
     <root>/indexes-v1/<key[:2]>/<key>.pkl    # pickled blocking index
     <root>/probes-v1/<key[:2]>/<key>.pkl     # per-entity probe ledger
-    <root>/epochs-v1/<key[:2]>/<key>.json    # delta-epoch provenance
+
+Stores written by older versions may also hold ``<key>.json`` metadata
+sidecars next to columns and ``epochs-v1/<key[:2]>/<key>.json``
+provenance records. Nothing reads either: a sidecar leaves with its
+column (gc, clear, corrupt-blob discard), and :meth:`ColumnStore.entries`
+lists the epoch records so ``gc`` and ``clear`` remove them.
+
+Disk protocol
+-------------
+The three tiers share one read path and one publish path; they differ
+only in codec (a memory-mapped ``.npy`` checked for shape and read
+through once, a pickle, a pickle that must be a dict) and in the
+:class:`StoreStats` counter prefix (``""``, ``index_``, ``probe_``).
 
 Blobs are written to a temp file in the destination directory and
 published with ``os.replace``, so readers — including concurrent
 writer processes under a process-pool executor — never observe a
-partial file; racing writers produce identical bytes and the last
-rename wins. Corrupt or truncated blobs (killed writer mid-``os.replace``
-on a non-atomic filesystem, disk faults) are detected on load, counted
-as ``invalid``, deleted and rebuilt — never a crash.
+partial file; racing writers each publish a complete blob and the last
+rename wins.
 
 The store never raises for storage faults: a failed load is a miss and
 a failed save is skipped, so a read-only or full cache directory
-degrades to cold-cache behaviour. Two kinds of fault are told apart:
-a *corrupt* blob (unreadable header, truncated data, wrong shape) is
-deleted so the rebuilt column can replace it, while a *transient* I/O
-error (``EIO``, ``ENOSPC``, an injected fault) leaves the blob alone —
-deleting a healthy file because the disk hiccuped would turn a
-transient fault into permanent cache loss. Transient faults feed a
-:class:`~repro.faults.CircuitBreaker`: after enough consecutive
-failures the store stops touching the disk entirely (every operation
-becomes a fast miss / skipped write), re-probing it after a cooldown,
-and the trip is surfaced through :class:`StoreStats` and session/match
-stats as a recorded degradation. All disk entry points run through
+degrades to cold-cache behaviour. A load tells three outcomes apart:
+
+* a *missing* file is a plain miss;
+* a *transient* I/O error while reading (``EIO``, ``ENOSPC``, an
+  injected fault) leaves the blob alone — deleting a healthy file
+  because the disk hiccuped would turn a transient fault into
+  permanent cache loss — and counts in ``io_faults``;
+* a *corrupt* blob (unreadable header, truncated data, wrong shape, a
+  pickle that does not load or has the wrong type) is deleted, with
+  any legacy sidecar, so the rebuilt blob can replace it, and counts in
+  ``<prefix>invalid``.
+
+Transient faults on any tier feed one
+:class:`~repro.faults.CircuitBreaker`, and any successful disk
+operation resets it: after enough consecutive failures the store stops
+touching the disk entirely (every operation becomes a fast miss /
+skipped write), re-probing it after a cooldown, and the trip is
+surfaced through :class:`StoreStats` and session/match stats as a
+recorded degradation. Every load and save runs through the
 :func:`repro.faults.fire` injection seams (``store.read``,
 ``store.write``, ``store.rename``), which are inert without a
 ``REPRO_FAULTS`` plan.
@@ -75,7 +93,6 @@ stats as a recorded degradation. All disk entry points run through
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -106,10 +123,6 @@ INDEX_FORMAT_VERSION = 1
 #: Format version of the probe-ledger tier: per-entity candidate-code
 #: results keyed entity fingerprint x probe signature.
 PROBE_FORMAT_VERSION = 1
-
-#: Format version of the delta-epoch record tier: small JSON provenance
-#: blobs recording which parent epoch a patched index derived from.
-EPOCH_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -171,7 +184,7 @@ class StoreStats:
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One persisted column, as seen by maintenance commands."""
+    """One persisted blob, as seen by maintenance commands."""
 
     key: str
     path: Path
@@ -234,28 +247,89 @@ def _fingerprint_matrix(entities: Sequence) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 64)
 
 
+@dataclass(frozen=True)
+class _Tier:
+    """Where one tier's blobs live and which counters they feed."""
+
+    directory: str
+    suffix: str
+    #: :class:`StoreStats` counter prefix (``index_`` -> ``index_hits``).
+    prefix: str
+    #: Whether hits, misses and writes count per blob. A probe ledger
+    #: counts them per entity (:meth:`ColumnStore.record_probe_lookups`).
+    per_blob: bool = True
+
+
+#: The live tiers, by their :meth:`ColumnStore.describe` name.
+_TIERS = {
+    "columns": _Tier(f"columns-v{STORE_FORMAT_VERSION}", ".npy", ""),
+    "indexes": _Tier(f"indexes-v{INDEX_FORMAT_VERSION}", ".pkl", "index_"),
+    "probes": _Tier(
+        f"probes-v{PROBE_FORMAT_VERSION}", ".pkl", "probe_", per_blob=False
+    ),
+}
+
+#: Provenance records older versions wrote and nothing reads (directory,
+#: suffix): listed by :meth:`ColumnStore.entries` so gc and clear
+#: remove them.
+_LEGACY_EPOCHS = ("epochs-v1", ".json")
+
+
+def _load_npy(path: Path) -> np.ndarray:
+    return np.load(path, mmap_mode="r", allow_pickle=False)
+
+
+def _unpickle(blob: bytes) -> tuple[object, int]:
+    return pickle.loads(blob), len(blob)
+
+
+def _unpickle_dict(blob: bytes) -> tuple[dict, int]:
+    payload, nbytes = _unpickle(blob)
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected a dict, got {type(payload).__name__}")
+    return payload, nbytes
+
+
+def _unlink(path: str | os.PathLike) -> bool:
+    """Delete ``path``; False when it could not be."""
+    try:
+        os.unlink(path)
+    except OSError:
+        return False
+    return True
+
+
+def _drop(path: Path) -> bool:
+    """Delete a blob and the ``<key>.json`` sidecar older versions
+    wrote next to each column; True when the blob itself went."""
+    dropped = _unlink(path)
+    _unlink(path.with_suffix(".json"))
+    return dropped
+
+
+def _pickled(payload: object) -> bytes | None:
+    """``payload`` pickled, or None when it cannot be."""
+    try:
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
 class ColumnStore:
-    """An on-disk, content-keyed store of float64 distance columns.
+    """An on-disk, content-keyed store of float64 distance columns,
+    blocking indexes and probe ledgers.
 
     Thread-safe (counters under one lock; the filesystem operations are
     atomic-rename publications) and safe for concurrent processes
-    sharing one cache directory. ``mmap=False`` loads blobs into memory
-    instead of memory-mapping them — useful when the cache directory
-    lives on a filesystem with poor mmap behaviour.
+    sharing one cache directory. Columns load memory-mapped.
     """
 
     def __init__(
         self,
         root: str | os.PathLike,
-        mmap: bool = True,
         breaker: CircuitBreaker | None = None,
     ):
         self._root = Path(root).expanduser()
-        self._columns_dir = self._root / f"columns-v{STORE_FORMAT_VERSION}"
-        self._indexes_dir = self._root / f"indexes-v{INDEX_FORMAT_VERSION}"
-        self._probes_dir = self._root / f"probes-v{PROBE_FORMAT_VERSION}"
-        self._epochs_dir = self._root / f"epochs-v{EPOCH_FORMAT_VERSION}"
-        self._mmap = mmap
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         #: Running totals of the :class:`StoreStats` counters, one
         #: entry per field, under one lock (``breaker_trips`` is read
@@ -270,17 +344,9 @@ class ColumnStore:
         """The cache directory this store persists under."""
         return self._root
 
-    def _column_path(self, key: str) -> Path:
-        return self._columns_dir / key[:2] / f"{key}.npy"
-
-    def _index_path(self, key: str) -> Path:
-        return self._indexes_dir / key[:2] / f"{key}.pkl"
-
-    def _probe_path(self, key: str) -> Path:
-        return self._probes_dir / key[:2] / f"{key}.pkl"
-
-    def _epoch_path(self, key: str) -> Path:
-        return self._epochs_dir / key[:2] / f"{key}.json"
+    def _path(self, tier: str, key: str) -> Path:
+        spec = _TIERS[tier]
+        return self._root / spec.directory / key[:2] / f"{key}{spec.suffix}"
 
     # -- accounting -----------------------------------------------------------
     def _count(self, **amounts: int) -> None:
@@ -288,6 +354,13 @@ class ColumnStore:
         with self._lock:
             for name, amount in amounts.items():
                 self._counts[name] += amount
+
+    def _tally(self, spec: _Tier, outcome: str, **amounts: int) -> None:
+        """Count one blob ``outcome`` (``hits``, ``misses``, ``writes``)
+        under ``spec``'s prefix, plus ``amounts``."""
+        if spec.per_blob:
+            amounts[spec.prefix + outcome] = 1
+        self._count(**amounts)
 
     def _io_fault(self, error: OSError) -> None:
         """Count a transient disk fault and feed the breaker."""
@@ -299,94 +372,82 @@ class ColumnStore:
         """Every degradation the breaker has recorded (monotonic)."""
         return self.breaker.trip_reasons()
 
-    # -- load / save ----------------------------------------------------------
-    def load(self, key: str, rows: int) -> np.ndarray | None:
-        """The persisted column for ``key``, or None on a miss.
+    # -- the disk protocol ----------------------------------------------------
+    def _read(self, tier: str, key: str, read, decode):
+        """One blob through the shared load protocol, or None.
 
-        A hit returns a read-only array of exactly ``rows`` float64
-        values (memory-mapped by default) and renews the blob's mtime
-        for GC recency. Anything unreadable — missing, truncated,
-        malformed, wrong shape or dtype — is a miss; corrupt blobs are
-        additionally deleted so the rebuilt column can replace them,
-        while transient I/O errors leave the blob in place and feed the
-        circuit breaker. With the breaker open the disk is bypassed
-        entirely and every load is a fast miss.
+        ``read(path)`` fetches the raw blob; ``decode(raw)`` returns
+        ``(value, nbytes)`` or raises. A missing file is a plain miss.
+        An ``OSError`` from ``read`` is transient: the blob stays and
+        the breaker is fed. A ``ValueError`` or ``EOFError`` from
+        ``read``, or any exception from ``decode``, marks the blob
+        corrupt: it is deleted so a rebuild can replace it. A hit
+        renews the blob's mtime for GC recency. With the breaker open
+        the disk is bypassed and every load is a fast miss.
         """
+        spec = _TIERS[tier]
         if not self.breaker.allow():
-            self._count(misses=1)
+            self._tally(spec, "misses")
             return None
-        path = self._column_path(key)
+        path = self._path(tier, key)
         try:
             faults.fire("store.read")
-            if self._mmap:
-                column = np.load(path, mmap_mode="r", allow_pickle=False)
-            else:
-                column = np.load(path, allow_pickle=False)
+            raw = read(path)
         except FileNotFoundError:
-            self._count(misses=1)
+            self._tally(spec, "misses")
             self.breaker.record_success()
-            return None
-        except (ValueError, EOFError):
-            # Unreadable header or truncated data: drop the blob and
-            # report a miss so the caller rebuilds (and re-persists) it.
-            self._discard_corrupt(path)
             return None
         except OSError as error:
             # Transient disk fault: the blob may be perfectly healthy,
             # so never delete it — degrade this lookup to a miss and
             # let the breaker decide whether to keep trying the disk.
-            self._count(misses=1)
+            self._tally(spec, "misses")
             self._io_fault(error)
             return None
-        if column.shape != (rows,) or column.dtype != np.float64:
-            # Key collision cannot produce this (keys hash the pair
-            # list), so a shape/dtype mismatch means a damaged or
-            # foreign file squatting on the key: treat as corruption.
-            del column
-            self._discard_corrupt(path)
-            return None
-        if self._mmap:
-            # Force the data pages through validation: a blob truncated
-            # *after* a well-formed header would otherwise fault later,
-            # inside a kernel. Reading also warms the page cache.
-            try:
-                checksum = float(np.sum(column))
-            except (ValueError, OSError):
-                del column
-                self._discard_corrupt(path)
-                return None
-            del checksum
-        else:
-            column.setflags(write=False)
+        except (ValueError, EOFError):
+            # ``np.load`` found an unreadable header or truncated data.
+            return self._discard_corrupt(spec, path)
+        try:
+            value, nbytes = decode(raw)
+        except Exception:
+            # Truncated or damaged blobs raise a zoo of error types
+            # (ValueError, EOFError, UnpicklingError, ...); any of them
+            # means the blob is unusable.
+            return self._discard_corrupt(spec, path)
         try:
             os.utime(path, None)
         except OSError:
             pass
-        self._count(hits=1, bytes_read=column.nbytes)
+        self._tally(spec, "hits", bytes_read=nbytes)
         self.breaker.record_success()
-        return column
+        return value
 
-    def save(self, key: str, column: np.ndarray) -> bool:
-        """Persist a column under ``key`` (atomic; returns success).
+    def _discard_corrupt(self, spec: _Tier, path: Path) -> None:
+        _drop(path)
+        self._tally(spec, "misses", **{spec.prefix + "invalid": 1})
 
-        Concurrent writers are safe: every writer publishes a complete
-        temp file via ``os.replace`` and all writers for one key write
-        identical bytes (the computation is deterministic), so the last
-        rename wins without a lock. Storage failures return False —
-        the engine then simply keeps the column in memory only.
+    def _publish(self, tier: str, key: str, write, nbytes: int) -> bool:
+        """Publish one blob atomically; returns success.
+
+        ``write(handle)`` streams the blob into a temp file next to the
+        destination, which ``os.replace`` then publishes, so readers
+        never see a partial file. Concurrent writers are safe: all
+        writers for one key write a valid blob and the last rename wins
+        without a lock. Storage failures return False and feed the
+        breaker — the engine then keeps the value in memory only.
         """
+        spec = _TIERS[tier]
         if not self.breaker.allow():
             return False
-        path = self._column_path(key)
-        column = np.ascontiguousarray(column, dtype=np.float64)
+        path = self._path(tier, key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".npy"
+                dir=path.parent, prefix=".tmp-", suffix=spec.suffix
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    np.save(handle, column)
+                    write(handle)
                 # Injection seams bracket publication: ``store.write``
                 # fires with the temp path (a torn fault truncates it —
                 # the unlink below must keep the torn bytes invisible),
@@ -395,27 +456,45 @@ class ColumnStore:
                 faults.fire("store.rename")
                 os.replace(tmp, path)
             except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+                _unlink(tmp)
                 raise
         except OSError as error:
             self._io_fault(error)
             return False
-        self._count(writes=1, bytes_written=column.nbytes)
+        self._tally(spec, "writes", bytes_written=nbytes)
         self.breaker.record_success()
         return True
 
-    def _discard_corrupt(self, path: Path) -> None:
-        # Stores written by older versions keep a ``<key>.json``
-        # metadata sidecar next to each column: drop it with the blob.
-        for doomed in (path, path.with_suffix(".json")):
-            try:
-                os.unlink(doomed)
-            except OSError:
-                pass
-        self._count(invalid=1, misses=1)
+    # -- column tier ----------------------------------------------------------
+    def load(self, key: str, rows: int) -> np.ndarray | None:
+        """The persisted column for ``key``, or None on a miss.
+
+        A hit returns a read-only, memory-mapped array of exactly
+        ``rows`` float64 values. A blob of another shape or dtype is
+        corrupt (see :meth:`_read`).
+        """
+
+        def decode(column: np.ndarray) -> tuple[np.ndarray, int]:
+            # Key collision cannot produce this (keys hash the pair
+            # list), so a shape/dtype mismatch means a damaged or
+            # foreign file squatting on the key.
+            if column.shape != (rows,) or column.dtype != np.float64:
+                raise ValueError(f"column of shape {column.shape}")
+            # Force the data pages through validation: a blob truncated
+            # *after* a well-formed header would otherwise fault later,
+            # inside a kernel. Reading also warms the page cache.
+            float(np.sum(column))
+            return column, column.nbytes
+
+        return self._read("columns", key, _load_npy, decode)
+
+    def save(self, key: str, column: np.ndarray) -> bool:
+        """Persist a column under ``key`` (atomic; returns success).
+        ``np.save`` streams straight into the temp file."""
+        column = np.ascontiguousarray(column, dtype=np.float64)
+        return self._publish(
+            "columns", key, lambda handle: np.save(handle, column), column.nbytes
+        )
 
     # -- blocking-index tier --------------------------------------------------
     def load_index(self, key: str) -> object | None:
@@ -424,82 +503,17 @@ class ColumnStore:
         Payloads are pickled plain data structures (dicts/tuples of
         uids and block keys, numpy code arrays — never entity objects
         or code, and never private classes, so refactors only cost a
-        clean miss). A
-        truncated or otherwise unreadable blob is dropped, counted as
-        ``index_invalid`` and reported as a miss so the caller rebuilds
-        it. A hit renews the blob's mtime for GC recency.
+        clean miss).
         """
-        if not self.breaker.allow():
-            self._count(index_misses=1)
-            return None
-        path = self._index_path(key)
-        try:
-            faults.fire("store.read")
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            self._count(index_misses=1)
-            self.breaker.record_success()
-            return None
-        except OSError as error:
-            self._count(index_misses=1)
-            self._io_fault(error)
-            return None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            # Truncated/corrupt pickle streams raise a zoo of error
-            # types (UnpicklingError, EOFError, AttributeError, ...);
-            # any of them means the blob is unusable.
-            for doomed in (path,):
-                try:
-                    os.unlink(doomed)
-                except OSError:
-                    pass
-            self._count(index_invalid=1, index_misses=1)
-            return None
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
-        self._count(index_hits=1, bytes_read=len(blob))
-        self.breaker.record_success()
-        return payload
+        return self._read("indexes", key, Path.read_bytes, _unpickle)
 
     def save_index(self, key: str, payload: object) -> bool:
         """Persist a blocking index under ``key`` (atomic; returns
-        success). Same publication discipline as :meth:`save`: complete
-        temp file + ``os.replace``, deterministic payloads make racing
-        writers harmless, storage faults degrade to cold behaviour."""
-        if not self.breaker.allow():
-            return False
-        path = self._index_path(key)
-        try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return False
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                faults.fire("store.write", tmp_path=tmp)
-                faults.fire("store.rename")
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError as error:
-            self._io_fault(error)
-            return False
-        self._count(index_writes=1, bytes_written=len(blob))
-        self.breaker.record_success()
-        return True
+        success; an unpicklable payload is skipped)."""
+        blob = _pickled(payload)
+        return blob is not None and self._publish(
+            "indexes", key, lambda handle: handle.write(blob), len(blob)
+        )
 
     # -- probe-ledger tier ----------------------------------------------------
     def load_probe_ledger(self, key: str) -> dict | None:
@@ -510,73 +524,20 @@ class ColumnStore:
         signature). Unlike the column/index tiers, hit/miss accounting
         is per *entity*, not per blob — callers report it through
         :meth:`record_probe_lookups` after consulting the ledger, so a
-        blob-level miss here counts nothing by itself.
+        blob-level miss here counts nothing by itself. A blob that is
+        not a pickled dict is corrupt.
         """
-        if not self.breaker.allow():
-            return None
-        path = self._probe_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as error:
-            self._io_fault(error)
-            return None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self._count(probe_invalid=1)
-            return None
-        if not isinstance(payload, dict):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self._count(probe_invalid=1)
-            return None
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
-        self._count(bytes_read=len(blob))
-        return payload
+        return self._read("probes", key, Path.read_bytes, _unpickle_dict)
 
     def save_probe_ledger(self, key: str, payload: Mapping) -> bool:
         """Persist a probe ledger under ``key`` (atomic; returns
         success). Racing writers may each persist a different superset
         of the entries they loaded; any of them is a valid ledger —
         absent entries are simply re-probed next run."""
-        if not self.breaker.allow():
-            return False
-        path = self._probe_path(key)
-        try:
-            blob = pickle.dumps(dict(payload), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return False
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError as error:
-            self._io_fault(error)
-            return False
-        self._count(bytes_written=len(blob))
-        return True
+        blob = _pickled(dict(payload))
+        return blob is not None and self._publish(
+            "probes", key, lambda handle: handle.write(blob), len(blob)
+        )
 
     def record_probe_lookups(
         self, hits: int = 0, misses: int = 0, writes: int = 0
@@ -586,109 +547,56 @@ class ColumnStore:
             return
         self._count(probe_hits=hits, probe_misses=misses, probe_writes=writes)
 
-    # -- delta-epoch records --------------------------------------------------
-    def save_epoch(self, fingerprint: str, payload: Mapping[str, object]) -> bool:
-        """Record provenance for a patched-index epoch (best effort).
-
-        One small JSON blob per source epoch fingerprint, written when
-        an index is patched forward rather than rebuilt. Purely
-        introspective — nothing loads it on the hot path — but it makes
-        ``cache info`` and GC aware of the epoch chain so orphaned
-        records age out with everything else.
-        """
-        if not self.breaker.allow():
-            return False
-        path = self._epoch_path(
-            hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
-        )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(dict(payload), handle, default=str)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError as error:
-            self._io_fault(error)
-            return False
-        return True
-
-    def load_epoch(self, fingerprint: str) -> dict | None:
-        """The provenance record for one source epoch, or None."""
-        path = self._epoch_path(
-            hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
-        )
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
     # -- maintenance ----------------------------------------------------------
-    def entries(self) -> Iterator[StoreEntry]:
-        """All persisted blobs across every tier, unordered.
-
-        Columns, blocking indexes, probe ledgers and delta-epoch
-        records share the maintenance machinery: GC recency is mtime
-        (renewed on hits) for all of them, ``clear`` drops everything —
-        so orphaned epoch blobs age out like any cold column.
-        """
-        for directory, pattern in (
-            (self._columns_dir, "*/*.npy"),
-            (self._indexes_dir, "*/*.pkl"),
-            (self._probes_dir, "*/*.pkl"),
-            (self._epochs_dir, "*/*.json"),
-        ):
-            if not directory.is_dir():
+    def _files(self) -> Iterator[tuple[str | None, StoreEntry]]:
+        """Every persisted blob with its tier name (None: a legacy
+        epoch record)."""
+        layout = [
+            (name, spec.directory, spec.suffix) for name, spec in _TIERS.items()
+        ]
+        for tier, directory, suffix in layout + [(None, *_LEGACY_EPOCHS)]:
+            base = self._root / directory
+            if not base.is_dir():
                 continue
-            for path in sorted(directory.glob(pattern)):
+            for path in sorted(base.glob(f"*/*{suffix}")):
                 if path.name.startswith(".tmp-"):
                     continue
                 try:
                     stat = path.stat()
                 except OSError:
                     continue
-                yield StoreEntry(
+                yield tier, StoreEntry(
                     key=path.stem,
                     path=path,
                     nbytes=stat.st_size,
                     last_used=stat.st_mtime,
                 )
 
+    def entries(self) -> Iterator[StoreEntry]:
+        """All persisted blobs across every tier, unordered.
+
+        Columns, blocking indexes, probe ledgers and legacy epoch
+        records share the maintenance machinery: GC recency is mtime
+        (renewed on hits) for all of them, ``clear`` drops everything.
+        """
+        for _, entry in self._files():
+            yield entry
+
     def describe(self) -> dict:
-        """Totals for ``cache info``: per-tier entry counts and bytes."""
-        columns = 0
-        indexes = 0
-        probes = 0
-        epochs = 0
+        """Totals for ``cache info``: per-tier entry counts, plus the
+        entries and bytes of everything :meth:`entries` lists."""
+        counts = dict.fromkeys(_TIERS, 0)
+        entries = 0
         total = 0
-        for entry in self.entries():
-            tier = entry.path.parent.parent.name
-            if tier.startswith("indexes-"):
-                indexes += 1
-            elif tier.startswith("probes-"):
-                probes += 1
-            elif tier.startswith("epochs-"):
-                epochs += 1
-            else:
-                columns += 1
+        for tier, entry in self._files():
+            if tier is not None:
+                counts[tier] += 1
+            entries += 1
             total += entry.nbytes
         return {
             "path": str(self._root),
-            "entries": columns + indexes + probes + epochs,
-            "columns": columns,
-            "indexes": indexes,
-            "probes": probes,
-            "epochs": epochs,
+            "entries": entries,
+            **counts,
             "bytes": total,
             "breaker": self.breaker.describe(),
         }
@@ -698,7 +606,7 @@ class ColumnStore:
         max_age_days: float | None = None,
         max_bytes: int | None = None,
     ) -> GCResult:
-        """Evict cold columns by age and/or total size.
+        """Evict cold blobs by age and/or total size.
 
         ``max_age_days`` removes entries not used (loaded or written)
         within that window; ``max_bytes`` then removes
@@ -715,7 +623,7 @@ class ColumnStore:
         )
         for entry in entries:
             if cutoff is not None and entry.last_used < cutoff:
-                if self._remove_entry(entry):
+                if _drop(entry.path):
                     removed += 1
                     freed += entry.nbytes
                     continue
@@ -725,7 +633,7 @@ class ColumnStore:
             survivors: list[StoreEntry] = []
             for entry in kept:
                 if kept_bytes > max_bytes:
-                    if self._remove_entry(entry):
+                    if _drop(entry.path):
                         removed += 1
                         freed += entry.nbytes
                         kept_bytes -= entry.nbytes
@@ -740,26 +648,8 @@ class ColumnStore:
         )
 
     def clear(self) -> int:
-        """Remove every persisted column; returns the number removed."""
-        removed = 0
-        for entry in list(self.entries()):
-            if self._remove_entry(entry):
-                removed += 1
-        return removed
-
-    def _remove_entry(self, entry: StoreEntry) -> bool:
-        ok = False
-        try:
-            os.unlink(entry.path)
-            ok = True
-        except OSError:
-            pass
-        # A legacy column sidecar (see :meth:`_discard_corrupt`).
-        try:
-            os.unlink(entry.path.with_suffix(".json"))
-        except OSError:
-            pass
-        return ok
+        """Remove every persisted blob; returns the number removed."""
+        return sum(_drop(entry.path) for entry in list(self.entries()))
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> StoreStats:

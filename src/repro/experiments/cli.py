@@ -246,7 +246,6 @@ def _cache_maintenance(args: argparse.Namespace) -> None:
         print(f"columns         : {info['columns']}")
         print(f"indexes         : {info['indexes']}")
         print(f"probe ledgers   : {info['probes']}")
-        print(f"delta epochs    : {info['epochs']}")
         print(f"bytes           : {info['bytes']}")
     elif args.action == "gc":
         result = store.gc(

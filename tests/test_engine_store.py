@@ -5,6 +5,7 @@ writers, and warm-rerun reuse over the bundled datasets."""
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from unittest import mock
 
@@ -73,8 +74,6 @@ class TestFingerprints:
         )
 
     def test_entity_fingerprint_survives_pickle(self):
-        import pickle
-
         entity = Entity("x", {"name": "Berlin"})
         clone = pickle.loads(pickle.dumps(entity))
         assert clone.fingerprint() == entity.fingerprint()
@@ -209,7 +208,9 @@ class TestColumnStore:
     def test_legacy_sidecars_leave_with_their_columns(self, tmp_path):
         """A save writes the blob alone; the ``<key>.json`` sidecars
         older versions wrote go with their column on gc, clear and
-        corrupt-blob discard, so no orphan survives."""
+        corrupt-blob discard, and their ``epochs-v1`` provenance
+        records are listed so gc and clear remove them too: no orphan
+        survives."""
         store = ColumnStore(tmp_path)
         keys = [str(index) * 64 for index in range(3)]
         for key in keys:
@@ -217,15 +218,22 @@ class TestColumnStore:
         assert not list(tmp_path.rglob("*.json"))
         for path in tmp_path.glob("columns-v1/*/*.npy"):
             path.with_suffix(".json").write_text("{}")
-        assert store.describe()["entries"] == 3
+        epoch = tmp_path / "epochs-v1" / "ee" / f"{'e' * 64}.json"
+        epoch.parent.mkdir(parents=True)
+        epoch.write_text('{"parent": "fp", "deltas": 1}')
+        info = store.describe()
+        assert (info["entries"], info["columns"]) == (4, 3)
+        assert "epochs" not in info
+        assert epoch in [entry.path for entry in store.entries()]
         [corrupt, aged, kept] = sorted(
-            store.entries(), key=lambda entry: entry.key
+            (e for e in store.entries() if e.path.suffix == ".npy"),
+            key=lambda entry: entry.key,
         )
         corrupt.path.write_bytes(b"not an npy file")
         assert store.load(corrupt.key, 8) is None
         os.utime(aged.path, (0, 0))
         assert store.gc(max_age_days=1.0).removed == 1
-        assert store.clear() == 1
+        assert store.clear() == 2  # the kept column and the epoch record
         assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
     def test_stats_merged(self):
@@ -360,7 +368,7 @@ class TestIndexTier:
         store = ColumnStore(tmp_path)
         key = index_key("fp", "tok")
         assert store.save_index(key, {"a": ("x",)})
-        path = store._index_path(key)
+        path = store._path("indexes", key)
         path.write_bytes(b"\x80\x05garbage-truncated")
         assert store.load_index(key) is None
         assert not path.exists()  # dropped so a rebuild can replace it
@@ -386,7 +394,7 @@ class TestIndexTier:
     def test_gc_evicts_cold_indexes(self, tmp_path):
         store = ColumnStore(tmp_path)
         store.save_index(index_key("fp", "cold"), {"a": ("x",)})
-        old = store._index_path(index_key("fp", "cold"))
+        old = store._path("indexes", index_key("fp", "cold"))
         stale = 10 * 86400
         os.utime(old, (old.stat().st_atime - stale, old.stat().st_mtime - stale))
         store.save_index(index_key("fp", "hot"), {"b": ("y",)})
@@ -415,6 +423,25 @@ class TestIndexTier:
         store = ColumnStore(tmp_path)
         assert not store.save_index(index_key("fp", "bad"), lambda: None)
         assert store.stats().index_writes == 0
+
+
+class TestProbeLedgerTier:
+    @pytest.mark.parametrize(
+        "blob",
+        [b"\x80\x05garbage-truncated", pickle.dumps(["not", "a", "dict"])],
+        ids=["garbage", "non-dict"],
+    )
+    def test_corrupt_ledger_discarded_and_counted(self, tmp_path, blob):
+        store = ColumnStore(tmp_path)
+        assert store.save_probe_ledger("p" * 64, {"f" * 64: (3, 5)})
+        [path] = tmp_path.glob("probes-v1/*/*.pkl")
+        path.write_bytes(blob)
+        assert store.load_probe_ledger("p" * 64) is None
+        assert not path.exists()  # dropped so a rebuild can replace it
+        stats = store.stats()
+        assert stats.probe_invalid == 1 and stats.io_faults == 0
+        # Hits and misses are per entity, reported by the caller.
+        assert (stats.probe_hits, stats.probe_misses) == (0, 0)
 
 
 class TestConcurrentWriters:

@@ -158,34 +158,73 @@ def _store(tmp_path, **breaker_kwargs) -> ColumnStore:
     return ColumnStore(tmp_path / "cache", breaker=breaker)
 
 
-def test_transient_read_fault_is_a_miss_that_keeps_the_blob(tmp_path):
+#: Every store tier as ``(save(store, key, value), load(store, key),
+#: value)``; the fault seams must hold for each alike.
+TIERS = [
+    pytest.param(
+        (
+            ColumnStore.save,
+            lambda store, key: store.load(key, rows=64),
+            np.arange(64, dtype=np.float64),
+        ),
+        id="column",
+    ),
+    pytest.param(
+        (
+            ColumnStore.save_index,
+            ColumnStore.load_index,
+            {"berlin": ("b1", "b3"), "bonn": ("b2",)},
+        ),
+        id="index",
+    ),
+    pytest.param(
+        (
+            ColumnStore.save_probe_ledger,
+            ColumnStore.load_probe_ledger,
+            {"f" * 64: (3, 5, 8), "0" * 64: ()},
+        ),
+        id="probe-ledger",
+    ),
+]
+
+
+def _same(loaded, value) -> bool:
+    if isinstance(value, np.ndarray):
+        return loaded is not None and np.array_equal(loaded, value)
+    return loaded == value
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_transient_read_fault_is_a_miss_that_keeps_the_blob(tmp_path, tier):
+    save, load, value = tier
     store = _store(tmp_path)
-    column = np.arange(5, dtype=np.float64)
-    assert store.save("k" * 64, column)
+    assert save(store, "k" * 64, value)
 
     faults.install(FaultPlan.parse("store.read:io_error@n=1"))
-    assert store.load("k" * 64, rows=5) is None  # degraded to a miss
+    assert load(store, "k" * 64) is None  # degraded to a miss
     faults.install(None)
 
-    loaded = store.load("k" * 64, rows=5)  # the blob survived the fault
-    assert loaded is not None and np.array_equal(loaded, column)
+    # The blob survived the fault.
+    assert _same(load(store, "k" * 64), value)
     stats = store.stats()
-    assert stats.io_faults == 1 and stats.invalid == 0
+    assert stats.io_faults == 1
+    assert (stats.invalid, stats.index_invalid, stats.probe_invalid) == (0, 0, 0)
 
 
-def test_torn_write_never_publishes_partial_bytes(tmp_path):
+@pytest.mark.parametrize("tier", TIERS)
+def test_torn_write_never_publishes_partial_bytes(tmp_path, tier):
+    save, load, value = tier
     store = _store(tmp_path)
-    column = np.arange(64, dtype=np.float64)
     faults.install(FaultPlan.parse("store.write:torn@n=1"))
-    assert store.save("k" * 64, column) is False
+    assert save(store, "k" * 64, value) is False
     faults.install(None)
 
     # Nothing half-written is visible: the key is a clean miss, and a
     # rebuilt save round-trips exactly.
-    assert store.load("k" * 64, rows=64) is None
+    assert load(store, "k" * 64) is None
     assert not list((tmp_path / "cache").rglob("*.tmp*"))
-    assert store.save("k" * 64, column)
-    assert np.array_equal(store.load("k" * 64, rows=64), column)
+    assert save(store, "k" * 64, value)
+    assert _same(load(store, "k" * 64), value)
 
 
 def test_breaker_trips_bypasses_disk_and_half_opens(tmp_path):
@@ -217,6 +256,28 @@ def test_breaker_trips_bypasses_disk_and_half_opens(tmp_path):
     assert store.save("a" * 64, column)
     assert store.breaker.state == "closed"
     assert np.array_equal(store.load("a" * 64, rows=3), column)
+
+
+def test_probe_ledger_traffic_resets_and_closes_the_breaker(tmp_path):
+    """Ledger saves and loads are disk successes like any other: a save
+    between two faults resets the consecutive count, and a ledger load
+    is a valid half-open probe."""
+    clock = {"now": 0.0}
+    store = _store(
+        tmp_path, threshold=2, cooldown=10.0, clock=lambda: clock["now"]
+    )
+    ledger = {"f" * 64: (3, 5, 8)}
+    store.breaker.record_failure("disk hiccup")
+    assert store.save_probe_ledger("p" * 64, ledger)
+    store.breaker.record_failure("disk hiccup")
+    assert store.breaker.state == "closed"
+
+    store.breaker.record_failure("disk gone")
+    assert store.breaker.state == "open"
+    clock["now"] = 11.0
+    assert store.breaker.state == "half-open"
+    assert store.load_probe_ledger("p" * 64) == ledger
+    assert store.breaker.state == "closed"
 
 
 def test_breaker_reopens_on_a_failed_probe():
