@@ -52,7 +52,7 @@ def test_table13_representations(benchmark, results_dir):
     # (population 100, 3 runs, 20 % data) the full representation's
     # larger search space under-trains on the smallest dataset
     # (LinkedMDB, 100 links), so the tolerance is wider than at paper
-    # scale — see the Table 13 discussion in EXPERIMENTS.md.
+    # scale — see the bench-scale Table 13 numbers in ROADMAP.md, item 3.
     from repro.experiments.scale import current_scale
 
     tolerance = 0.03 if current_scale().name == "paper" else 0.12

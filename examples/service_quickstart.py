@@ -21,7 +21,7 @@ To run the same job through real queue workers instead, use the CLI
 (``docs/service.md`` has the full tour)::
 
     export REPRO_SERVICE_DIR=/tmp/repro-service
-    repro-experiments submit link restaurant
+    repro-experiments submit restaurant
     repro-experiments serve --drain --service-workers 2
     repro-experiments status
 """

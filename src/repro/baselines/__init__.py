@@ -1,17 +1,10 @@
-"""Baseline learners the paper compares against (Section 4).
+"""The baseline learner the paper compares against (Section 6.2).
 
-* :mod:`repro.baselines.carvalho` — the state-of-the-art GP approach of
-  de Carvalho et al. (TKDE 24(3), 2012), re-implemented from its
-  description: arithmetic function trees over pre-supplied
-  <attribute, similarity function> pairs.
-* :mod:`repro.baselines.linear` — a from-scratch logistic/linear
-  classifier over similarity features, standing in for the SVM-based
-  MARLIN system referenced in Section 4.
-* :mod:`repro.baselines.decision_tree` — CART-style induction of
-  threshold-based boolean classifiers (Definition 10), standing in for
-  Active Atlas / TAILOR.
-* :mod:`repro.baselines.fellegi_sunter` — the Fellegi-Sunter / Naive
-  Bayes statistical model [15, 32].
+:mod:`repro.baselines.carvalho` re-implements the state-of-the-art GP
+approach of de Carvalho et al. (TKDE 24(3), 2012) from its
+description: arithmetic function trees over pre-supplied
+<attribute, similarity function> pairs. Tables 7 and 8 compare GenLink
+with it on Cora and Restaurant.
 """
 
 from repro.baselines.carvalho import (
@@ -20,29 +13,10 @@ from repro.baselines.carvalho import (
     CarvalhoResult,
     SimilarityFeatures,
 )
-from repro.baselines.decision_tree import (
-    DecisionTreeClassifier,
-    DecisionTreeConfig,
-    TreeNode,
-)
-from repro.baselines.fellegi_sunter import (
-    FellegiSunterClassifier,
-    FellegiSunterConfig,
-    log_likelihood_ratio,
-)
-from repro.baselines.linear import LinearClassifier, LinearConfig
 
 __all__ = [
     "CarvalhoConfig",
     "CarvalhoGP",
     "CarvalhoResult",
     "SimilarityFeatures",
-    "DecisionTreeClassifier",
-    "DecisionTreeConfig",
-    "TreeNode",
-    "FellegiSunterClassifier",
-    "FellegiSunterConfig",
-    "log_likelihood_ratio",
-    "LinearClassifier",
-    "LinearConfig",
 ]

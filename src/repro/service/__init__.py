@@ -3,7 +3,7 @@
 The package turns the batch library into a long-lived service: clients
 submit learning, link-generation or delta jobs
 (:class:`~repro.service.service.LinkageService`), worker processes
-pull them from a pluggable queue (:mod:`repro.service.queue`) and
+pull them from a file-backed queue (:mod:`repro.service.queue`) and
 execute them through a shared :class:`~repro.engine.store.ColumnStore`
 cache dir (:mod:`repro.service.worker`), and every job's lifecycle —
 atomic state transitions, retry with backoff, the per-run
@@ -13,8 +13,8 @@ job store (:mod:`repro.service.jobs`).
 Service-path links are byte-identical to a direct
 :meth:`repro.matching.engine.MatchingEngine.execute` over the same
 inputs: workers run the very same engine, and the queue only decides
-*where* it runs. With no usable queue backend the service degrades to
-inline execution in the submitting process — same job records, same
+*where* it runs. With ``queue="inline"`` the service executes each
+submission in the submitting process instead — same job records, same
 links, no workers required.
 """
 
@@ -27,15 +27,7 @@ from repro.service.jobs import (
     JobStore,
     StaleJob,
 )
-from repro.service.queue import (
-    QUEUE_ENV,
-    REDIS_URL_ENV,
-    ClaimTicket,
-    FileQueue,
-    QueueBackend,
-    RedisQueue,
-    resolve_queue,
-)
+from repro.service.queue import QUEUE_ENV, ClaimTicket, FileQueue, resolve_queue
 from repro.service.service import DEADLINE_ENV, SERVICE_DIR_ENV, LinkageService
 from repro.service.worker import JobRunner, recover_stale, run_worker
 
@@ -44,7 +36,6 @@ __all__ = [
     "JOB_KINDS",
     "JOB_STATES",
     "QUEUE_ENV",
-    "REDIS_URL_ENV",
     "SERVICE_DIR_ENV",
     "ClaimTicket",
     "CorruptRecord",
@@ -54,8 +45,6 @@ __all__ = [
     "JobRunner",
     "JobStore",
     "LinkageService",
-    "QueueBackend",
-    "RedisQueue",
     "StaleJob",
     "recover_stale",
     "resolve_queue",

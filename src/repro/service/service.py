@@ -1,16 +1,14 @@
 """The client-facing service facade: submit, poll, fetch, health.
 
 :class:`LinkageService` binds the three service pieces — job store,
-queue backend, shared cache dir — behind the API a client (or the
+file queue, shared cache dir — behind the API a client (or the
 ``repro-experiments serve|submit|status|links`` commands) talks to.
 
-Degradation is a first-class mode, not an error path: when the
-configured queue backend is unavailable (``queue="redis"`` with no
-redis) or no backend is wanted (``queue="inline"``), submissions
-execute *inline* in the calling process, through the exact same job
-records, state transitions and engine code path the workers use. The
-only observable difference is where the work ran — links, stats and
-the record schema are identical, which is what the degradation tests
+With ``queue="inline"`` there is no queue: submissions execute in the
+calling process, through the exact same job records, state
+transitions, failure handling and engine code path the workers use.
+The only observable difference is where the work ran — links, stats
+and the record schema are identical, which is what the inline tests
 assert.
 """
 
@@ -22,21 +20,15 @@ import time
 from pathlib import Path
 
 from repro.engine.store import CACHE_ENV, ColumnStore
-from repro.faults import Cancelled, CancelToken
+from repro.faults import CancelToken
 from repro.matching.engine import GeneratedLink
-from repro.registry import (
-    MigrationError,
-    RegistryError,
-    RuleRef,
-    RuleRegistry,
-    SchemaGapError,
-    resolve_rules_dir,
-)
+from repro.registry import RegistryError, RuleRef, RuleRegistry, resolve_rules_dir
 from repro.service.jobs import JobRecord, JobStore
-from repro.service.queue import QueueBackend, resolve_queue
+from repro.service.queue import FileQueue, resolve_queue
 from repro.service.worker import (
     DEFAULT_LEASE,
     JobRunner,
+    failure_fields,
     live_workers,
     recover_stale,
 )
@@ -85,9 +77,9 @@ class LinkageService:
     inline path resolve the same directory, so any job warms all
     later jobs whatever executes them.
 
-    ``queue`` selects the backend (``file``, ``redis``, ``inline``;
-    ``None`` consults ``REPRO_SERVICE_QUEUE``). An unavailable backend
-    degrades to inline execution and :meth:`health` reports why.
+    ``queue`` selects the file queue (``file``) or inline execution
+    (``inline`` or ``none``); ``None`` consults ``REPRO_SERVICE_QUEUE``,
+    and any other value raises ``ValueError``.
 
     ``rules_dir`` names the rule registry jobs may reference rules from
     (``REPRO_RULES_DIR`` is consulted next, then ``<root>/rules``);
@@ -109,8 +101,7 @@ class LinkageService:
         self.store = JobStore(self.root)
         self._lease = lease
         self._max_attempts = max_attempts
-        self.queue: QueueBackend | None
-        self.queue, self._degraded_reason = resolve_queue(self.root, queue)
+        self.queue: FileQueue | None = resolve_queue(self.root, queue)
         if cache_dir is not None:
             self.cache_dir = cache_dir
         else:
@@ -131,12 +122,6 @@ class LinkageService:
     def inline(self) -> bool:
         """Whether submissions execute in this process (no queue)."""
         return self.queue is None
-
-    @property
-    def degraded_reason(self) -> str | None:
-        """Why the service fell back to inline execution, or ``None``
-        when inline was requested or a queue is active."""
-        return self._degraded_reason
 
     def close(self) -> None:
         """Release the inline runner's engine, if one was created."""
@@ -317,10 +302,11 @@ class LinkageService:
         return None
 
     def _run_inline(self, record: JobRecord) -> JobRecord:
-        """Degraded-mode execution: same transitions, same engine path,
-        no queue and no worker process. Deadlines apply exactly as they
-        do on workers — the run's token is checked at shard boundaries
-        and an expired budget fails the job terminally."""
+        """Inline execution: same transitions, same engine path and
+        same failure fields as a worker, but no queue, no worker process
+        and no retry. Deadlines apply exactly as they do on workers —
+        the run's token is checked at shard boundaries and an expired
+        budget fails the job terminally."""
         runner = self._runner()
         record = self.store.transition(
             record.job_id,
@@ -333,38 +319,10 @@ class LinkageService:
         token = CancelToken(deadline=record.deadline)
         try:
             links, stats, result = runner.run(record, self.store, cancel=token)
-        except Cancelled as cancelled:
-            return self.store.transition(
-                record.job_id,
-                "failed",
-                expect="running",
-                error=cancelled.reason,
-            )
-        except SchemaGapError as error:
-            # A rule about to run against a schema it has gaps on never
-            # scores silently: the job fails with the structured report.
-            return self.store.transition(
-                record.job_id,
-                "failed",
-                expect="running",
-                error=f"schema gap: {error}",
-                result={"gap_report": error.report.to_payload()},
-            )
-        except (RegistryError, MigrationError) as error:
-            # Registry state can't improve by retrying; inline runs have
-            # no retry anyway, but the error prefix matches the workers'.
-            return self.store.transition(
-                record.job_id,
-                "failed",
-                expect="running",
-                error=f"registry: {error}",
-            )
         except Exception as error:
+            fields, _ = failure_fields(error)
             return self.store.transition(
-                record.job_id,
-                "failed",
-                expect="running",
-                error=f"{type(error).__name__}: {error}",
+                record.job_id, "failed", expect="running", **fields
             )
         self.store.save_links(record.job_id, links)
         return self.store.transition(
@@ -472,21 +430,19 @@ class LinkageService:
     def health(self) -> dict:
         """One structured snapshot of queue, store, workers and jobs.
 
-        ``mode`` is ``"queue"`` or ``"inline"``; ``degraded_reason``
-        explains an involuntary fallback. ``workers`` lists liveness
-        records with a fresh heartbeat; ``store`` summarises the
-        shared persistent cache (including its circuit-breaker state).
+        ``mode`` is ``"queue"`` or ``"inline"``. ``workers`` lists
+        liveness records with a fresh heartbeat; ``store`` summarises
+        the shared persistent cache (including its circuit-breaker
+        state).
 
         ``degradations`` is the one schema every degraded path reports
         under: a list of ``{"component", "scope", "reason"}`` dicts,
-        where ``component`` is ``"queue"`` (backend fell back to
-        inline), ``"store"`` (a run recorded circuit-breaker trips via
-        ``MatchStats.degraded``) or ``"registry"`` (a job failed on
-        reference resolution or a schema gap), and ``scope`` is
-        ``"service"`` for service-wide conditions or the affected job
-        id. Empty means nothing degraded anywhere. Running the reaper
-        first means the snapshot reflects recovered state, not stale
-        claims.
+        where ``component`` is ``"store"`` (a run recorded
+        circuit-breaker trips via ``MatchStats.degraded``) or
+        ``"registry"`` (a job failed on reference resolution or a
+        schema gap), and ``scope`` is the affected job id. Empty means
+        nothing degraded anywhere. Running the reaper first means the
+        snapshot reflects recovered state, not stale claims.
         """
         if self.queue is not None:
             recover_stale(self.store, self.queue, lease=self._lease)
@@ -497,14 +453,6 @@ class LinkageService:
             except OSError:  # pragma: no cover - unreadable cache dir
                 store_info = None
         degradations: list[dict] = []
-        if self._degraded_reason:
-            degradations.append(
-                {
-                    "component": "queue",
-                    "scope": "service",
-                    "reason": self._degraded_reason,
-                }
-            )
         for record in self.store.records():
             for reason in (record.stats or {}).get("degraded") or []:
                 degradations.append(
@@ -527,7 +475,6 @@ class LinkageService:
                 )
         return {
             "mode": "inline" if self.queue is None else "queue",
-            "degraded_reason": self._degraded_reason,
             "queue": None if self.queue is None else self.queue.describe(),
             "jobs": self.store.state_counts(),
             "workers": live_workers(self.root, lease=self._lease),

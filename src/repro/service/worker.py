@@ -56,7 +56,7 @@ from repro.service.jobs import (
     StaleJob,
     _atomic_write_json,
 )
-from repro.service.queue import ClaimTicket, FileQueue, QueueBackend
+from repro.service.queue import ClaimTicket, FileQueue
 
 #: Seconds without a heartbeat after which a running job's claim is
 #: considered lost and the job is requeued.
@@ -377,6 +377,30 @@ def live_workers(
     return workers
 
 
+def failure_fields(error: Exception) -> tuple[dict, bool]:
+    """The ``failed`` transition fields for an exception a job run
+    raised, and whether a worker may retry it.
+
+    Cancellation, schema gaps and other registry or migration errors
+    are terminal: a deadline would expire again, an operator cancel
+    means stop, and registry state fails identically on every attempt.
+    A schema gap also carries its structured report as the record's
+    ``result``. Anything else is ``"<Type>: <msg>"`` and retryable.
+    Workers and inline runs both fail jobs through this, so a job's
+    error never depends on where it ran (inline runs never retry).
+    """
+    if isinstance(error, Cancelled):
+        return {"error": error.reason}, False
+    if isinstance(error, SchemaGapError):
+        return {
+            "error": f"schema gap: {error}",
+            "result": {"gap_report": error.report.to_payload()},
+        }, False
+    if isinstance(error, (RegistryError, MigrationError)):
+        return {"error": f"registry: {error}"}, False
+    return {"error": f"{type(error).__name__}: {error}"}, True
+
+
 def _backoff(attempts: int, base: float, cap: float) -> float:
     """Exponential retry delay: ``base * 2**(attempts-1)``, capped."""
     return min(cap, base * (2 ** max(0, attempts - 1)))
@@ -399,7 +423,7 @@ def _quiet(call, *args, **kwargs) -> bool:
 
 def recover_stale(
     store: JobStore,
-    queue: QueueBackend,
+    queue: FileQueue,
     lease: float = DEFAULT_LEASE,
     backoff_base: float = 0.5,
     max_backoff: float = 30.0,
@@ -477,7 +501,7 @@ def recover_stale(
 def run_worker(
     root: str | os.PathLike,
     worker_id: str | None = None,
-    queue: QueueBackend | None = None,
+    queue: FileQueue | None = None,
     cache_dir: str | None = None,
     rules_dir: str | None = None,
     drain: bool = False,
@@ -498,11 +522,12 @@ def run_worker(
     the job record from a background thread while executing, so the
     reaper can tell a slow job from a dead worker.
 
-    An idle worker blocks in ``queue.wait(poll_interval)``. The file
-    queue wakes it when a job is submitted or a backed-off retry
-    becomes eligible, so ``poll_interval`` bounds only the wait for
-    submitters that cannot ring its doorbell (and for backends that
-    just sleep), and the pace of the idle loop's reaper and heartbeat.
+    An idle worker blocks in ``queue.wait(poll_interval)``. The queue
+    wakes it when a job is submitted or a backed-off retry becomes
+    eligible, so ``poll_interval`` bounds only the wait for submitters
+    that cannot ring its doorbell (and for queues where no doorbell
+    could be made), and the pace of the idle loop's reaper and
+    heartbeat.
 
     ``rules_dir`` names the rule registry referencing jobs resolve
     against (``REPRO_RULES_DIR``, then ``<root>/rules`` — the same
@@ -591,40 +616,23 @@ def run_worker(
                 stop.set()
                 beat.join()
                 store.save_links(ticket.job_id, links)
-            except Cancelled as cancelled:
-                stop.set()
-                beat.join()
-                _handle_cancel(store, queue, ticket, worker_id, cancelled.reason)
-                continue
-            except (RegistryError, MigrationError) as error:
-                # Registry failures are terminal, never retried: a
-                # missing lineage, an unactivated ``@active`` or a
-                # schema gap will fail identically on every attempt.
-                stop.set()
-                beat.join()
-                if isinstance(error, SchemaGapError):
-                    message = f"schema gap: {error}"
-                    result = {"gap_report": error.report.to_payload()}
-                else:
-                    message = f"registry: {error}"
-                    result = None
-                _handle_terminal(
-                    store, queue, ticket, worker_id, message, result
-                )
-                continue
             except Exception as error:
                 stop.set()
                 beat.join()
-                _handle_failure(
-                    store,
-                    queue,
-                    ticket,
-                    record,
-                    worker_id,
-                    f"{type(error).__name__}: {error}",
-                    backoff_base,
-                    max_backoff,
-                )
+                fields, retryable = failure_fields(error)
+                if retryable:
+                    _handle_failure(
+                        store,
+                        queue,
+                        ticket,
+                        record,
+                        worker_id,
+                        fields["error"],
+                        backoff_base,
+                        max_backoff,
+                    )
+                else:
+                    _handle_terminal(store, queue, ticket, worker_id, fields)
                 continue
             try:
                 store.transition(
@@ -678,53 +686,24 @@ def _heartbeat_loop(
             token.cancel("cancelled")
 
 
-def _handle_cancel(
-    store: JobStore,
-    queue: QueueBackend,
-    ticket: ClaimTicket,
-    worker_id: str,
-    reason: str,
-) -> None:
-    """Terminal bookkeeping after a cancelled/deadlined run.
-
-    Cancellation never retries: a deadline would expire again and an
-    operator cancel means stop. The job fails terminally with the
-    cancel reason (``deadline`` or ``cancelled``) as its error."""
-    try:
-        store.transition(
-            ticket.job_id,
-            "failed",
-            expect="running",
-            expect_worker=worker_id,
-            error=reason,
-            heartbeat_at=time.time(),
-        )
-    except (StaleJob, InvalidTransition, OSError):
-        pass
-    _quiet(queue.ack, ticket)
-
-
 def _handle_terminal(
     store: JobStore,
-    queue: QueueBackend,
+    queue: FileQueue,
     ticket: ClaimTicket,
     worker_id: str,
-    error: str,
-    result: dict | None = None,
+    fields: dict,
 ) -> None:
     """Fail a job with no retry, regardless of remaining attempts —
-    used for registry and schema-gap failures, whose outcome is
-    deterministic across attempts. ``result`` optionally carries a
-    structured payload (the gap report) onto the record."""
-    fields: dict = {"error": error, "heartbeat_at": time.time()}
-    if result is not None:
-        fields["result"] = result
+    used for the terminal failures of :func:`failure_fields`
+    (cancellation, registry errors, schema gaps), whose ``fields``
+    it records."""
     try:
         store.transition(
             ticket.job_id,
             "failed",
             expect="running",
             expect_worker=worker_id,
+            heartbeat_at=time.time(),
             **fields,
         )
     except (StaleJob, InvalidTransition, OSError):
@@ -734,7 +713,7 @@ def _handle_terminal(
 
 def _handle_failure(
     store: JobStore,
-    queue: QueueBackend,
+    queue: FileQueue,
     ticket: ClaimTicket,
     record: JobRecord,
     worker_id: str,

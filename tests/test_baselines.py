@@ -1,4 +1,4 @@
-"""Tests for the Carvalho GP and linear classifier baselines."""
+"""Tests for the Carvalho GP baseline."""
 
 import random
 
@@ -13,7 +13,6 @@ from repro.baselines.carvalho import (
     FeatureRef,
     SimilarityFeatures,
 )
-from repro.baselines.linear import LinearClassifier, LinearConfig
 from repro.data.entity import Entity
 from repro.data.reference_links import ReferenceLinkSet
 from repro.data.source import DataSource
@@ -134,29 +133,3 @@ class TestCarvalhoGP:
         result = learner.learn(source_a, source_b, links, rng=4)
         assert isinstance(result.render(), str)
 
-
-class TestLinearClassifier:
-    def test_learns_simple_task(self):
-        source_a, source_b, links = _task()
-        classifier = LinearClassifier(LinearConfig(epochs=200))
-        train_f1 = classifier.learn(source_a, source_b, links, rng=1)
-        assert train_f1 >= 0.95
-
-    def test_fit_matrix_directly(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((100, 3))
-        y = x[:, 0] > 0.5  # linearly separable on feature 0
-        classifier = LinearClassifier(LinearConfig(epochs=500))
-        classifier.fit_matrix(x, y)
-        accuracy = (classifier.predict_matrix(x) == y).mean()
-        assert accuracy > 0.9
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            LinearClassifier().predict_matrix(np.zeros((1, 2)))
-
-    def test_f_measure_on_heldout(self):
-        source_a, source_b, links = _task()
-        classifier = LinearClassifier()
-        classifier.learn(source_a, source_b, links, rng=1)
-        assert classifier.f_measure(source_a, source_b, links) >= 0.9

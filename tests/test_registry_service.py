@@ -11,8 +11,8 @@ import pytest
 from repro.datasets import load_dataset
 from repro.matching.engine import MatchingEngine
 from repro.matching.incremental import dataset_rule
-from repro.registry import RuleRef
-from repro.service import REDIS_URL_ENV, LinkageService, run_worker
+from repro.registry import RuleRef, check_rule
+from repro.service import LinkageService, run_worker
 
 DATASET = "restaurant"
 SCALE = 0.3
@@ -193,14 +193,26 @@ def test_direct_engine_scores_gap_rule_silently_to_zero():
     assert direct_links(rule=_gap_rule()) == []
 
 
-def test_service_refuses_gap_rule_with_structured_report(service):
+@pytest.mark.parametrize("queue", ["inline", "file"])
+def test_service_refuses_gap_rule_with_structured_report(tmp_path, queue):
     from repro.core.serialization import rule_to_dict
 
-    record = service.submit(
-        "link", dataset=DATASET, scale=SCALE, rule=rule_to_dict(_gap_rule())
-    )
-    assert record.state == "failed"
-    assert record.error.startswith("schema gap:")
+    with LinkageService(root=tmp_path / "svc", queue=queue) as service:
+        record = service.submit(
+            "link", dataset=DATASET, scale=SCALE, rule=rule_to_dict(_gap_rule())
+        )
+        if queue == "file":
+            run_worker(service.root, drain=True)
+            # Terminal on the first attempt, and the ticket is acked.
+            assert service.queue.depth() == 0 and not service.queue.claimed()
+            record = service.status(record.job_id)
+    assert record.state == "failed" and record.attempts == 1
+    # Inline and worker runs record the same error and report: the
+    # registry's own check of the rule against the live schemas.
+    dataset = load_dataset(DATASET, scale=SCALE)
+    expected = check_rule(_gap_rule(), dataset.source_a, dataset.source_b)
+    assert record.error == f"schema gap: {expected.describe()}"
+    assert record.result == {"gap_report": expected.to_payload()}
     report = record.result["gap_report"]
     assert report["ok"] is False
     gaps = report["gaps"]
@@ -318,18 +330,3 @@ def test_health_reports_registry_degradations(service):
     assert len(registry_entries) == 1
     assert registry_entries[0]["scope"] == record.job_id
     assert registry_entries[0]["reason"].startswith("registry:")
-
-
-def test_health_reports_queue_degradation_under_same_schema(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_SERVICE_QUEUE", raising=False)
-    monkeypatch.setenv(REDIS_URL_ENV, "redis://nowhere.invalid:1/0")
-    with LinkageService(root=tmp_path / "svc", queue="redis") as svc:
-        health = svc.health()
-    queue_entries = [
-        entry
-        for entry in health["degradations"]
-        if entry["component"] == "queue"
-    ]
-    assert len(queue_entries) == 1
-    assert queue_entries[0]["scope"] == "service"
-    assert queue_entries[0]["reason"] == svc.degraded_reason

@@ -1,13 +1,13 @@
-"""The linkage job service: lifecycle, queue, degradation, recovery.
+"""The linkage job service: lifecycle, queue, inline mode, recovery.
 
 The contracts under test, in the order an operator cares about them:
 
 - **Byte-parity** — a job's links are identical to calling
   ``MatchingEngine.execute`` directly, whether the job ran inline
-  (degraded, no queue) or through file-queue workers.
-- **Degradation** — an unavailable backend falls back to inline
-  execution with a recorded reason; links and record schema do not
-  change.
+  (no queue) or through file-queue workers.
+- **Queue selection** — the file queue is the default, ``inline`` and
+  ``none`` choose in-process execution, and any other value is refused
+  rather than silently degraded.
 - **Crash recovery** — a worker dying mid-job (stale heartbeat)
   leads to a backoff retry that completes the job; exhausted attempt
   budgets fail it with the error recorded.
@@ -113,54 +113,39 @@ def test_file_queue_orders_and_claims_exactly_once(tmp_path):
 
 def test_resolve_queue_backends(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_SERVICE_QUEUE", raising=False)
-    queue, reason = resolve_queue(tmp_path)
-    assert isinstance(queue, FileQueue) and reason is None
-
-    queue, reason = resolve_queue(tmp_path, "inline")
-    assert queue is None and reason is None  # chosen, not degraded
+    assert isinstance(resolve_queue(tmp_path), FileQueue)
+    assert resolve_queue(tmp_path, "inline") is None
 
     monkeypatch.setenv("REPRO_SERVICE_QUEUE", "none")
-    queue, reason = resolve_queue(tmp_path)
-    assert queue is None and reason is None
+    assert resolve_queue(tmp_path) is None
 
     with pytest.raises(ValueError):
         resolve_queue(tmp_path, "carrier-pigeon")
 
 
-# -- degradation -------------------------------------------------------------
+def test_unknown_queue_is_refused_not_degraded(tmp_path, monkeypatch):
+    # A queue the service does not have fails construction, naming the
+    # choices, instead of quietly running every submission inline.
+    with pytest.raises(ValueError, match="file.*inline"):
+        LinkageService(root=tmp_path, queue="redis")
+    monkeypatch.setenv("REPRO_SERVICE_QUEUE", "redis")
+    with pytest.raises(ValueError, match="file.*inline"):
+        LinkageService(root=tmp_path)
+
+
+# -- inline execution --------------------------------------------------------
 
 
 def test_inline_service_matches_direct_execution(tmp_path):
     with LinkageService(root=tmp_path, queue="inline") as service:
-        assert service.inline and service.degraded_reason is None
+        assert service.inline and not hasattr(service, "degraded_reason")
+        assert "degraded_reason" not in service.health()
         record = service.submit("link", dataset=DATASET, seed=0, scale=SCALE)
         assert record.state == "succeeded"
         assert record.worker == "inline" and record.attempts == 1
         assert record.stats is not None and record.stats["links"] > 0
         links = service.links(record.job_id)
     assert links == direct_links()
-
-
-def test_unavailable_backend_degrades_with_reason(tmp_path):
-    # The container deliberately has no redis server; requesting the
-    # redis backend must degrade to inline, not fail, and the links
-    # must be the same as any other execution mode.
-    try:
-        import redis  # noqa: F401 - probe only
-    except ImportError:
-        pass
-    else:  # pragma: no cover - environment-dependent
-        from repro.service import RedisQueue
-
-        if RedisQueue.available():
-            pytest.skip("a live redis server is reachable here")
-    with LinkageService(root=tmp_path, queue="redis") as service:
-        assert service.inline
-        assert "redis" in (service.degraded_reason or "")
-        record = service.submit("link", dataset=DATASET, seed=0, scale=SCALE)
-        assert record.state == "succeeded"
-        assert service.links(record.job_id) == direct_links()
-        assert service.health()["degraded_reason"] == service.degraded_reason
 
 
 def test_inline_failure_is_recorded_not_raised(tmp_path):
@@ -407,7 +392,7 @@ def test_health_reports_queue_jobs_workers_and_store(tmp_path):
     )
 
     health = service.health()
-    assert health["mode"] == "queue" and health["degraded_reason"] is None
+    assert health["mode"] == "queue" and "degraded_reason" not in health
     assert health["queue"]["backend"] == "file"
     assert health["queue"]["depth"] == 0
     assert health["queue"]["wake"] == "doorbell"  # idle workers wake on submit
