@@ -20,6 +20,11 @@ must never buy a different result. ``tests/test_probe_parity.py``
 additionally pins batch probing to the frozen probe loops
 property-based.
 
+The frozen MultiBlock loops read transformed values through
+:class:`SeedValueMemo`, a plain per-(value signature, entity) memo
+standing in for the per-entity session value cache they were written
+against, so they keep measuring the same work.
+
 Do not "improve" this module; its value is being frozen.
 """
 
@@ -30,8 +35,29 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.data.entity import Entity
 from repro.data.source import DataSource
+from repro.engine.compiler import RuleCompiler
+from repro.engine.values import evaluate_value_op
+from repro.transforms.registry import default_registry as default_transforms
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+class SeedValueMemo:
+    """Transformed values per (value signature, entity) in a plain
+    dict — what the frozen MultiBlock loops look values up in."""
+
+    def __init__(self):
+        self._compiler = RuleCompiler()
+        self._transforms = default_transforms()
+        self._memo: dict[tuple, tuple[str, ...]] = {}
+
+    def entity_values(self, node, entity: Entity) -> tuple[str, ...]:
+        key = (self._compiler.value_signature(node), entity)
+        values = self._memo.get(key)
+        if values is None:
+            values = evaluate_value_op(node, entity, self._transforms)
+            self._memo[key] = values
+        return values
 
 
 def _tokens_of(entity: Entity, properties: Iterable[str]) -> set[str]:
@@ -163,7 +189,7 @@ def seed_token_probe(
 
 
 def seed_multiblock_node_candidates(
-    node, entity: Entity, indexes: dict, all_uids: frozenset, session
+    node, entity: Entity, indexes: dict, all_uids: frozenset, memo
 ) -> frozenset:
     """The pre-batch per-entity MultiBlock candidate algebra: probe
     keys derived afresh for every entity (no memoisation across
@@ -174,14 +200,14 @@ def seed_multiblock_node_candidates(
         index = indexes.get(id(node))
         if index is None:
             return all_uids
-        values = session.entity_values(node.source, entity)
+        values = memo.entity_values(node.source, entity)
         uids: set[str] = set()
         for key in index.indexer.probe_keys(values):
             uids.update(index.blocks.get(key, ()))
         return frozenset(uids)
     assert isinstance(node, AggregationNode)
     child_sets = [
-        seed_multiblock_node_candidates(child, entity, indexes, all_uids, session)
+        seed_multiblock_node_candidates(child, entity, indexes, all_uids, memo)
         for child in node.operators
     ]
     if node.function == "min":
@@ -222,7 +248,7 @@ def seed_token_probe_kernel(
 
 
 def seed_multiblock_probe_kernel(
-    rule, source_a: DataSource, indexes: dict, all_uids: frozenset, session
+    rule, source_a: DataSource, indexes: dict, all_uids: frozenset, memo
 ) -> list[tuple[str, list[str]]]:
     """The probe kernel of the pre-batch MultiBlock loop — one
     recursive candidate-algebra evaluation per entity plus the
@@ -230,7 +256,7 @@ def seed_multiblock_probe_kernel(
     out: list[tuple[str, list[str]]] = []
     for entity_a in source_a:
         uids = seed_multiblock_node_candidates(
-            rule.root, entity_a, indexes, all_uids, session
+            rule.root, entity_a, indexes, all_uids, memo
         )
         out.append((entity_a.uid, sorted(uids)))
     return out
@@ -241,7 +267,7 @@ def seed_multiblock_probe(
     source_a: DataSource,
     source_b: DataSource,
     indexes: dict,
-    session,
+    memo,
 ) -> Iterator[tuple[Entity, Entity]]:
     """The pre-batch ``MultiBlocker`` probe loop: per A entity, one
     recursive candidate-algebra evaluation, partners emitted in sorted
@@ -251,7 +277,7 @@ def seed_multiblock_probe(
     dedup = source_a is source_b
     for entity_a in source_a:
         uids = seed_multiblock_node_candidates(
-            rule.root, entity_a, indexes, all_uids, session
+            rule.root, entity_a, indexes, all_uids, memo
         )
         for uid in sorted(uids):
             if dedup and entity_a.uid >= uid:

@@ -792,6 +792,7 @@ def test_blocking_probe_speedup():
     reference engine replaying the frozen probes' candidate pairs.
     """
     from _seed_blocking import (
+        SeedValueMemo,
         seed_multiblock_probe,
         seed_multiblock_probe_kernel,
         seed_token_probe,
@@ -816,7 +817,7 @@ def test_blocking_probe_speedup():
     token_index = token_blocker.build_index(source_b)
     multi = MultiBlocker(rule)
     multi_indexes = multi.build_index(source_b)
-    seed_session = EngineSession()
+    seed_memo = SeedValueMemo()
     all_uids = frozenset(entity.uid for entity in source_b)
 
     runs = 2  # one learning pass + one matching pass, the minimum
@@ -825,7 +826,7 @@ def test_blocking_probe_speedup():
         for _ in range(runs):
             seed_token_probe_kernel(source_a, token_index, props)
             seed_multiblock_probe_kernel(
-                rule, source_a, multi_indexes, all_uids, seed_session
+                rule, source_a, multi_indexes, all_uids, seed_memo
             )
 
     def batch_workload():
@@ -854,7 +855,7 @@ def test_blocking_probe_speedup():
     batch_multi = multi.probe_batch(entities, multi_probe_index)
     for (uid_a, partners), codes in zip(
         seed_multiblock_probe_kernel(
-            rule, source_a, multi_indexes, all_uids, seed_session
+            rule, source_a, multi_indexes, all_uids, seed_memo
         ),
         batch_multi,
     ):
@@ -889,7 +890,7 @@ def test_blocking_probe_speedup():
             bundle = load_dataset(name, seed=23, scale=scale)
             a, b = bundle.source_a, bundle.source_b
             bundle_rule = _probe_rule(a, b)
-            reference_session = EngineSession()
+            reference_memo = SeedValueMemo()
             multi_reference = MultiBlocker(bundle_rule)
 
             def seed_pairs_of(label):
@@ -908,7 +909,7 @@ def test_blocking_probe_speedup():
                         a,
                         b,
                         multi_reference.build_index(b),
-                        reference_session,
+                        reference_memo,
                     )
                 )
 

@@ -192,8 +192,9 @@ class PairEvaluator:
         Only relevant when sharing a session across many short-lived
         evaluators: released entries can never hit again once the
         evaluator is discarded, and releasing keeps them from crowding
-        out live ones. The entity-keyed value tier stays. Usable as a
-        context manager: ``with PairEvaluator(pairs, session=s) as ev:``.
+        out live ones. Value columns of source states stay; those of an
+        ad-hoc pair list go with the evaluator. Usable as a context
+        manager: ``with PairEvaluator(pairs, session=s) as ev:``.
         """
         self._session.release_context(self._context)
 

@@ -13,6 +13,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from repro.data.entity import Entity
+from repro.data.pairs import PairBatch
 from repro.data.source import DataSource
 
 Link = tuple[str, str]
@@ -55,14 +56,19 @@ class ReferenceLinkSet:
 
     def labelled_pairs(
         self, source_a: DataSource, source_b: DataSource
-    ) -> tuple[list[tuple[Entity, Entity]], list[bool]]:
-        """Resolve links to entity pairs plus a parallel label list."""
+    ) -> tuple[PairBatch, list[bool]]:
+        """Resolve links to entity pairs plus a parallel label list.
+
+        The pairs come as a :class:`~repro.data.pairs.PairBatch` that
+        carries both sides' source positions, so every context over it
+        — training and validation alike — gathers transformed values
+        from the sources' shared value columns."""
         pairs: list[tuple[Entity, Entity]] = []
         labels: list[bool] = []
         for (uid_a, uid_b), label in self:
             pairs.append((source_a.get(uid_a), source_b.get(uid_b)))
             labels.append(label)
-        return pairs, labels
+        return PairBatch.from_pairs(pairs, source_a, source_b), labels
 
     def subset(self, indices: Sequence[int]) -> "ReferenceLinkSet":
         """A new link set containing the links at the given indices.

@@ -9,10 +9,15 @@ average fraction of entities on which a property is actually set.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.data.entity import Entity
+
+#: Serial numbers of source states (see :attr:`SourceState.key`).
+_STATE_SERIALS = itertools.count()
 
 # Upper bound on the retained delta log. The log exists so persisted
 # index payloads a few epochs old can be patched forward instead of
@@ -59,6 +64,49 @@ class SourceDelta:
         return bool(self.upserts or self.deletes)
 
 
+class SourceState:
+    """The entities of one data-source state, by position.
+
+    Position ``p`` always names the same entity: a :class:`DataSource`
+    starts a new state whenever its content changes, and an ad-hoc
+    state over a pair list's entities never changes at all. That makes
+    a state the unit the engine keeps transformed value columns for —
+    a column slot is filled once per (value op, state, position) and
+    dies with the state. ``key`` names the state across processes
+    (process-pool shards ship keys and positions, not sources); the
+    uid -> position map is built on first use.
+    """
+
+    __slots__ = ("entities", "key", "_positions", "__weakref__")
+
+    def __init__(self, entities: list[Entity]):
+        self.entities = entities
+        self.key = (os.getpid(), next(_STATE_SERIALS))
+        self._positions: dict[str, int] | None = None
+
+    def position(self, uid: str) -> int:
+        """The position of the entity with ``uid`` (KeyError if none)."""
+        return self._position_map()[uid]
+
+    def positions_of(self, entities: Sequence[Entity]) -> list[int | None]:
+        """Each entity's position, or None where the entity is not this
+        state's own (a displaced version, or one from elsewhere)."""
+        get = self._position_map().get
+        own = self.entities
+        found: list[int | None] = []
+        for entity in entities:
+            p = get(entity.uid)
+            found.append(p if p is not None and own[p] is entity else None)
+        return found
+
+    def _position_map(self) -> dict[str, int]:
+        positions = self._positions
+        if positions is None:
+            positions = {entity.uid: p for p, entity in enumerate(self.entities)}
+            self._positions = positions
+        return positions
+
+
 class DataSource:
     """An ordered, uid-keyed collection of entities."""
 
@@ -67,6 +115,7 @@ class DataSource:
         self._entities: dict[str, Entity] = {}
         self._fingerprint: str | None = None
         self._delta_log: list[SourceDelta] = []
+        self._state: SourceState | None = None
         for entity in entities:
             self.add(entity)
 
@@ -83,6 +132,7 @@ class DataSource:
         # and void the lineage so nothing tries to patch across it.
         self._fingerprint = None
         self._delta_log.clear()
+        self._state = None
 
     def apply_delta(
         self,
@@ -110,6 +160,7 @@ class DataSource:
         if not delete_uids and not upsert_list:
             return SourceDelta(parent_fingerprint=parent, fingerprint=parent)
 
+        self._state = None
         removed: list[Entity] = []
         for uid in delete_uids:
             try:
@@ -185,6 +236,16 @@ class DataSource:
             cached = digest.hexdigest()
             self._fingerprint = cached
         return cached
+
+    def state(self) -> SourceState:
+        """The current :class:`SourceState`: created on first use and
+        replaced by the next :meth:`add` or :meth:`apply_delta`, so
+        readers holding an older state keep reading that state."""
+        state = self._state
+        if state is None:
+            state = SourceState(list(self._entities.values()))
+            self._state = state
+        return state
 
     def get(self, uid: str) -> Entity:
         try:

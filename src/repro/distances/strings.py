@@ -82,9 +82,10 @@ class StringKernelMemo:
     * per distinct **string**: its int32 code-point array (levenshtein
       and jaro kernels);
     * per distinct **value tuple** (identity-keyed; the engine hands
-      out one tuple object per unique entity and keeps it alive in the
-      value cache): its sorted-unique token-code array over a shared
-      interning table (jaccard/dice/overlap set algebra);
+      out one tuple object per filled value-column slot — one per
+      entity of a source state — and the column keeps it alive while
+      its source state lives): its sorted-unique token-code array over
+      a shared interning table (jaccard/dice/overlap set algebra);
     * per **measure name**: counts of pairs the engine scored through a
       batch kernel vs the inherited per-pair fallback, surfaced as
       ``EngineStats.kernel_routing``.
@@ -172,7 +173,7 @@ class BoundedValueMemo:
     Used by the token-based measures to stop re-tokenising each value
     on every scalar call: the derived data (token lists) is cached per
     distinct value tuple, keyed by identity — the engine hands out one
-    tuple object per unique entity — with the tuple kept alive in the
+    tuple object per value-column slot — with the tuple kept alive in the
     entry so its id cannot be recycled while cached. At the bound the
     table is dropped wholesale, the probe-memo policy.
     """

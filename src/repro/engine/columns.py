@@ -8,7 +8,12 @@ A entity against a whole block of B candidates), so this collapses both
 the number of transformation evaluations and the per-pair dict lookups
 the seed evaluator paid on its hot path. Blockers hand over batches
 directly; any other pair sequence is factored by
-:meth:`PairBatch.from_pairs`. Distance columns stay per entity as well:
+:meth:`PairBatch.from_pairs`. A batch side cut from a data source
+carries its entities' source positions, and its value column is a
+gather from the session's column of that source state
+(:class:`~repro.engine.values.ValueColumns`), so every shard, probe
+and context over one source shares each entity's transformed values
+without hashing an entity. Distance columns stay per entity as well:
 each measure receives one :class:`~repro.distances.base.IndexedColumn`
 per side, the side's value column plus the batch's index array, so no
 list of value tuples is built per pair.
@@ -22,23 +27,26 @@ import numpy as np
 
 from repro.data.entity import Entity
 from repro.data.pairs import PairBatch
+from repro.data.source import SourceState
 from repro.distances.base import IndexedColumn, kept_rows
 from repro.distances.registry import DistanceRegistry
 from repro.distances.strings import StringKernelMemo
 from repro.engine.compiler import ComparisonOp, signature_token
 from repro.engine.lru import LRUCache
 from repro.engine.store import ColumnStore, column_key, pairs_fingerprint
-from repro.engine.values import evaluate_value_op
-from repro.transforms.registry import TransformationRegistry
+from repro.engine.values import ValueColumns
 
 
 class PairStore:
     """Pair topology plus materialised value and distance columns.
 
-    The store owns nothing persistent itself: the value cache (shared
-    across stores, keyed by entity) and the distance-column cache
+    The store owns nothing persistent itself: the value columns (per
+    source state, shared across stores) and the distance-column cache
     (keyed per store) are handed in by the owning session, which
-    enforces the LRU bounds and aggregates statistics.
+    enforces the bounds and aggregates statistics. A batch side with no
+    source state — an ad-hoc pair list — gets a state of its own over
+    its distinct entities, so its value column lives and dies with
+    this store.
     """
 
     def __init__(
@@ -46,23 +54,36 @@ class PairStore:
         pairs: "PairBatch | Sequence[tuple[Entity, Entity]]",
         store_id: int,
         distances: DistanceRegistry,
-        transforms: TransformationRegistry,
-        value_cache: LRUCache,
+        value_columns: ValueColumns,
         column_cache: LRUCache,
         persistent_store: ColumnStore | None = None,
         string_memo: StringKernelMemo | None = None,
     ):
-        self._batch = PairBatch.from_pairs(pairs)
+        batch = PairBatch.from_pairs(pairs)
+        self._batch = batch
+        self._local_states: list[SourceState] = []
+        #: side -> (entities, state, positions) the value columns
+        #: gather by; ``local_states`` are the ad-hoc ones.
+        self._sides = {
+            "a": self._side(batch.entities_a, batch.state_a, batch.positions_a),
+            "b": self._side(batch.entities_b, batch.state_b, batch.positions_b),
+        }
         self._store_id = store_id
         self._distances = distances
-        self._transforms = transforms
-        self._value_cache = value_cache
+        self._value_columns = value_columns
         self._column_cache = column_cache
         self._persistent_store = persistent_store
         self._string_memo = string_memo
         #: Content fingerprint of the pair list, computed on first
         #: persistent lookup (hashing is wasted work without a store).
         self._pairs_fingerprint: str | None = None
+
+    def _side(self, entities, state, positions) -> tuple:
+        if state is None:
+            state = SourceState(entities)
+            self._local_states.append(state)
+            return entities, state, range(len(entities))
+        return entities, state, positions.tolist()
 
     @property
     def pairs(self) -> list[tuple[Entity, Entity]]:
@@ -71,31 +92,24 @@ class PairStore:
     def __len__(self) -> int:
         return len(self._batch)
 
+    @property
+    def local_states(self) -> list[SourceState]:
+        """The ad-hoc states of this store's source-less sides."""
+        return self._local_states
+
     # -- value columns --------------------------------------------------------
     def value_column(
         self, sig, node, side: str
     ) -> list[tuple[str, ...]]:
         """Transformed value tuples of a value op, one per unique entity
-        on the given side ('a' = pair sources, 'b' = pair targets)."""
-        batch = self._batch
-        entities = batch.entities_a if side == "a" else batch.entities_b
-        cache = self._value_cache
-        transforms = self._transforms
-        column: list[tuple[str, ...]] = []
-        for entity in entities:
-            # Keyed by the entity itself (not its uid): hashing costs the
-            # uid hash, while equality protects a long-lived session from
-            # uid collisions across unrelated sources. The pair side is
-            # deliberately absent — transformed values depend only on
-            # (value op, entity), so dedup workloads where an entity
-            # appears on both sides share one entry.
-            key = (sig, entity)
-            values = cache.get(key)
-            if values is None:
-                values = evaluate_value_op(node, entity, transforms)
-                cache.put(key, values)
-            column.append(values)
-        return column
+        on the given side ('a' = pair sources, 'b' = pair targets),
+        gathered from the session's column of the side's source state
+        at the side's positions. The pair side is deliberately absent
+        from the column key — transformed values depend only on (value
+        op, entity) — so dedup workloads, whose two sides share one
+        source state, share one column."""
+        entities, state, positions = self._sides[side]
+        return self._value_columns.gather(sig, node, state, positions, entities)
 
     # -- distance columns -----------------------------------------------------
     def distance_column(self, op: ComparisonOp) -> np.ndarray:

@@ -122,7 +122,7 @@ class ProcessExecutor(Executor):
     Submitted callables and their arguments must be picklable (use
     module-level functions). Worker processes keep their own module
     state between tasks, which shard consumers exploit to hold one
-    per-process engine session whose value cache persists across
+    per-process engine session whose value columns persist across
     shards.
     """
 

@@ -1,13 +1,17 @@
 """The persistent rule-execution engine session.
 
-An :class:`EngineSession` owns the compiler and the in-memory LRU
-cache tiers, and hands out :class:`PairContext` objects bound to
-concrete pair lists:
+An :class:`EngineSession` owns the compiler and the in-memory cache
+tiers, and hands out :class:`PairContext` objects bound to concrete
+pair lists:
 
-* **value tier** (session-wide, keyed by entity): transformed value
-  tuples per (value op, entity). Survives across contexts, so a
-  matching run that streams 4096-pair batches re-uses every entity's
-  transformed values from earlier batches;
+* **value tier** (session-wide, keyed by value op × source state):
+  transformed value columns, filled lazily at the source positions
+  readers gather (:class:`~repro.engine.values.ValueColumns`). Shards,
+  MultiBlock probes and learning contexts over one source state all
+  read the same column, so a matching run that streams 4096-pair
+  batches evaluates each entity's values once; a column is freed with
+  the source state it describes, and an ad-hoc pair list's column with
+  its context;
 * **column tier** (keyed per context): threshold-free distance columns
   per comparison op. Shared by every rule and every threshold mutation
   within a context;
@@ -41,6 +45,7 @@ import numpy as np
 from repro.core.nodes import SimilarityNode, ValueNode
 from repro.data.entity import Entity
 from repro.data.pairs import PairBatch
+from repro.data.source import SourceState
 from repro.distances.registry import DistanceRegistry
 from repro.distances.registry import default_registry as default_distances
 from repro.distances.strings import StringKernelMemo
@@ -58,6 +63,7 @@ from repro.engine.executor import Executor, resolve_executor
 from repro.engine.kernels import aggregate_scores, threshold_scores
 from repro.engine.lru import CacheStats, LRUCache
 from repro.engine.store import ColumnStore, StoreStats, index_key, resolve_store
+from repro.engine.values import ValueColumns
 from repro.transforms.registry import TransformationRegistry
 from repro.transforms.registry import default_registry as default_transforms
 
@@ -172,7 +178,9 @@ class EngineSession:
             transforms if transforms is not None else default_transforms()
         )
         self._compiler = RuleCompiler()
-        self._value_cache = LRUCache(max_value_entries)
+        #: Transformed value columns; ``max_value_entries`` bounds
+        #: their filled slots.
+        self._values = ValueColumns(max_value_entries, self._transforms)
         self._column_cache = LRUCache(max_column_entries)
         self._score_cache = LRUCache(max_score_entries)
         #: Blocking indexes keyed (source fingerprint, blocker token).
@@ -245,28 +253,30 @@ class EngineSession:
             pairs,
             store_id=context_id,
             distances=self._distances,
-            transforms=self._transforms,
-            value_cache=self._value_cache,
+            value_columns=self._values,
             column_cache=self._column_cache,
             persistent_store=self._store,
             string_memo=self._string_memo,
         )
         return PairContext(self, store, context_id)
 
-    # -- standalone value evaluation ------------------------------------------
-    def entity_values(self, node: ValueNode, entity: Entity) -> tuple[str, ...]:
-        """Transformed values of one value tree for one entity, through
-        the session value cache (used by blocking-index construction so
-        index keys share work with rule evaluation)."""
-        sig = self._compiler.value_signature(node)
-        key = (sig, entity)
-        values = self._value_cache.get(key)
-        if values is None:
-            from repro.engine.values import evaluate_value_op
-
-            values = evaluate_value_op(node, entity, self._transforms)
-            self._value_cache.put(key, values)
-        return values
+    # -- value columns ---------------------------------------------------------
+    def value_tuples(
+        self,
+        node: ValueNode,
+        state: SourceState,
+        positions: Sequence[int],
+        entities: Sequence[Entity] | None = None,
+    ) -> list[tuple[str, ...]]:
+        """Transformed values of one value tree at ``positions`` of a
+        source state, gathered from the session's column of that state
+        (filled where empty; ``entities`` are the entities at those
+        positions, the state's own by default). Blocking-index
+        construction and probing read values here, so index keys share
+        every evaluation with the rule scoring that follows."""
+        return self._values.gather(
+            self._compiler.value_signature(node), node, state, positions, entities
+        )
 
     # -- blocking indexes ------------------------------------------------------
     def blocking_index(
@@ -372,24 +382,27 @@ class EngineSession:
 
     # -- maintenance ----------------------------------------------------------
     def release_context(self, context: "PairContext") -> None:
-        """Evict a context's column- and score-tier entries.
+        """Evict a context's column- and score-tier entries, and the
+        value columns of its ad-hoc (source-less) pair sides.
 
         Column and score vectors are keyed per context and can never
         hit again once the context is discarded; streaming consumers
         (one context per batch) call this so dead vectors don't sit in
-        the tiers until capacity eviction. Value-tier entries are keyed
-        by entity and stay — they are exactly what later batches reuse.
+        the tiers until capacity eviction. Value columns of source
+        states stay — they are exactly what later batches reuse.
         """
         context_id = context._context_id
         self._column_cache.evict_matching(lambda key: key[0] == context_id)
         self._score_cache.evict_matching(lambda key: key[0] == context_id)
+        for state in context._store.local_states:
+            self._values.release(state)
 
     def clear_caches(self) -> None:
         """Drop all cached values, columns and scores (the compiler's
         interned ops are kept — they are tiny and never stale; the
         persistent store is untouched — surviving process boundaries is
         its purpose, use :meth:`ColumnStore.clear` to invalidate it)."""
-        self._value_cache.clear()
+        self._values.clear()
         self._column_cache.clear()
         self._score_cache.clear()
         self._index_cache.clear()
@@ -397,7 +410,7 @@ class EngineSession:
     def stats(self) -> EngineStats:
         diffs = self._compiler.generation_diffs
         return EngineStats(
-            values=self._value_cache.stats(),
+            values=self._values.stats(),
             columns=self._column_cache.stats(),
             scores=self._score_cache.stats(),
             value_ops=self._compiler.value_op_count,

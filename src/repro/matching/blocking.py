@@ -68,8 +68,8 @@ import numpy as np
 from repro.core.nodes import PropertyNode, TransformationNode, ValueNode
 from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
-from repro.data.pairs import PairBatch
-from repro.data.source import DataSource
+from repro.data.pairs import PairBatch, first_appearance
+from repro.data.source import DataSource, SourceState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.session import EngineSession
@@ -128,11 +128,12 @@ def _memo_put(memo: dict, key, value) -> None:
 
 def fan_entity_chunks(
     session: "EngineSession | None",
-    entities: Sequence[Entity],
-    fn: Callable[[Sequence[Entity]], list],
+    entities: Sequence,
+    fn: Callable[[Sequence], list],
 ) -> list:
-    """Map ``fn`` over contiguous entity chunks, fanned across the
-    session's shared-memory executor when one is available.
+    """Map ``fn`` over contiguous chunks of ``entities`` (entities, or
+    their source positions), fanned across the session's shared-memory
+    executor when one is available.
 
     ``fn`` receives a chunk and returns a list of per-entity results;
     chunk results are concatenated in chunk order, so the output is
@@ -179,51 +180,69 @@ def _emitted_codes(
 def _code_shards(
     chunks: Iterable[tuple[Sequence[Entity], Sequence[np.ndarray]]],
     uids: Sequence[str],
-    by_code: Sequence[Entity],
+    state_a: SourceState,
+    state_b: SourceState,
     dedup: bool,
     batch_size: int,
 ) -> Iterator[PairBatch]:
     """Shards cut straight from per-entity partner-code arrays.
 
     ``chunks`` yields ``(probe entities, partner codes)`` per probe
-    chunk; each entity pairs with ``by_code[code]`` for its emitted
-    codes (:func:`_emitted_codes`), in code (= uid) order. The flat
-    pair stream is cut every ``batch_size`` pairs and a partial shard
+    chunk, over ``state_a``'s entities in order; each entity pairs with
+    the ``state_b`` entity of ``uids[code]`` for its emitted codes
+    (:func:`_emitted_codes`), in code (= uid) order. The flat pair
+    stream is cut every ``batch_size`` pairs and a partial shard
     carries over into the next probe chunk, so pairs, order and
     boundaries are exactly those of :func:`_chunked` over the
     flattened stream — without building a tuple per pair. At most one
     shard plus one entity's partners are pending at a time.
     """
-    # Pending pairs as one segment per probe entity: the entity and
-    # the partner codes it emits.
-    entities: list[Entity] = []
+    # Code -> position in the target state, for every partner code.
+    code_positions = np.fromiter(
+        map(state_b.position, uids), dtype=np.intp, count=len(uids)
+    )
+    # Pending pairs as one segment per probe entity: the entity's
+    # position and the partner codes it emits.
+    probes: list[int] = []
     segments: list[np.ndarray] = []
     pending = 0
+    position = -1
     for chunk, code_lists in chunks:
         for entity, partners in zip(chunk, code_lists):
+            position += 1
             partners = _emitted_codes(entity.uid, partners, uids, dedup)
             if not len(partners):
                 continue
-            entities.append(entity)
+            probes.append(position)
             segments.append(partners)
             pending += len(partners)
             if pending < batch_size:
                 continue
             owners, codes = _flat_segments(segments)
+            probe_positions = np.asarray(probes, dtype=np.intp)
             cut = pending - pending % batch_size
             for start in range(0, cut, batch_size):
                 stop = start + batch_size
                 yield _code_batch(
-                    entities, by_code, owners[start:stop], codes[start:stop]
+                    state_a,
+                    probe_positions[owners[start:stop]],
+                    state_b,
+                    code_positions[codes[start:stop]],
                 )
             # Every full shard ends inside the newest segment (the
             # pending pairs before it did not fill one), so what is
             # left is that segment's tail.
             pending -= cut
-            entities = [entity] if pending else []
+            probes = [position] if pending else []
             segments = [codes[cut:]] if pending else []
     if pending:
-        yield _code_batch(entities, by_code, *_flat_segments(segments))
+        owners, codes = _flat_segments(segments)
+        yield _code_batch(
+            state_a,
+            np.asarray(probes, dtype=np.intp)[owners],
+            state_b,
+            code_positions[codes],
+        )
 
 
 def _flat_segments(segments: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -233,26 +252,25 @@ def _flat_segments(segments: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _code_batch(
-    entities: Sequence[Entity],
-    by_code: Sequence[Entity],
-    owners: np.ndarray,
-    codes: np.ndarray,
+    state_a: SourceState,
+    pair_positions_a: np.ndarray,
+    state_b: SourceState,
+    pair_positions_b: np.ndarray,
 ) -> PairBatch:
-    """One shard: probe entities by position (``owners``, ascending),
-    partners by code. Both sides number their entities in order of
-    first appearance, as :meth:`PairBatch.from_pairs` would."""
-    present_a, index_a = np.unique(owners, return_inverse=True)
-    present_b, first, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
+    """One shard from each pair's source positions (the probe side's
+    ascending). Both sides number their entities in order of first
+    appearance, as :meth:`PairBatch.from_pairs` would."""
+    positions_a, index_a = np.unique(pair_positions_a, return_inverse=True)
+    positions_b, index_b = first_appearance(pair_positions_b)
     return PairBatch(
-        list(map(entities.__getitem__, present_a.tolist())),
-        list(map(by_code.__getitem__, present_b[order].tolist())),
+        list(map(state_a.entities.__getitem__, positions_a.tolist())),
+        list(map(state_b.entities.__getitem__, positions_b.tolist())),
         index_a,
-        rank[inverse],
+        index_b,
+        state_a,
+        positions_a,
+        state_b,
+        positions_b,
     )
 
 
@@ -503,18 +521,22 @@ def _probed_chunks(
 
 
 def _chunked(
-    pairs: Iterable[CandidatePair], batch_size: int
+    pairs: Iterable[CandidatePair],
+    batch_size: int,
+    source_a: DataSource | None = None,
+    source_b: DataSource | None = None,
 ) -> Iterator[PairBatch]:
     """Group a pair stream into shards of at most ``batch_size``
     (C-level: one ``islice`` materialisation per shard, no per-pair
     Python bytecode) — the way every pair stream not cut from probe
-    codes enters the shard type."""
+    codes enters the shard type. Shards of the sources' own entities
+    carry their source positions (:meth:`PairBatch.from_pairs`)."""
     iterator = iter(pairs)
     while True:
         shard = list(islice(iterator, batch_size))
         if not shard:
             return
-        yield PairBatch.from_pairs(shard)
+        yield PairBatch.from_pairs(shard, source_a, source_b)
 
 
 class Blocker(ABC):
@@ -585,7 +607,9 @@ class Blocker(ABC):
     ) -> Iterator[PairBatch]:
         """The shard stream behind :meth:`iter_shards` (``batch_size``
         already validated); the default chunks the plain pair stream."""
-        return _chunked(self.candidates(source_a, source_b), batch_size)
+        return _chunked(
+            self.candidates(source_a, source_b), batch_size, source_a, source_b
+        )
 
     def affected_probe_uids(
         self,
@@ -624,7 +648,10 @@ class Blocker(ABC):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         return _chunked(
-            _touching(self.candidates(source_a, source_b), affected), batch_size
+            _touching(self.candidates(source_a, source_b), affected),
+            batch_size,
+            source_a,
+            source_b,
         )
 
 
@@ -778,16 +805,20 @@ class CodeProbeBlocker(Blocker):
         plan = self._probe_plan(source_a, source_b, session)
         if plan is None:
             yield from _chunked(
-                FullIndexBlocker().candidates(source_a, source_b), batch_size
+                FullIndexBlocker().candidates(source_a, source_b),
+                batch_size,
+                source_a,
+                source_b,
             )
             return
         index, session = plan
         ledger = self._probe_ledger(source_b, session)
+        state_a = source_a.state()
         yield from _code_shards(
-            _probed_chunks(self, source_a.entities(), index, ledger, session),
+            _probed_chunks(self, state_a.entities, index, ledger, session),
             index.uids,
-            # Entities resolve by integer code instead of by uid string.
-            list(map(source_b.get, index.uids)),
+            state_a,
+            source_b.state(),
             source_a is source_b,
             batch_size,
         )
@@ -811,7 +842,7 @@ class CodeProbeBlocker(Blocker):
             pairs = chain.from_iterable(
                 self._affected_pair_lists(source_a, source_b, affected, *plan)
             )
-        yield from _chunked(pairs, batch_size)
+        yield from _chunked(pairs, batch_size, source_a, source_b)
 
     def _affected_pair_lists(self, source_a, source_b, affected, index, session):
         """Per-entity pair lists of an affected-only rescore: the

@@ -17,7 +17,7 @@ persistent engine session per worker process — and results are merged
 back in submission order. Candidate shards come straight from the
 blocker (:meth:`repro.matching.blocking.Blocker.iter_shards`) over the
 run's session, so blocking-index construction shares the executor, the
-value cache and the persistent store's index tier. Batch boundaries
+value columns and the persistent store's index tier. Batch boundaries
 depend only on ``batch_size`` and every shard is scored by pure
 functions, so the generated links are byte-identical for every worker
 count, including their order.
@@ -170,7 +170,8 @@ class LinkDiff:
 
 
 #: One engine session per worker process, lazily created and reused
-#: across shards so a worker's transformed-value cache persists for the
+#: across shards so a worker's value columns — keyed by the state keys
+#: and filled at the positions its shards carry — persist for the
 #: whole execution (the process-pool analogue of the shared session).
 _WORKER_SESSION: EngineSession | None = None
 #: Cache-dir spec the worker session was created with; a different
@@ -405,7 +406,7 @@ class MatchingEngine:
         (:meth:`~repro.matching.blocking.Blocker.iter_shards`) — no
         re-chunking layer — and the blocker shares the run's engine
         session, so its index construction goes through the session
-        executor, the value cache and (when configured) the persistent
+        executor, the value columns and (when configured) the persistent
         store's index tier. On process pools, scoring runs in
         per-worker sessions while blocking indexes are built in a
         parent-side session that persists across the engine's runs.

@@ -28,16 +28,19 @@ string length; with the thresholds GenLink learns this does not occur
 in practice (the recall of every blocker is measurable with
 :func:`blocking_quality`).
 
-Index construction is engine-integrated: block keys are derived once
+Index construction is engine-integrated: transformed values are
+gathered from the session's value column of the source state (the
+columns rule scoring reads afterwards), block keys are derived once
 per *distinct* transformed value tuple, per-comparison builds fan
 across the session's shared-memory executor, and finished block tables
 persist in the session store's index tier keyed by source fingerprint
 × comparison structure — warm reruns skip construction entirely.
 Probing mirrors it (:meth:`MultiBlocker.probe_batch`): whole A-side
-chunks evaluate the candidate algebra at once, per-comparison probe
-results memoise per distinct transformed value tuple, and chunks fan
-across the same executor. :func:`multiblock_supports` is the
-structure test behind the engine's default-blocker selection.
+chunks gather their values per comparison and evaluate the candidate
+algebra at once, per-comparison probe results memoise per distinct
+transformed value tuple, and chunks fan across the same executor.
+:func:`multiblock_supports` is the structure test behind the engine's
+default-blocker selection.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.core.nodes import (
 )
 from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
-from repro.data.source import DataSource
+from repro.data.source import DataSource, SourceState
 from repro.distances.dates import parse_date
 from repro.distances.geographic import parse_point
 from repro.distances.numeric import parse_number
@@ -78,18 +81,22 @@ from repro.transforms.registry import TransformationRegistry
 from repro.transforms.registry import default_registry as default_transforms
 
 
-def _entity_values(
+def _values_of(
     node,
-    entity: Entity,
+    entities: Sequence[Entity],
+    state: SourceState,
     transforms: TransformationRegistry,
     session: "EngineSession | None",
-) -> tuple[str, ...]:
-    """Transformed values for index construction/probing: through the
-    session value cache when one is available (shared with rule
-    evaluation), plain evaluation otherwise."""
+) -> list[tuple[str, ...]]:
+    """Transformed values of ``entities`` for index keys: gathered from
+    the session's column of ``state`` (shared with rule scoring) when
+    every entity is the state's own, evaluated directly otherwise —
+    displaced versions a delta patch unfiles, or no session."""
     if session is not None:
-        return session.entity_values(node, entity)
-    return evaluate_value_op(node, entity, transforms)
+        found = state.positions_of(entities)
+        if None not in found:
+            return session.value_tuples(node, state, found, entities)
+    return [evaluate_value_op(node, entity, transforms) for entity in entities]
 
 #: Metres per degree of latitude (conservative lower bound).
 _METRES_PER_DEGREE_LATITUDE = 110_574.0
@@ -376,12 +383,9 @@ class ComparisonIndex:
     blocks: dict
 
     def candidates_for(
-        self,
-        entity: Entity,
-        transforms: TransformationRegistry,
-        session: EngineSession | None = None,
+        self, entity: Entity, transforms: TransformationRegistry
     ) -> set[str]:
-        values = _entity_values(self.comparison.source, entity, transforms, session)
+        values = evaluate_value_op(self.comparison.source, entity, transforms)
         return self.candidates_for_values(values)
 
     def candidates_for_values(self, values: Sequence[str]) -> set[str]:
@@ -430,9 +434,13 @@ def _comparison_blocks_patcher(
 
     def patch(blocks: dict, delta) -> dict:
         blocks = dict(blocks)
-        for old in delta.old_entities():
+        state = source.state()
+        old_entities = delta.old_entities()
+        for old, values in zip(
+            old_entities,
+            _values_of(value_node, old_entities, state, transforms, session),
+        ):
             uid = old.uid
-            values = _entity_values(value_node, old, transforms, session)
             for key in indexer.block_keys(values):
                 block = blocks.get(key)
                 if block is None or uid not in block:
@@ -444,9 +452,11 @@ def _comparison_blocks_patcher(
                     del blocks[key]
         order: dict[str, int] | None = None
         fallback = 0
-        for entity in delta.upserts:
+        for entity, values in zip(
+            delta.upserts,
+            _values_of(value_node, delta.upserts, state, transforms, session),
+        ):
             uid = entity.uid
-            values = _entity_values(value_node, entity, transforms, session)
             for key in indexer.block_keys(values):
                 block = blocks.get(key)
                 if block is None:
@@ -484,21 +494,22 @@ def _indexed_blocks(
     source's delta chain instead of rebuilt, when possible)."""
 
     def build() -> dict:
-        chunk_session = session if fan else None
-
-        def extract(chunk):
-            return [
-                (
-                    entity.uid,
-                    _entity_values(value_node, entity, transforms, session),
-                )
-                for entity in chunk
+        state = source.state()
+        if session is None:
+            column = [
+                evaluate_value_op(value_node, entity, transforms)
+                for entity in state.entities
             ]
-
-        per_entity = fan_entity_chunks(chunk_session, source.entities(), extract)
+        else:
+            column = fan_entity_chunks(
+                session if fan else None,
+                range(len(state.entities)),
+                lambda positions: session.value_tuples(value_node, state, positions),
+            )
         key_memo: dict[tuple[str, ...], tuple] = {}
         blocks: dict = {}
-        for uid, values in per_entity:
+        for entity, values in zip(state.entities, column):
+            uid = entity.uid
             keys = key_memo.get(values)
             if keys is None:
                 keys = tuple(indexer.block_keys(values))
@@ -533,13 +544,13 @@ def build_comparison_index(
 ) -> ComparisonIndex | None:
     """Index source B under a comparison's target value tree.
 
-    With a ``session``, transformed values go through the engine's
-    value cache (shared with the rule evaluation that follows blocking)
-    and the finished block table resolves through the session's index
-    memo and the persistent store's index tier — a warm rerun over an
-    unchanged source skips construction entirely, and a source a few
-    deltas ahead of a persisted epoch patches the table forward
-    instead of rebuilding.
+    With a ``session``, transformed values are gathered from the
+    session's value column of ``source_b``'s state (the column the rule
+    scoring that follows blocking reads) and the finished block table
+    resolves through the session's index memo and the persistent
+    store's index tier — a warm rerun over an unchanged source skips
+    construction entirely, and a source a few deltas ahead of a
+    persisted epoch patches the table forward instead of rebuilding.
 
     Construction is value-memoised: block keys are derived once per
     *distinct* transformed value tuple, and (with ``fan=True``) value
@@ -578,6 +589,17 @@ def _blocks_code_view(blocks: dict, code_of: dict) -> dict:
     }
 
 
+def _intersect_codes(sets: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Intersection of sorted unique code arrays, sorted."""
+    mask = np.zeros(size, dtype=bool)
+    mask[sets[0]] = True
+    for codes in sets[1:]:
+        other = np.zeros(size, dtype=bool)
+        other[codes] = True
+        mask &= other
+    return np.flatnonzero(mask)
+
+
 @dataclass(frozen=True)
 class MultiProbeIndex:
     """Probe-side state of one :class:`MultiBlocker` over a target
@@ -595,6 +617,9 @@ class MultiProbeIndex:
     all_codes: np.ndarray
     #: Code-space size (mask length for unions/intersections).
     size: int
+    #: The probe side's source state, whose value columns probing
+    #: gathers from.
+    probe_state: SourceState
 
     @property
     def all_uids(self) -> frozenset:
@@ -637,8 +662,8 @@ class MultiBlocker(CodeProbeBlocker):
                     "conflicting transformation registries: pass either a "
                     "session or a registry, not both"
                 )
-            # Index construction goes through the session's value cache,
-            # so blocking must use the session's registry.
+            # Index construction reads the session's value columns, so
+            # blocking must use the session's registry.
             self._transforms = session.transforms
             self._session = session
 
@@ -654,75 +679,73 @@ class MultiBlocker(CodeProbeBlocker):
     def _node_codes(
         self,
         node: SimilarityNode,
-        entity: Entity,
+        values: dict[int, list],
         probe: MultiProbeIndex,
-        session: EngineSession,
         memo: dict,
         memo_hits: list[int],
-    ) -> np.ndarray:
-        """Codes of B entities that could make ``node`` score > 0 for
-        ``entity``; ``probe.all_codes`` (identity-compared) when the
-        node is not indexable.
+    ) -> list[np.ndarray] | None:
+        """Per probe entity of a chunk, the codes of B entities that
+        could make ``node`` score > 0, given the chunk's transformed
+        values per comparison id; None when the node is not indexable
+        (every B entity is a candidate — a property of the rule's
+        structure, so it holds for the whole chunk).
 
-        The whole algebra runs in code space: a comparison unions its
-        probed blocks through a boolean mask over the code space (one
-        C pass, result sorted for free via ``flatnonzero``); ``min``
-        intersects and ``max``/``wmean`` union child sets the same
-        way. Per-comparison probe results memoise in ``memo`` keyed by
-        ``(comparison id, transformed value tuple)`` — the probe-side
-        mirror of the index build's distinct-value memo — so entities
-        sharing a transformed tuple (duplicate-heavy sources, constant
-        properties) skip probe-key derivation *and* the union;
-        ``memo_hits[0]`` counts the skips. The memo is shared across
-        fanned probe chunks — dict reads/writes are atomic and a
-        racing recompute is deterministic, so sharing can only save
-        work, never change a result.
+        The whole algebra runs in code space, one node at a time over
+        the chunk: a comparison unions its probed blocks through a
+        boolean mask over the code space (one C pass, result sorted
+        for free via ``flatnonzero``); ``min`` intersects and
+        ``max``/``wmean`` union child sets the same way. Per-comparison
+        probe results memoise in ``memo`` keyed by ``(comparison id,
+        transformed value tuple)`` — the probe-side mirror of the index
+        build's distinct-value memo — so entities sharing a transformed
+        tuple (duplicate-heavy sources, constant properties) skip
+        probe-key derivation *and* the union; ``memo_hits[0]`` counts
+        the skips. The memo is shared across fanned probe chunks — dict
+        reads/writes are atomic and a racing recompute is
+        deterministic, so sharing can only save work, never change a
+        result.
         """
+        size = probe.size
         if isinstance(node, ComparisonNode):
-            view = probe.views.get(id(node))
+            node_id = id(node)
+            view = probe.views.get(node_id)
             if view is None:
-                return probe.all_codes
-            values = _entity_values(
-                node.source, entity, session.transforms, session
-            )
-            key = (id(node), values)
-            cached = memo.get(key)
-            if cached is not None:
-                memo_hits[0] += 1
-                return cached
+                return None
             get = view.get
-            blocks = []
-            for probe_key in probe.indexes[id(node)].indexer.probe_keys(values):
-                block = get(probe_key)
-                if block is not None:
-                    blocks.append(block)
-            codes = _union_codes(blocks, probe.size)
-            _memo_put(memo, key, codes)
-            return codes
+            probe_keys = probe.indexes[node_id].indexer.probe_keys
+            rows = []
+            hits = 0
+            for tuple_ in values[node_id]:
+                key = (node_id, tuple_)
+                codes = memo.get(key)
+                if codes is None:
+                    blocks = [
+                        block
+                        for block in map(get, probe_keys(tuple_))
+                        if block is not None
+                    ]
+                    codes = _union_codes(blocks, size)
+                    _memo_put(memo, key, codes)
+                else:
+                    hits += 1
+                rows.append(codes)
+            memo_hits[0] += hits
+            return rows
         assert isinstance(node, AggregationNode)
-        child_sets = [
-            self._node_codes(child, entity, probe, session, memo, memo_hits)
+        children = [
+            self._node_codes(child, values, probe, memo, memo_hits)
             for child in node.operators
         ]
-        all_codes = probe.all_codes
         if node.function == "min":
-            selective = [s for s in child_sets if s is not all_codes]
-            if not selective:
-                return all_codes
-            if len(selective) == 1:
-                return selective[0]
-            mask = np.zeros(probe.size, dtype=bool)
-            mask[selective[0]] = True
-            for child_set in selective[1:]:
-                other = np.zeros(probe.size, dtype=bool)
-                other[child_set] = True
-                mask &= other
-            return np.flatnonzero(mask)
+            selective = [rows for rows in children if rows is not None]
+            if len(selective) < 2:
+                return selective[0] if selective else None
+            return [_intersect_codes(sets, size) for sets in zip(*selective)]
         # max / wmean: a positive overall score requires at least one
         # positive child, so the union is dismissal-free.
-        if any(s is all_codes for s in child_sets):
-            return all_codes
-        return _union_codes(child_sets, probe.size)
+        if any(rows is None for rows in children):
+            return None
+        return [_union_codes(list(sets), size) for sets in zip(*children)]
 
     def signature(self) -> str | None:
         """None: MultiBlock persistence is finer-grained — each
@@ -822,11 +845,14 @@ class MultiBlocker(CodeProbeBlocker):
             uids=uids,
             all_codes=np.arange(len(uids), dtype=np.int32),
             size=len(uids),
+            probe_state=source_a.state(),
         )
 
     def probe_batch(self, entities, index, session=None, memo=None):
-        """Batch probe: evaluates the min/max/wmean candidate algebra
-        for a whole A-side chunk in code space, memoising
+        """Batch probe: gathers the chunk's transformed values per
+        comparison from the session's columns of the probe state
+        (``index.probe_state``), then evaluates the min/max/wmean
+        candidate algebra for the whole chunk in code space, memoising
         per-comparison probe results per distinct transformed value
         tuple (mirroring the index build's distinct-value memo) and
         fanning chunks across the session's shared-memory executor.
@@ -841,14 +867,24 @@ class MultiBlocker(CodeProbeBlocker):
         own = self._active_session(session)
         root = self._rule.root
         shared_memo = memo if memo is not None else {}
+        transforms = own.transforms
 
         def probe(chunk):
+            values = {
+                node_id: _values_of(
+                    comparison_index.comparison.source,
+                    chunk,
+                    index.probe_state,
+                    transforms,
+                    own,
+                )
+                for node_id, comparison_index in index.indexes.items()
+            }
             hits = [0]
-            results = [
-                self._node_codes(root, entity, index, own, shared_memo, hits)
-                for entity in chunk
-            ]
+            results = self._node_codes(root, values, index, shared_memo, hits)
             own.record_probe(memo_hits=hits[0])
+            if results is None:
+                return [index.all_codes] * len(chunk)
             return results
 
         own.record_probe(batches=1)
@@ -944,34 +980,39 @@ class MultiBlocker(CodeProbeBlocker):
         would leak non-candidate pairs and break byte-parity with a
         cold execute. Verification probes ride the probe-result ledger
         and distinct-value memo like every other probe."""
-        transforms = session.transforms
         uids = index.uids
         get_a = source_a.get
-        reverse_tables: dict[int, dict] = {}
-        coarse: list[tuple[str, int, list[str]]] = []
-        partner_uids: set[str] = set()
+        targets: list[tuple[str, int]] = []
         for uid in sorted(affected):
             if uid not in source_b:
                 continue
             code = bisect_left(uids, uid)
-            if code >= len(uids) or uids[code] != uid:
-                continue
-            entity_b = source_b.get(uid)
+            if code < len(uids) and uids[code] == uid:
+                targets.append((uid, code))
+        if not targets:
+            return
+        entities_b = [source_b.get(uid) for uid, _ in targets]
+        # Per built comparison: the reverse table's lookup, the
+        # indexer, and the targets' transformed values.
+        lookups = []
+        for comparison_index in index.indexes.values():
+            comparison = comparison_index.comparison
+            indexer = comparison_index.indexer
+            reverse = self._reverse_blocks(comparison, indexer, source_a, session)
+            values = _values_of(
+                comparison.target,
+                entities_b,
+                source_b.state(),
+                session.transforms,
+                session,
+            )
+            lookups.append((reverse.get, indexer, values))
+        coarse: list[tuple[str, int, list[str]]] = []
+        partner_uids: set[str] = set()
+        for row, (uid, code) in enumerate(targets):
             partners: set[str] = set()
-            for node_id, comparison_index in index.indexes.items():
-                comparison = comparison_index.comparison
-                indexer = comparison_index.indexer
-                reverse = reverse_tables.get(node_id)
-                if reverse is None:
-                    reverse = self._reverse_blocks(
-                        comparison, indexer, source_a, session
-                    )
-                    reverse_tables[node_id] = reverse
-                get = reverse.get
-                values = _entity_values(
-                    comparison.target, entity_b, transforms, session
-                )
-                for key in indexer.reverse_probe_keys(values):
+            for get, indexer, values in lookups:
+                for key in indexer.reverse_probe_keys(values[row]):
                     block = get(key)
                     if block is not None:
                         partners.update(block)

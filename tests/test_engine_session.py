@@ -1,6 +1,9 @@
 """Tests for the compiled rule-execution engine: LRU cache tiers,
 structural-hash deduplication, persistent sessions and statistics."""
 
+import gc
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from repro.core.nodes import (
     TransformationNode,
 )
 from repro.data.entity import Entity
+from repro.data.pairs import PairBatch
+from repro.data.source import DataSource
 from repro.engine import EngineSession, LRUCache, RuleCompiler
 
 
@@ -31,6 +36,15 @@ def _pairs(n=4):
         )
         for i in range(n)
     ]
+
+
+def _sourced_pairs(n=4):
+    """``_pairs(n)`` as batches cut from two sources would carry them."""
+    pairs = _pairs(n)
+    source_a = DataSource("A", [a for a, _ in pairs])
+    source_b = DataSource("B", list({b.uid: b for _, b in pairs}.values()))
+    pairs = [(source_a.get(a.uid), source_b.get(b.uid)) for a, b in pairs]
+    return source_a, source_b, pairs
 
 
 class TestLRUCache:
@@ -202,11 +216,14 @@ class TestEngineSession:
 
     def test_value_cache_survives_across_contexts(self):
         session = EngineSession()
-        pairs = _pairs()
-        session.context(pairs[:2]).scores(_comparison())
+        source_a, source_b, pairs = _sourced_pairs()
+        batch = PairBatch.from_pairs(pairs[:2], source_a, source_b)
+        session.context(batch).scores(_comparison())
         value_misses = session.stats().values.misses
-        # Second "batch" re-uses the first batch's entities.
-        session.context(pairs[:2]).scores(_comparison())
+        # A second batch over the same source states gathers the first
+        # batch's slots.
+        again = PairBatch.from_pairs(pairs[:2], source_a, source_b)
+        session.context(again).scores(_comparison())
         stats = session.stats()
         assert stats.values.misses == value_misses
         assert stats.values.hits > 0
@@ -243,22 +260,32 @@ class TestEngineSession:
         assert stats.scores.size == 2
         assert stats.scores.evictions == 2
 
-    def test_entity_values_cached(self):
+    def test_value_tuples_gather_from_the_source_column(self):
         session = EngineSession()
         node = TransformationNode("lowerCase", (PropertyNode("name"),))
-        entity = Entity("e", {"name": "Berlin"})
-        assert session.entity_values(node, entity) == ("berlin",)
-        hits_before = session.stats().values.hits
-        session.entity_values(node, entity)
-        assert session.stats().values.hits == hits_before + 1
+        source = DataSource(
+            "S", [Entity("e", {"name": "Berlin"}), Entity("f", {"name": "Bonn"})]
+        )
+        state = source.state()
+        assert session.value_tuples(node, state, [1, 0]) == [("bonn",), ("berlin",)]
+        before = session.stats().values
+        assert session.value_tuples(node, state, [0]) == [("berlin",)]
+        after = session.stats().values
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.size == 2
 
     def test_dedup_workload_shares_value_entries_across_sides(self):
-        # Deduplication pair lists put the same entity on both sides;
-        # the value tier must hold one entry per (op, entity), not two.
-        entities = [Entity(f"e{i}", {"name": f"n{i}"}) for i in range(3)]
+        # Deduplication batches cut both sides from one source state;
+        # the value tier must hold one slot per (op, entity), not two.
+        source = DataSource(
+            "S", [Entity(f"e{i}", {"name": f"n{i}"}) for i in range(3)]
+        )
+        entities = source.entities()
         pairs = [(entities[0], entities[1]), (entities[1], entities[2])]
         session = EngineSession()
-        session.context(pairs).scores(_comparison())
+        session.context(PairBatch.from_pairs(pairs, source, source)).scores(
+            _comparison()
+        )
         stats = session.stats()
         assert stats.values.size == 3  # one per unique entity
         assert stats.values.hits >= 1  # e1 reused across sides
@@ -267,13 +294,20 @@ class TestEngineSession:
         from repro.core.evaluation import PairEvaluator
 
         session = EngineSession()
-        with PairEvaluator(_pairs(), session=session) as evaluator:
+        source_a, source_b, pairs = _sourced_pairs()
+        batch = PairBatch.from_pairs(pairs, source_a, source_b)
+        with PairEvaluator(batch, session=session) as evaluator:
             evaluator.scores(_comparison())
             assert session.stats().scores.size == 1
         stats = session.stats()
         assert stats.scores.size == 0
         assert stats.columns.size == 0
-        assert stats.values.size > 0  # value tier survives release
+        assert stats.values.size > 0  # source columns survive release
+        # An ad-hoc pair list's value columns are the context's own.
+        with PairEvaluator(_pairs(), session=session) as evaluator:
+            evaluator.scores(_comparison())
+            assert session.stats().values.size > stats.values.size
+        assert session.stats().values.size == stats.values.size
 
     def test_clear_caches(self):
         session = EngineSession()
@@ -359,16 +393,16 @@ class TestEngineSession:
 
     def test_release_context_evicts_batch_local_tiers_only(self):
         session = EngineSession()
-        pairs = _pairs()
-        ctx1 = session.context(pairs[:2])
-        ctx2 = session.context(pairs[2:])
+        source_a, source_b, pairs = _sourced_pairs()
+        ctx1 = session.context(PairBatch.from_pairs(pairs[:2], source_a, source_b))
+        ctx2 = session.context(PairBatch.from_pairs(pairs[2:], source_a, source_b))
         ctx1.scores(_comparison())
         ctx2.scores(_comparison())
         values_before = session.stats().values.size
         session.release_context(ctx1)
         stats = session.stats()
         # ctx1's column/score vectors are gone, ctx2's remain, and the
-        # entity-keyed value tier is untouched (cross-batch reuse).
+        # source-state value columns are untouched (cross-batch reuse).
         assert stats.columns.size == 1
         assert stats.scores.size == 1
         assert stats.values.size == values_before
@@ -376,6 +410,12 @@ class TestEngineSession:
             ctx2.scores(_comparison()),
             EngineSession().context(pairs[2:]).scores(_comparison()),
         )
+        # An ad-hoc context's value columns are batch-local too.
+        ctx3 = session.context(_pairs())
+        ctx3.scores(_comparison())
+        assert session.stats().values.size > values_before
+        session.release_context(ctx3)
+        assert session.stats().values.size == values_before
 
     def test_compiler_memo_bound(self):
         compiler = RuleCompiler(max_memo_entries=4)
@@ -399,3 +439,98 @@ class TestEngineSession:
         stats = session.stats()
         assert stats.probe_batches == 2
         assert stats.probe_memo_hits == 8
+
+
+_LOWER = TransformationNode("lowerCase", (PropertyNode("name"),))
+_UPPER = TransformationNode("upperCase", (PropertyNode("name"),))
+
+
+def _named_source(name, count, stem="N"):
+    return DataSource(
+        name, [Entity(f"{name}{i}", {"name": f"{stem}{i}"}) for i in range(count)]
+    )
+
+
+class TestValueColumns:
+    """Value columns per (value op, source state): lifetime, state
+    changes, the slot bound and concurrent fills."""
+
+    def test_columns_die_with_their_source_and_contexts(self):
+        from repro.core.evaluation import PairEvaluator
+        from repro.data.reference_links import ReferenceLinkSet
+
+        session = EngineSession()
+        source_a, source_b, pairs = _sourced_pairs()
+        context = session.context(PairBatch.from_pairs(pairs, source_a, source_b))
+        context.scores(_comparison())
+        links = ReferenceLinkSet([("a0", "b0")], [("a1", "b0")])
+        batch, _ = links.labelled_pairs(source_a, source_b)
+        evaluator = PairEvaluator(batch, session=session)
+        evaluator.scores(_comparison(prop_a="year", prop_b="year"))
+        assert session.stats().values.size > 0
+        del context, evaluator, batch, pairs, source_a, source_b
+        gc.collect()
+        stats = session.stats().values
+        assert stats.size == 0
+        assert stats.evictions == stats.misses
+
+    def test_context_reads_the_upserted_state_never_the_old_slot(self):
+        session = EngineSession()
+        node = ComparisonNode("equality", 0.0, _LOWER, _LOWER)
+        source_a = DataSource("A", [Entity("a0", {"name": "Bonn"})])
+        source_b = DataSource(
+            "B", [Entity("b0", {"name": "Berlin"}), Entity("b1", {"name": "Paris"})]
+        )
+
+        def scores():
+            pairs = [(source_a.get("a0"), entity) for entity in source_b]
+            batch = PairBatch.from_pairs(pairs, source_a, source_b)
+            return batch, session.context(batch).scores(node).tolist()
+
+        old_batch, old_scores = scores()
+        assert old_scores == [0.0, 0.0]
+        old_state = source_b.state()
+        source_b.apply_delta(upserts=[Entity("b0", {"name": "BONN"})])
+        assert source_b.state() is not old_state
+        _, upserted = scores()
+        assert upserted == [1.0, 0.0]
+        source_b.add(Entity("b2", {"name": "bonn"}))
+        _, added = scores()
+        assert added == [1.0, 0.0, 1.0]
+        # The old state's batch still reads its own slots.
+        assert session.context(old_batch).scores(node).tolist() == [0.0, 0.0]
+        assert session.value_tuples(_LOWER, old_state, [0]) == [("berlin",)]
+        assert session.value_tuples(_LOWER, source_b.state(), [0]) == [("bonn",)]
+
+    def test_bound_counts_filled_slots_and_evicts_whole_columns(self):
+        session = EngineSession(max_value_entries=5)
+        state = _named_source("s", 4).state()
+        session.value_tuples(_LOWER, state, range(4))
+        assert session.stats().values.size == 4
+        # 8 filled slots > 5: the least recently gathered column goes.
+        session.value_tuples(_UPPER, state, range(4))
+        stats = session.stats().values
+        assert (stats.size, stats.evictions) == (4, 4)
+        assert session.value_tuples(_UPPER, state, [1]) == [("N1",)]
+        assert session.stats().values.hits == stats.hits + 1
+
+    def test_racing_fills_never_expose_an_unfilled_slot(self):
+        session = EngineSession()
+        state = _named_source("s", 300).state()
+        expected = [(f"n{i}",) for i in range(300)]
+        barrier = threading.Barrier(4)
+        results = []
+
+        def read():
+            barrier.wait()
+            results.append(session.value_tuples(_LOWER, state, range(300)))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [expected] * 4
+        stats = session.stats().values
+        assert stats.size == 300
+        assert stats.hits + stats.misses == 1200

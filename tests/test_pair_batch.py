@@ -210,10 +210,76 @@ class TestBatchesCrossProcesses:
     def test_pickle_round_trip(self):
         source_a, source_b = _sources()
         for shard in MultiBlocker(_rule()).iter_shards(source_a, source_b, 4):
-            clone = pickle.loads(pickle.dumps(shard))
+            blob = pickle.dumps(shard)
+            # Entities, index arrays, positions and state keys: never
+            # the source or its state.
+            assert b"DataSource" not in blob and b"SourceState" not in blob
+            clone = pickle.loads(blob)
             assert _uids(clone) == _uids(shard)
             assert clone.index_a.tolist() == shard.index_a.tolist()
             assert clone.index_b.tolist() == shard.index_b.tolist()
+            assert clone.state_a == source_a.state().key
+            assert clone.state_b == source_b.state().key
+            assert clone.positions_a.tolist() == shard.positions_a.tolist()
+            assert clone.positions_b.tolist() == shard.positions_b.tolist()
+
+    def test_shipped_shards_share_one_column_per_state_key(self):
+        """A worker session fills one column per shipped state key at
+        the positions the shards carry, so a second shard over the same
+        entities gathers every slot the first one filled."""
+        source_a, source_b = _sources()
+        shard = next(TokenBlocker(["label"]).iter_shards(source_a, source_b, 64))
+        session = EngineSession()
+        for _ in range(2):
+            session.context(pickle.loads(pickle.dumps(shard))).scores(_rule().root)
+        stats = session.stats().values
+        assert stats.misses == len(shard.entities_a) + len(shard.entities_b)
+        assert stats.hits == stats.misses
+
+    def test_entities_unpickle_without_renormalising(self, monkeypatch):
+        entity = Entity("e", {"label": ("x", "y"), "year": "1999"})
+        blob = pickle.dumps(entity)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("Entity.__init__ ran during unpickling")
+
+        monkeypatch.setattr(Entity, "__init__", refuse)
+        clone = pickle.loads(blob)
+        assert clone.values("label") == ("x", "y")
+        assert dict(clone.properties) == dict(entity.properties)
+        assert clone.fingerprint() == entity.fingerprint()
+
+
+class TestSourcePositions:
+    def test_code_cut_shards_carry_source_positions(self):
+        source_a, source_b = _sources()
+        for label, make in _code_blockers().items():
+            for shard in make().iter_shards(source_a, source_b, 5):
+                assert shard.state_a is source_a.state(), label
+                assert shard.state_b is source_b.state(), label
+                assert [
+                    source_a.state().entities[p] for p in shard.positions_a
+                ] == shard.entities_a
+                assert [
+                    source_b.state().entities[p] for p in shard.positions_b
+                ] == shard.entities_b
+
+    def test_from_pairs_positions_only_the_sources_own_entities(self):
+        source_a, source_b = _sources()
+        pairs = list(FullIndexBlocker().candidates(source_a, source_b))[:7]
+        batch = PairBatch.from_pairs(pairs, source_a, source_b)
+        assert list(batch) == pairs
+        assert batch.state_a is source_a.state()
+        assert batch.positions_b.tolist() == [
+            source_b.state().position(e.uid) for e in batch.entities_b
+        ]
+        # A stranger (here: an equal copy) makes its side ad-hoc.
+        stranger = Entity("b00", dict(source_b.get("b00").properties))
+        mixed = PairBatch.from_pairs(
+            pairs + [(pairs[0][0], stranger)], source_a, source_b
+        )
+        assert mixed.state_a is source_a.state()
+        assert mixed.state_b is None and mixed.positions_b is None
 
 
 class TestLinkEmission:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from _seed_blocking import (  # noqa: E402  (path set up above)
+    SeedValueMemo,
     seed_multiblock_probe_kernel,
     seed_token_probe_kernel,
 )
@@ -153,13 +154,12 @@ def test_multiblock_probe_batch_matches_seed(sources, chunk):
         blocker = MultiBlocker(rule)
         indexes = blocker.build_index(source_b)
         probe_index = blocker.probe_index(source_a, source_b)
-        session = EngineSession()
         seed = seed_multiblock_probe_kernel(
             rule,
             source_a,
             indexes,
             frozenset(entity.uid for entity in source_b),
-            session,
+            SeedValueMemo(),
         )
         results = _chunked_probe(
             blocker, source_a.entities(), probe_index, chunk
