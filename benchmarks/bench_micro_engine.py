@@ -781,7 +781,7 @@ def test_blocking_probe_speedup():
     >=2x on the engine's repeated-execution profile, and must never
     buy a different result: candidate sets and generated links stay
     byte-identical across all six bundled datasets x blockers
-    {multiblock, token} x workers {0, 2, process:2}.
+    {multiblock, token} x workers {0, 2}.
 
     The timed workload is the probe side proper — per-entity partner
     computation over prebuilt indexes, two sweeps (one learning + one
@@ -800,7 +800,7 @@ def test_blocking_probe_speedup():
     )
 
     from repro.experiments.scale import current_scale
-    from repro.engine.executor import ProcessExecutor, ThreadExecutor
+    from repro.engine.executor import ThreadExecutor
     from repro.matching.blocking import _PROBE_CHUNK
     from repro.matching.engine import MatchingEngine
     from repro.matching.multiblock import MultiBlocker
@@ -884,7 +884,6 @@ def test_blocking_probe_speedup():
     # dataset, blocker and worker strategy.
     scale = current_scale().effective_dataset_scale(0)
     thread_executor = ThreadExecutor(2)
-    process_executor = ProcessExecutor(2)
     try:
         for name in DATASET_NAMES:
             bundle = load_dataset(name, seed=23, scale=scale)
@@ -928,11 +927,7 @@ def test_blocking_probe_speedup():
                 reference_links = MatchingEngine(
                     blocker=_FrozenCandidates(seed_pairs)
                 ).execute(bundle_rule, a, b)
-                for workers_label, workers in (
-                    ("0", 0),
-                    ("2", thread_executor),
-                    ("process:2", process_executor),
-                ):
+                for workers_label, workers in (("0", 0), ("2", thread_executor)):
                     engine = MatchingEngine(blocker=make(), workers=workers)
                     links = engine.execute(bundle_rule, a, b)
                     assert links == reference_links, (
@@ -942,7 +937,6 @@ def test_blocking_probe_speedup():
                     )
     finally:
         thread_executor.close()
-        process_executor.close()
 
     if os.environ.get("CI"):
         # Same policy as the other ratio benchmarks: shared runners

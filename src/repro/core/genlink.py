@@ -134,14 +134,11 @@ class GenLink:
     ):
         """``workers`` selects the engine executor used for
         population-level fitness evaluation (``None`` consults the
-        ``REPRO_ENGINE_WORKERS`` environment variable; 0 = serial).
-        Use thread workers here: fitness evaluation parallelises by
-        fanning independent distance columns out over shared caches,
-        which a ``process:N`` executor cannot share — process specs run
-        the learning path serially (they accelerate
-        :class:`repro.matching.engine.MatchingEngine` sharding
-        instead). Learning results are byte-identical for every
-        setting — the GP itself is sequential.
+        ``REPRO_ENGINE_WORKERS`` environment variable; 0 = serial):
+        thread workers fan each generation's independent distance
+        columns out over the session's shared caches. Learning results
+        are byte-identical for every setting — the GP itself is
+        sequential.
 
         ``cache_dir`` enables the engine's persistent distance-column
         store for the learning session (``None`` consults

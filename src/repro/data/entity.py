@@ -107,12 +107,11 @@ class Entity:
     def __reduce__(self) -> tuple:
         """Pickle support (mappingproxy is not picklable by default).
 
-        Entities cross process boundaries when matching shards run on a
-        process-pool executor. The values are already normalised, so
-        unpickling restores them as they are instead of running
-        ``__init__``'s checks again; the round trip is exact.
+        Reconstruction through ``__init__`` re-normalises the
+        already-normalised values, which is a no-op, so the round trip
+        is exact.
         """
-        return (_restored, (self._uid, dict(self._properties)))
+        return (Entity, (self._uid, dict(self._properties)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Entity):
@@ -129,12 +128,3 @@ class Entity:
             f"{name}={values[0]!r}" for name, values in list(self._properties.items())[:3]
         )
         return f"Entity({self._uid!r}, {preview})"
-
-
-def _restored(uid: str, properties: dict[str, tuple[str, ...]]) -> Entity:
-    """An entity from its pickled, already-normalised fields."""
-    entity = Entity.__new__(Entity)
-    entity._uid = uid
-    entity._properties = MappingProxyType(properties)
-    entity._fingerprint = None
-    return entity

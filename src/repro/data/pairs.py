@@ -21,11 +21,6 @@ import numpy as np
 from repro.data.entity import Entity
 from repro.data.source import DataSource, SourceState
 
-#: What a batch side names its source state by: the live state, its
-#: :attr:`~repro.data.source.SourceState.key` once the batch crossed a
-#: process boundary, or None for a pair list without a source.
-StateRef = SourceState | tuple[int, int] | None
-
 
 class PairBatch(Sequence):
     """A read-only sequence of entity pairs in columnar form.
@@ -37,9 +32,6 @@ class PairBatch(Sequence):
     (``state_a``/``state_b``) and each distinct entity's position in it
     (``positions_a``/``positions_b``): the coordinates the engine
     gathers transformed values by. A side without a source has neither.
-    Batches pickle as entities, index arrays, positions and each
-    state's key — never the source — which is what a process-pool
-    shard ships.
     """
 
     __slots__ = (
@@ -59,9 +51,9 @@ class PairBatch(Sequence):
         entities_b: list[Entity],
         index_a: np.ndarray,
         index_b: np.ndarray,
-        state_a: StateRef = None,
+        state_a: SourceState | None = None,
         positions_a: np.ndarray | None = None,
-        state_b: StateRef = None,
+        state_b: SourceState | None = None,
         positions_b: np.ndarray | None = None,
     ):
         self.entities_a = entities_a
@@ -97,21 +89,6 @@ class PairBatch(Sequence):
         side_b = _index_side([pair[1] for pair in pairs], source_b)
         return cls(
             side_a[0], side_b[0], side_a[1], side_b[1], *side_a[2:], *side_b[2:]
-        )
-
-    def __reduce__(self) -> tuple:
-        return (
-            PairBatch,
-            (
-                self.entities_a,
-                self.entities_b,
-                self.index_a,
-                self.index_b,
-                _shipped(self.state_a),
-                self.positions_a,
-                _shipped(self.state_b),
-                self.positions_b,
-            ),
         )
 
     def __len__(self) -> int:
@@ -154,8 +131,3 @@ def _index_side(side: list[Entity], source: DataSource | None) -> tuple:
     numbers: dict[Entity, int] = {}
     index = [numbers.setdefault(entity, len(numbers)) for entity in side]
     return list(numbers), np.array(index, dtype=np.intp), None, None
-
-
-def _shipped(state: StateRef):
-    """A side's state as a pickled batch carries it: the key alone."""
-    return state.key if isinstance(state, SourceState) else state

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -72,16 +71,16 @@ class SourceState:
     state over a pair list's entities never changes at all. That makes
     a state the unit the engine keeps transformed value columns for —
     a column slot is filled once per (value op, state, position) and
-    dies with the state. ``key`` names the state across processes
-    (process-pool shards ship keys and positions, not sources); the
-    uid -> position map is built on first use.
+    dies with the state. ``key`` is a serial number unique to the
+    state, which names its columns without holding the state alive;
+    the uid -> position map is built on first use.
     """
 
     __slots__ = ("entities", "key", "_positions", "__weakref__")
 
     def __init__(self, entities: list[Entity]):
         self.entities = entities
-        self.key = (os.getpid(), next(_STATE_SERIALS))
+        self.key = next(_STATE_SERIALS)
         self._positions: dict[str, int] | None = None
 
     def position(self, uid: str) -> int:

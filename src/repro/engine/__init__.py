@@ -19,7 +19,6 @@ from repro.engine.compiler import (
 )
 from repro.engine.executor import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     WORKERS_ENV,
@@ -52,7 +51,6 @@ __all__ = [
     "GenerationDiff",
     "LRUCache",
     "PairContext",
-    "ProcessExecutor",
     "RuleCompiler",
     "SerialExecutor",
     "ThreadExecutor",

@@ -62,8 +62,8 @@ class PairStore:
         batch = PairBatch.from_pairs(pairs)
         self._batch = batch
         self._local_states: list[SourceState] = []
-        #: side -> (entities, state, positions) the value columns
-        #: gather by; ``local_states`` are the ad-hoc ones.
+        #: side -> (state, positions) the value columns gather by;
+        #: ``local_states`` are the ad-hoc ones.
         self._sides = {
             "a": self._side(batch.entities_a, batch.state_a, batch.positions_a),
             "b": self._side(batch.entities_b, batch.state_b, batch.positions_b),
@@ -82,8 +82,8 @@ class PairStore:
         if state is None:
             state = SourceState(entities)
             self._local_states.append(state)
-            return entities, state, range(len(entities))
-        return entities, state, positions.tolist()
+            return state, range(len(entities))
+        return state, positions.tolist()
 
     @property
     def pairs(self) -> list[tuple[Entity, Entity]]:
@@ -108,8 +108,7 @@ class PairStore:
         from the column key — transformed values depend only on (value
         op, entity) — so dedup workloads, whose two sides share one
         source state, share one column."""
-        entities, state, positions = self._sides[side]
-        return self._value_columns.gather(sig, node, state, positions, entities)
+        return self._value_columns.gather(sig, node, *self._sides[side])
 
     # -- distance columns -----------------------------------------------------
     def distance_column(self, op: ComparisonOp) -> np.ndarray:

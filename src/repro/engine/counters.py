@@ -5,32 +5,28 @@ Every statistics dataclass of the engine —
 :class:`~repro.engine.store.StoreStats` and
 :class:`~repro.engine.session.EngineCounters` with the
 ``EngineStats``/``MatchStats`` built on it — is combined by the same
-two functions, driven by each field's kind:
+function, driven by each field's kind:
 
-* a plain int is a monotonic **counter**: a delta subtracts, a merge
-  sums;
+* a plain int is a monotonic **counter**: a delta subtracts;
 * ``metadata=GAUGE`` marks a point-in-time **gauge** (a cache's
-  ``size`` and ``capacity``): a delta keeps the current value, a merge
-  sums (the merged snapshot describes the fleet, not one worker);
+  ``size`` and ``capacity``): a delta keeps the current value;
 * ``metadata=KEYED`` marks a **keyed table** of ``(name, count, ...)``
   rows (kernel routing): rows combine per name, all-zero rows are
   dropped and the result is sorted by name;
 * ``metadata=LOG`` marks an append-only **log** tuple (breaker trip
-  reasons): a delta keeps the entries past the baseline's length, a
-  merge is the sorted union of the entries;
+  reasons): a delta keeps the entries past the baseline's length;
 * a nested snapshot (a dataclass, or None where no store is
-  configured) recurses, and None is skipped.
+  configured) recurses.
 
 :func:`delta` is the per-run view — what a session did since an
-earlier snapshot of itself — and :func:`merged` the fleet view over
-per-worker deltas. :func:`line` renders a snapshot's counters as one
-greppable ``[label] name=value ...`` line.
+earlier snapshot of itself. :func:`line` renders a snapshot's counters
+as one greppable ``[label] name=value ...`` line.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
-from typing import Any, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, TypeVar
 
 _KIND = "counters.kind"
 
@@ -44,10 +40,10 @@ LOG = {_KIND: "log"}
 Snapshot = TypeVar("Snapshot")
 
 
-def _keyed(tables: Sequence[tuple], signs: Sequence[int]) -> tuple:
-    """Signed per-name sum of ``(name, count, ...)`` row tables."""
+def _keyed(now: tuple, then: tuple) -> tuple:
+    """Per-name difference of two ``(name, count, ...)`` row tables."""
     totals: dict[str, list[int]] = {}
-    for table, sign in zip(tables, signs):
+    for table, sign in ((now, 1), (then, -1)):
         for name, *counts in table:
             total = totals.setdefault(name, [0] * len(counts))
             for position, count in enumerate(counts):
@@ -72,7 +68,7 @@ def delta(current: Snapshot, baseline: Snapshot | None) -> Snapshot:
         if kind == "gauge":
             values[spec.name] = now
         elif kind == "keyed":
-            values[spec.name] = _keyed((now, then), (1, -1))
+            values[spec.name] = _keyed(now, then)
         elif kind == "log":
             values[spec.name] = now[len(then) :]
         elif now is None or is_dataclass(now):
@@ -80,28 +76,6 @@ def delta(current: Snapshot, baseline: Snapshot | None) -> Snapshot:
         else:
             values[spec.name] = now - then
     return type(current)(**values)
-
-
-def merged(snapshots: Sequence[Snapshot | None]) -> Snapshot | None:
-    """One fleet-wide snapshot summed over per-worker snapshots (None
-    entries are skipped; None when nothing is left — no worker
-    reported)."""
-    present = [snapshot for snapshot in snapshots if snapshot is not None]
-    if not present:
-        return None
-    values: dict[str, Any] = {}
-    for spec in fields(present[0]):
-        column = [getattr(snapshot, spec.name) for snapshot in present]
-        kind = spec.metadata.get(_KIND)
-        if kind == "keyed":
-            values[spec.name] = _keyed(column, [1] * len(column))
-        elif kind == "log":
-            values[spec.name] = tuple(sorted(set().union(*column)))
-        elif column[0] is None or is_dataclass(column[0]):
-            values[spec.name] = merged(column)
-        else:
-            values[spec.name] = sum(column)
-    return type(present[0])(**values)
 
 
 def line(label: str, snapshot: Any) -> str:

@@ -4,9 +4,10 @@ Both halves of the hot path are embarrassingly parallel: distance
 columns within one compiled plan are independent per comparison op, and
 candidate-pair shards within one matching run are independent per
 shard. :class:`Executor` abstracts *how* that independent work runs —
-inline (:class:`SerialExecutor`), on a shared-memory thread pool
-(:class:`ThreadExecutor`), or on a process pool
-(:class:`ProcessExecutor`) — behind one order-preserving ``map``.
+inline (:class:`SerialExecutor`) or on a shared-memory thread pool
+(:class:`ThreadExecutor`) — behind one order-preserving ``map``. Either
+way every shard, column and counter stays in one address space, so
+submitted callables may close over the engine session and its caches.
 
 Determinism is the design constraint: every task the engine submits is
 a pure function, and consumers always consume results in submission
@@ -20,34 +21,31 @@ Selection is explicit (constructor argument) or ambient via the
     REPRO_ENGINE_WORKERS=0          # serial (the default)
     REPRO_ENGINE_WORKERS=4          # thread pool, 4 workers
     REPRO_ENGINE_WORKERS=thread:4   # same, explicit
-    REPRO_ENGINE_WORKERS=process:4  # process pool, 4 workers
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Sequence
 
 #: Environment variable consulted when no executor is configured.
 WORKERS_ENV = "REPRO_ENGINE_WORKERS"
+
+#: The spec forms :func:`parse_workers_spec` accepts, for error messages.
+_SPEC_FORMS = "'serial' or '0' (serial), a worker count 'N', or 'thread:N'"
 
 
 class Executor(ABC):
     """Maps a pure function over items, preserving input order.
 
-    ``kind`` names the strategy (``serial`` / ``thread`` / ``process``),
-    ``workers`` is the configured worker count (0 for serial), and
-    ``shares_memory`` tells callers whether submitted callables may
-    close over shared mutable state (sessions, caches) — true for
-    serial and thread executors, false for process pools, whose tasks
-    must be picklable and self-contained.
+    ``kind`` names the strategy (``serial`` / ``thread``) and
+    ``workers`` is the configured worker count (0 for serial).
     """
 
     kind: str = "abstract"
     workers: int = 0
-    shares_memory: bool = True
 
     @abstractmethod
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
@@ -88,7 +86,6 @@ class ThreadExecutor(Executor):
     """
 
     kind = "thread"
-    shares_memory = True
 
     def __init__(self, workers: int):
         if workers < 1:
@@ -116,47 +113,12 @@ class ThreadExecutor(Executor):
             self._pool = None
 
 
-class ProcessExecutor(Executor):
-    """A persistent process pool for GIL-free sharding.
-
-    Submitted callables and their arguments must be picklable (use
-    module-level functions). Worker processes keep their own module
-    state between tasks, which shard consumers exploit to hold one
-    per-process engine session whose value columns persist across
-    shards.
-    """
-
-    kind = "process"
-    shares_memory = False
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("process executor needs at least 1 worker")
-        self.workers = workers
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def map(self, fn, items):
-        items = list(items)
-        if not items:
-            return []
-        return list(self._ensure_pool().map(fn, items))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def parse_workers_spec(spec: str) -> Executor:
     """Build an executor from a spec string.
 
     Accepted forms: ``"serial"`` / ``"0"`` (serial), ``"N"`` (thread
-    pool of N), ``"thread:N"``, ``"process:N"``.
+    pool of N) and ``"thread:N"``; anything else, ``"process:N"``
+    included, raises :class:`ValueError`.
     """
     text = spec.strip().lower()
     if text in ("", "0", "serial"):
@@ -164,24 +126,20 @@ def parse_workers_spec(spec: str) -> Executor:
     kind, _, count_text = text.partition(":")
     if not _:
         kind, count_text = "thread", text
+    if kind != "thread":
+        raise ValueError(
+            f"invalid workers spec {spec!r}: unknown executor kind "
+            f"{kind!r}; expected {_SPEC_FORMS}"
+        )
     try:
         count = int(count_text)
     except ValueError:
         raise ValueError(
-            f"invalid workers spec {spec!r}: expected 'serial', a worker "
-            f"count, 'thread:N' or 'process:N'"
+            f"invalid workers spec {spec!r}: expected {_SPEC_FORMS}"
         ) from None
     if count < 0:
         raise ValueError(f"invalid workers spec {spec!r}: count must be >= 0")
-    if count == 0:
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(count)
-    if kind == "process":
-        return ProcessExecutor(count)
-    raise ValueError(
-        f"invalid workers spec {spec!r}: unknown executor kind {kind!r}"
-    )
+    return ThreadExecutor(count) if count else SerialExecutor()
 
 
 def resolve_executor(
@@ -210,24 +168,3 @@ def resolve_executor(
         f"workers must be an int, str, Executor or None, "
         f"not {type(workers).__name__}"
     )
-
-
-def window_batches(
-    batches: Iterable[Any], window: int
-) -> Iterable[list[Any]]:
-    """Group an iterable into windows of at most ``window`` items.
-
-    Shard consumers evaluate one window concurrently while keeping
-    memory bounded: only ``window`` batches are materialised at a time,
-    and emitting windows in order preserves the global batch order.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    group: list[Any] = []
-    for batch in batches:
-        group.append(batch)
-        if len(group) >= window:
-            yield group
-            group = []
-    if group:
-        yield group

@@ -96,8 +96,6 @@ class EngineCounters:
     #: a vectorized batch kernel vs the per-pair scalar fallback (cache
     #: and store hits evaluate nothing and count toward neither). A
     #: measure that silently falls back shows up here immediately.
-    #: Plain tuples so the stats pickle cleanly out of process-pool
-    #: workers.
     kernel_routing: tuple[tuple[str, int, int], ...] = field(
         default=(), metadata=KEYED
     )
@@ -266,16 +264,14 @@ class EngineSession:
         node: ValueNode,
         state: SourceState,
         positions: Sequence[int],
-        entities: Sequence[Entity] | None = None,
     ) -> list[tuple[str, ...]]:
         """Transformed values of one value tree at ``positions`` of a
         source state, gathered from the session's column of that state
-        (filled where empty; ``entities`` are the entities at those
-        positions, the state's own by default). Blocking-index
-        construction and probing read values here, so index keys share
-        every evaluation with the rule scoring that follows."""
+        (filled where empty). Blocking-index construction and probing
+        read values here, so index keys share every evaluation with the
+        rule scoring that follows."""
         return self._values.gather(
-            self._compiler.value_signature(node), node, state, positions, entities
+            self._compiler.value_signature(node), node, state, positions
         )
 
     # -- blocking indexes ------------------------------------------------------
@@ -486,20 +482,13 @@ class PairContext:
         Unique comparison ops are evaluated first (each one exactly
         once — this is where the deduplicated DAG pays off), then each
         root reduces over the shared vectors. Column building is
-        independent per op, so a shared-memory executor fans it out
-        across workers; the columns land in the shared cache either
-        way, and every op is pure, so results are byte-identical for
-        any worker count.
+        independent per op, so the session executor fans it out across
+        workers; the columns land in the shared cache either way, and
+        every op is pure, so results are byte-identical for any worker
+        count.
         """
         plan = self._session.compile_population(roots)
-        executor = self._session.executor
-        if executor.shares_memory and executor.workers > 1:
-            executor.map(self._store.distance_column, plan.comparison_ops)
-        else:
-            # Process pools cannot share the column cache; build
-            # inline (the shards themselves parallelise elsewhere).
-            for op in plan.comparison_ops:
-                self._store.distance_column(op)
+        self._session.executor.map(self._store.distance_column, plan.comparison_ops)
         return [self.execute(root) for root in plan.roots]
 
     def execute(self, compiled: CompiledSimilarity) -> np.ndarray:

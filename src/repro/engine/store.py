@@ -59,10 +59,10 @@ through once, a pickle, a pickle that must be a dict) and in the
 :class:`StoreStats` counter prefix (``""``, ``index_``, ``probe_``).
 
 Blobs are written to a temp file in the destination directory and
-published with ``os.replace``, so readers — including concurrent
-writer processes under a process-pool executor — never observe a
-partial file; racing writers each publish a complete blob and the last
-rename wins.
+published with ``os.replace``, so readers — including the other
+processes of a service worker fleet sharing one cache dir — never
+observe a partial file; racing writers each publish a complete blob
+and the last rename wins.
 
 The store never raises for storage faults: a failed load is a miss and
 a failed save is skipped, so a read-only or full cache directory

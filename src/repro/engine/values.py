@@ -23,7 +23,6 @@ from typing import Sequence
 
 from repro.core.nodes import PropertyNode, TransformationNode, ValueNode
 from repro.data.entity import Entity
-from repro.data.pairs import StateRef
 from repro.data.source import SourceState
 from repro.engine.lru import CacheStats
 from repro.transforms.registry import TransformationRegistry
@@ -54,11 +53,9 @@ class ValueColumns:
     entity's values are evaluated once per state however many shards,
     probes and contexts read them. The columns of a live
     :class:`~repro.data.source.SourceState` are dropped when that state
-    is garbage-collected (a weak reference per state); a bare state key
-    — a process-pool worker's name for its parent's state — has no
-    anchor and leaves only by eviction. ``capacity`` bounds the filled
-    slots of all columns together; past it, whole columns leave in
-    least-recently-gathered order.
+    is garbage-collected (a weak reference per state). ``capacity``
+    bounds the filled slots of all columns together; past it, whole
+    columns leave in least-recently-gathered order.
 
     :meth:`stats` keeps the per-entity meaning of a value cache: a
     miss is a slot evaluated, a hit a slot gathered already filled,
@@ -77,11 +74,11 @@ class ValueColumns:
         #: recently gathered first.
         self._columns: dict[tuple, dict[int, tuple[str, ...]]] = {}
         #: state key -> weak reference to the live state.
-        self._anchors: dict[tuple, weakref.ref] = {}
+        self._anchors: dict[int, weakref.ref] = {}
         #: Keys of collected states; a weakref callback may run inside
         #: a locked section, so it only appends and the next locked
         #: call drops their columns.
-        self._dead: list[tuple] = []
+        self._dead: list[int] = []
         self._size = 0
         self._hits = 0
         self._misses = 0
@@ -92,36 +89,31 @@ class ValueColumns:
         self,
         sig,
         node: ValueNode,
-        state: StateRef,
+        state: SourceState,
         positions: Sequence[int],
-        entities: Sequence[Entity] | None = None,
     ) -> list[tuple[str, ...]]:
         """The values of ``node`` (signature ``sig``) at ``positions``
-        of ``state``'s column. Unfilled slots evaluate the entity at
-        that position: ``entities[i]`` for ``positions[i]``, or the
-        live state's own entity when ``entities`` is None."""
-        live = state if isinstance(state, SourceState) else None
-        key = live.key if live is not None else state
+        of ``state``'s column. Unfilled slots evaluate the state's
+        entity at that position."""
+        key = state.key
         column_key = (key, sig)
         with self._lock:
             self._drop_dead()
             column = self._columns.pop(column_key, None)
             if column is None:
                 column = {}
-                if live is not None and key not in self._anchors:
+                if key not in self._anchors:
                     dead = self._dead
                     self._anchors[key] = weakref.ref(
-                        live, lambda _ref, key=key: dead.append(key)
+                        state, lambda _ref, key=key: dead.append(key)
                     )
             self._columns[column_key] = column
         values = list(map(column.get, positions))
         missing = [i for i, held in enumerate(values) if held is None]
         transforms = self._transforms
+        entities = state.entities
         for i in missing:
-            entity = (
-                entities[i] if entities is not None else live.entities[positions[i]]
-            )
-            values[i] = evaluate_value_op(node, entity, transforms)
+            values[i] = evaluate_value_op(node, entities[positions[i]], transforms)
         with self._lock:
             self._hits += len(values) - len(missing)
             self._misses += len(missing)
@@ -170,7 +162,7 @@ class ValueColumns:
         while dead:
             self._drop(dead.pop())
 
-    def _drop(self, key: tuple) -> None:
+    def _drop(self, key: int) -> None:
         self._anchors.pop(key, None)
         for column_key in [ck for ck in self._columns if ck[0] == key]:
             self._discard(column_key)

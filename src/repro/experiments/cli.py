@@ -858,12 +858,10 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         default=None,
         metavar="SPEC",
-        help="engine executor: 0/serial, N or thread:N (thread pool; "
-        "parallelises fitness evaluation and link generation) or "
-        "process:N (process pool; parallelises link-generation "
-        "sharding only — learning runs serially); results are "
-        "identical for every setting (default: the "
-        f"{WORKERS_ENV} environment variable)",
+        help="engine executor: 0/serial, or N/thread:N for a thread "
+        "pool that parallelises fitness evaluation and link "
+        "generation; results are identical for every setting "
+        f"(default: the {WORKERS_ENV} environment variable)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -1227,7 +1225,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[WORKERS_ENV] = args.workers
     if args.cache_dir is not None:
         # Hand the cache dir to every engine session created below (and
-        # to process-pool workers, which inherit the environment).
+        # to serve's worker processes, which inherit the environment).
         os.environ[CACHE_ENV] = args.cache_dir
     if args.blocker is not None:
         # Same pattern: every matching engine created below (and in

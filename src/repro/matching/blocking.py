@@ -138,12 +138,11 @@ def fan_entity_chunks(
     ``fn`` receives a chunk and returns a list of per-entity results;
     chunk results are concatenated in chunk order, so the output is
     identical to ``fn(entities)`` whatever the worker count. Falls back
-    to one inline call for serial/process executors and small inputs.
+    to one inline call for serial executors and small inputs.
     """
     executor = session.executor if session is not None else None
     if (
         executor is None
-        or not executor.shares_memory
         or executor.workers < 2
         or len(entities) < _FAN_THRESHOLD
     ):

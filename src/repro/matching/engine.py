@@ -11,10 +11,9 @@ caches every 4096 pairs).
 Batches are additionally **sharded across workers** through a
 pluggable :class:`repro.engine.executor.Executor` (``workers=`` or the
 ``REPRO_ENGINE_WORKERS`` environment variable): a window of batches
-(``window=``, default 2x the worker count) is scored concurrently — on
-threads sharing the session's caches, or on a process pool with one
-persistent engine session per worker process — and results are merged
-back in submission order. Candidate shards come straight from the
+(``window=``, default 2x the worker count) is scored concurrently on
+threads sharing the session's caches, and results are merged back in
+submission order. Candidate shards come straight from the
 blocker (:meth:`repro.matching.blocking.Blocker.iter_shards`) over the
 run's session, so blocking-index construction shares the executor, the
 value columns and the persistent store's index tier. Batch boundaries
@@ -41,7 +40,6 @@ import numpy as np
 
 from repro import faults
 from repro.core.rule import MATCH_THRESHOLD, LinkageRule
-from repro.core.nodes import SimilarityNode
 from repro.faults import CancelToken
 from repro.data.pairs import PairBatch
 from repro.data.source import DataSource
@@ -114,14 +112,12 @@ class MatchStats(EngineCounters):
     columns / scores plus the persistent column store — so consumers
     (CI assertions, docs, tuning scripts) can tell a cross-run store
     hit from an in-memory hit unambiguously. Counters are **per run**:
-    sessions (and process-pool worker sessions) outlive individual
-    runs, so the engine snapshots their statistics at run start and
-    reports the delta — a warm rerun on a shared session really shows
-    ``store.misses == 0``, not the cold run's misses folded in.
-    ``size``/``capacity`` remain point-in-time gauges. The deltas of
-    every session that worked on the run are merged: the run session
-    and, on process runs, each worker's private session (``degraded``
-    becomes their sorted, deduplicated union).
+    a session outlives individual runs, so the engine snapshots its
+    statistics at run start and reports the delta — a warm rerun on a
+    shared session really shows ``store.misses == 0``, not the cold
+    run's misses folded in. ``size``/``capacity`` remain point-in-time
+    gauges, and ``degraded`` lists each breaker-trip reason of the run
+    once, sorted.
     """
 
     batches: int
@@ -169,45 +165,6 @@ class LinkDiff:
     stats: MatchStats | None
 
 
-#: One engine session per worker process, lazily created and reused
-#: across shards so a worker's value columns — keyed by the state keys
-#: and filled at the positions its shards carry — persist for the
-#: whole execution (the process-pool analogue of the shared session).
-_WORKER_SESSION: EngineSession | None = None
-#: Cache-dir spec the worker session was created with; a different
-#: spec (engine reconfigured between runs) recreates the session.
-_WORKER_CACHE_DIR: str | None = None
-
-
-def _shard_scores(
-    payload: tuple[SimilarityNode, PairBatch, str | None],
-) -> tuple[int, np.ndarray, EngineStats, float]:
-    """Score one candidate-pair shard inside a worker process.
-
-    Module-level so process pools can pickle it. The worker session is
-    explicitly serial — nesting a thread pool per worker process would
-    oversubscribe the machine without changing any result. The payload
-    carries the persistent cache dir (None = consult the environment):
-    worker processes share the same on-disk store as the parent —
-    atomic-rename writes make concurrent writers safe. The wall-clock
-    duration of the shard rides along for the parent's adaptive
-    window sizing.
-    """
-    global _WORKER_SESSION, _WORKER_CACHE_DIR
-    root, batch, cache_dir = payload
-    if _WORKER_SESSION is None or _WORKER_CACHE_DIR != cache_dir:
-        _WORKER_SESSION = EngineSession(executor=0, store=cache_dir)
-        _WORKER_CACHE_DIR = cache_dir
-    started = time.perf_counter()
-    context = _WORKER_SESSION.context(batch)
-    try:
-        scores = context.scores(root)
-    finally:
-        _WORKER_SESSION.release_context(context)
-    duration = time.perf_counter() - started
-    return os.getpid(), scores, _WORKER_SESSION.stats(), duration
-
-
 def _batch_links(
     batch: PairBatch, scores: np.ndarray, threshold: float
 ) -> list[GeneratedLink]:
@@ -227,10 +184,9 @@ def _batch_links(
 
 
 class _RunState:
-    """Mutable per-run scoring state: the in-flight shard window depth
-    (adapted from measured shard durations when no ``window=`` override
-    pins it) plus the worker-session snapshots a process-pool run
-    reports from.
+    """Mutable per-run scoring state: the in-flight shard window depth,
+    adapted from measured shard durations when no ``window=`` override
+    pins it.
 
     The adaptive rule: uniform shard times need no slack beyond the
     2x-workers base, but high variance drains the pool while the long
@@ -238,7 +194,7 @@ class _RunState:
     variation of recent shard durations, clamped to [base, 4x base].
     """
 
-    __slots__ = ("base", "adaptive", "depth", "max_depth", "durations", "worker_stats")
+    __slots__ = ("base", "adaptive", "depth", "max_depth", "durations")
 
     def __init__(self, base: int, adaptive: bool):
         self.base = base
@@ -246,7 +202,6 @@ class _RunState:
         self.depth = base
         self.max_depth = base * 4
         self.durations: list[float] = []
-        self.worker_stats: dict[int, EngineStats] = {}
 
     def adapt(self) -> None:
         if not self.adaptive:
@@ -290,9 +245,7 @@ class MatchingEngine:
         sources); pass a session explicitly to share caches across
         executions. ``workers`` selects the sharding executor (see
         :func:`repro.engine.executor.resolve_executor`); ``None``
-        consults ``REPRO_ENGINE_WORKERS``. A process-pool executor
-        requires the default registries (worker processes build their
-        own sessions) and therefore rejects an explicit ``session``.
+        consults ``REPRO_ENGINE_WORKERS``.
 
         ``cache_dir`` enables the persistent distance-column store for
         the sessions this engine creates (a path, a
@@ -312,27 +265,13 @@ class MatchingEngine:
         self._session = session
         self._window = window
         self._executor = resolve_executor(workers)
-        if self._executor.kind == "process" and session is not None:
-            raise ValueError(
-                "process-pool sharding cannot share an in-process engine "
-                "session; drop the session= argument or use thread workers"
-            )
         if session is not None and cache_dir is not None:
             raise ValueError(
                 "the persistent store is owned by the session; configure "
                 "store= on EngineSession instead of cache_dir="
             )
         self._cache_dir = cache_dir
-        #: Parent-side session of process-pool runs: blocking indexes
-        #: are built (and persisted) in the parent even though scoring
-        #: happens in worker sessions. Lazily created, persists across
-        #: runs so repeated executions reuse in-memory indexes.
-        self._process_parent_session: EngineSession | None = None
         self._last_stats: MatchStats | None = None
-        #: Per-worker-process snapshots at the end of the previous run,
-        #: keyed by pid — worker sessions persist across the runs of
-        #: one engine, so per-run stats are deltas against these.
-        self._worker_baselines: dict[int, EngineStats] = {}
 
     @property
     def executor(self) -> Executor:
@@ -353,12 +292,9 @@ class MatchingEngine:
         return self._last_stats
 
     def close(self) -> None:
-        """Release pooled executor workers (including the blocking
-        parent session's, on process-pool engines). Usable as a
-        context manager."""
+        """Release pooled executor workers. Usable as a context
+        manager."""
         self._executor.close()
-        if self._process_parent_session is not None:
-            self._process_parent_session.close()
 
     def __enter__(self) -> "MatchingEngine":
         return self
@@ -407,9 +343,7 @@ class MatchingEngine:
         re-chunking layer — and the blocker shares the run's engine
         session, so its index construction goes through the session
         executor, the value columns and (when configured) the persistent
-        store's index tier. On process pools, scoring runs in
-        per-worker sessions while blocking indexes are built in a
-        parent-side session that persists across the engine's runs.
+        store's index tier.
 
         ``cancel`` enables cooperative cancellation: the token is
         checked at every shard-group boundary (the engine's natural
@@ -568,17 +502,11 @@ class MatchingEngine:
             yield "unchanged", link
 
     def _run_session(self) -> EngineSession:
-        """The session one run's candidate generation uses. Process
-        pools score in per-worker sessions, but blocking is parent-side
-        work — it gets a persistent parent session sharing the same
-        on-disk store."""
-        if self._executor.kind != "process":
-            if self._session is not None:
-                return self._session
-            return EngineSession(store=self._cache_dir)
-        if self._process_parent_session is None:
-            self._process_parent_session = EngineSession(store=self._cache_dir)
-        return self._process_parent_session
+        """The session one run blocks and scores through: the shared
+        one, or a fresh one per run."""
+        if self._session is not None:
+            return self._session
+        return EngineSession(store=self._cache_dir)
 
     def _run_state(self) -> _RunState:
         return _RunState(
@@ -605,8 +533,12 @@ class MatchingEngine:
         (``cancel.check()``) and the ``engine.shard`` fault-injection
         seam — together they bound how long a hung or doomed run can
         keep computing to one in-flight group."""
-        executor = self._executor
-        shard_cache_dir = self._shard_cache_dir()
+
+        def timed(batch):
+            started = time.perf_counter()
+            scores = self._batch_scores(session, rule, batch)
+            return scores, time.perf_counter() - started
+
         stream = iter(shards)
         while True:
             if cancel is not None:
@@ -615,27 +547,10 @@ class MatchingEngine:
             group = list(islice(stream, state.depth))
             if not group:
                 return
-            if executor.kind == "process":
-                results = executor.map(
-                    _shard_scores,
-                    [(rule.root, batch, shard_cache_dir) for batch in group],
-                )
-                score_vectors = []
-                for pid, scores, engine_stats, duration in results:
-                    state.worker_stats[pid] = engine_stats
-                    state.durations.append(duration)
-                    score_vectors.append(scores)
-            else:
-
-                def timed(batch):
-                    started = time.perf_counter()
-                    scores = self._batch_scores(session, rule, batch)
-                    return scores, time.perf_counter() - started
-
-                score_vectors = []
-                for scores, duration in executor.map(timed, group):
-                    state.durations.append(duration)
-                    score_vectors.append(scores)
+            score_vectors = []
+            for scores, duration in self._executor.map(timed, group):
+                state.durations.append(duration)
+                score_vectors.append(scores)
             state.adapt()
             yield from zip(group, score_vectors)
 
@@ -648,34 +563,17 @@ class MatchingEngine:
         pairs: int,
         links: int,
     ) -> MatchStats:
-        """The run's counters: the deltas of the process-pool worker
-        sessions (serial and thread runs have none) merged with the
-        delta of the run session, whose blocking work — index-tier
-        traffic, MultiBlock value transformations, probing — would
-        otherwise vanish from the report of a process run."""
-        deltas = [
-            counters.delta(
-                EngineCounters.of(snapshot), self._worker_baselines.get(pid)
-            )
-            for pid, snapshot in state.worker_stats.items()
-        ]
-        deltas.append(counters.delta(EngineCounters.of(session.stats()), baseline))
-        self._worker_baselines.update(state.worker_stats)
+        """The run's counters: the run session's delta since
+        ``baseline``, with each breaker-trip reason listed once,
+        sorted."""
+        run = counters.delta(EngineCounters.of(session.stats()), baseline)
         return MatchStats(
-            **vars(counters.merged(deltas)),
+            **{**vars(run), "degraded": tuple(sorted(set(run.degraded)))},
             batches=batches,
             pairs=pairs,
             links=links,
             window_depth=state.depth,
         )
-
-    def _shard_cache_dir(self) -> str | None:
-        """The cache-dir spec shipped to process-pool shard workers
-        (workers resolve their own store; None = consult the
-        environment, as the parent would)."""
-        if isinstance(self._cache_dir, ColumnStore):
-            return str(self._cache_dir.root)
-        return self._cache_dir
 
     def _batch_scores(
         self,
@@ -683,8 +581,8 @@ class MatchingEngine:
         rule: LinkageRule,
         batch: PairBatch,
     ) -> np.ndarray:
-        """Score one batch through the shared session (serial and
-        thread paths; thread-safe via the session's locked caches)."""
+        """Score one batch through the run session (thread-safe via the
+        session's locked caches)."""
         context = session.context(batch)
         try:
             return context.scores(rule.root)

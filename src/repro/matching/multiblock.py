@@ -95,7 +95,7 @@ def _values_of(
     if session is not None:
         found = state.positions_of(entities)
         if None not in found:
-            return session.value_tuples(node, state, found, entities)
+            return session.value_tuples(node, state, found)
     return [evaluate_value_op(node, entity, transforms) for entity in entities]
 
 #: Metres per degree of latitude (conservative lower bound).
@@ -766,11 +766,7 @@ class MultiBlocker(CodeProbeBlocker):
         own = self._active_session(session)
         transforms = own.transforms
         executor = own.executor
-        if (
-            executor.shares_memory
-            and executor.workers > 1
-            and len(comparisons) > 1
-        ):
+        if executor.workers > 1 and len(comparisons) > 1:
             built = executor.map(
                 lambda comparison: build_comparison_index(
                     comparison, source, transforms, own, fan=False

@@ -66,13 +66,10 @@ DEFAULT_LEASE = 30.0
 class JobRunner:
     """Executes job records through one persistent matching engine.
 
-    The engine (and, on serial/thread executors, its
-    :class:`~repro.engine.session.EngineSession`) is created once and
-    reused across every job the runner sees — transformed values,
-    blocking indexes and probe results computed for one job warm the
-    next, on top of the shared persistent store. Process-pool
-    executors cannot share an in-process session; there the runner
-    falls back to a per-run session over the same on-disk store.
+    The engine and its :class:`~repro.engine.session.EngineSession`
+    are created once and reused across every job the runner sees —
+    transformed values, blocking indexes and probe results computed
+    for one job warm the next, on top of the shared persistent store.
     """
 
     def __init__(
@@ -80,18 +77,8 @@ class JobRunner:
     ):
         self.cache_dir = cache_dir
         self.rules_dir = rules_dir
-        self._session: EngineSession | None = None
-        try:
-            self._session = EngineSession(store=cache_dir)
-            self._engine = MatchingEngine(session=self._session)
-        except ValueError:
-            # Process-pool executor (REPRO_ENGINE_WORKERS=process:N):
-            # scoring sessions live in the worker processes, the
-            # parent-side blocking session persists inside the engine.
-            if self._session is not None:
-                self._session.close()
-                self._session = None
-            self._engine = MatchingEngine(cache_dir=cache_dir)
+        self._session = EngineSession(store=cache_dir)
+        self._engine = MatchingEngine(session=self._session)
 
     @property
     def engine(self) -> MatchingEngine:
@@ -101,8 +88,7 @@ class JobRunner:
     def close(self) -> None:
         """Release the engine's executor and session."""
         self._engine.close()
-        if self._session is not None:
-            self._session.close()
+        self._session.close()
 
     def run(
         self,

@@ -5,8 +5,8 @@ The blocking front-end promises that generated links depend only on
 whether indexes came fresh, from the session memo, or from the
 persistent store — and that every complete blocker agrees on the link
 *set*. These tests pin that contract property-based (random sources ×
-blockers × workers × batch sizes) plus targeted cases for process
-pools and persisted-index invalidation on source change.
+blockers × workers × batch sizes) plus targeted cases for
+persisted-index invalidation on source change.
 """
 
 from __future__ import annotations
@@ -115,32 +115,6 @@ def test_links_identical_across_blockers_workers_and_batches(sources):
     assert all(
         pairs == link_sets["full"] for pairs in link_sets.values()
     ), link_sets
-
-
-def test_links_identical_on_process_pools():
-    """The process-pool leg of the matrix (one fixed workload: pool
-    startup is too slow for hypothesis examples)."""
-    rule = _rule()
-    source_a = DataSource(
-        "A", [Entity(f"a{i}", {"label": f"WORD{i % 7}"}) for i in range(25)]
-    )
-    source_b = DataSource(
-        "B", [Entity(f"b{i}", {"label": f"word{i % 5}"}) for i in range(25)]
-    )
-    for label, make in _blockers(rule).items():
-        serial_engine = MatchingEngine(blocker=make(), batch_size=16)
-        serial = [
-            (l.uid_a, l.uid_b, l.score)
-            for l in serial_engine.iter_links(rule, source_a, source_b)
-        ]
-        with MatchingEngine(
-            blocker=make(), batch_size=16, workers="process:2"
-        ) as engine:
-            sharded = [
-                (l.uid_a, l.uid_b, l.score)
-                for l in engine.iter_links(rule, source_a, source_b)
-            ]
-        assert sharded == serial, label
 
 
 class TestPersistedIndexInvalidation:

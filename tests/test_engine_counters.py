@@ -1,6 +1,6 @@
 """Tests for the field-driven statistics arithmetic
-(:mod:`repro.engine.counters`): per-run deltas, fleet merges and the
-counter line, over each field kind."""
+(:mod:`repro.engine.counters`): per-run deltas and the counter line,
+over each field kind."""
 
 from __future__ import annotations
 
@@ -27,98 +27,46 @@ def _engine(**fields) -> EngineCounters:
     )
 
 
-def _merged(*snapshots):
-    return counters.merged(snapshots)
-
-
 @pytest.mark.parametrize(
-    "combine, snapshots, expected",
+    "current, baseline, expected",
     [
         pytest.param(
-            counters.delta,
-            (CacheStats(5, 2, 1, 7, 10), CacheStats(3, 1, 0, 4, 10)),
+            CacheStats(5, 2, 1, 7, 10),
+            CacheStats(3, 1, 0, 4, 10),
             CacheStats(2, 1, 1, 7, 10),
             id="delta-counters-subtract-gauges-keep-current",
         ),
         pytest.param(
-            _merged,
-            (CacheStats(1, 2, 0, 3, 10), CacheStats(4, 0, 1, 5, 10)),
-            CacheStats(5, 2, 1, 8, 20),
-            id="merge-counters-and-gauges-sum",
-        ),
-        pytest.param(
-            counters.delta,
-            (
-                _engine(
-                    probe_batches=4,
-                    kernel_routing=(("jaro", 5, 0), ("levenshtein", 3, 1)),
-                ),
-                _engine(probe_batches=1, kernel_routing=(("levenshtein", 3, 1),)),
+            _engine(
+                probe_batches=4,
+                kernel_routing=(("jaro", 5, 0), ("levenshtein", 3, 1)),
             ),
+            _engine(probe_batches=1, kernel_routing=(("levenshtein", 3, 1),)),
             _engine(probe_batches=3, kernel_routing=(("jaro", 5, 0),)),
             id="delta-keyed-gains-a-name-and-drops-a-zero-row",
         ),
         pytest.param(
-            _merged,
-            (
-                _engine(kernel_routing=(("jaro", 5, 0),)),
-                _engine(kernel_routing=(("equality", 1, 0), ("jaro", 2, 1))),
-            ),
-            _engine(kernel_routing=(("equality", 1, 0), ("jaro", 7, 1))),
-            id="merge-keyed-sums-per-name",
-        ),
-        pytest.param(
-            counters.delta,
-            (
-                _engine(degraded=("breaker open: EIO", "breaker open: EIO")),
-                _engine(degraded=("breaker open: EIO",)),
-            ),
+            _engine(degraded=("breaker open: EIO", "breaker open: EIO")),
+            _engine(degraded=("breaker open: EIO",)),
             _engine(degraded=("breaker open: EIO",)),
             id="delta-log-keeps-entries-past-the-baseline",
         ),
         pytest.param(
-            _merged,
-            (
-                _engine(degraded=("breaker open: EIO", "breaker open: EIO")),
-                _engine(degraded=("breaker open: ENOSPC", "breaker open: EIO")),
-            ),
-            _engine(degraded=("breaker open: EIO", "breaker open: ENOSPC")),
-            id="merge-log-is-a-sorted-union",
-        ),
-        pytest.param(
-            counters.delta,
-            (_engine(store=STORE), _engine(store=None)),
+            _engine(store=STORE),
+            _engine(store=None),
             _engine(store=STORE),
             id="delta-store-against-a-none-baseline",
         ),
         pytest.param(
-            _merged,
-            (_engine(store=None), _engine(store=STORE), _engine(store=STORE)),
-            _engine(
-                store=StoreStats(
-                    hits=6, misses=2, writes=2, invalid=0,
-                    bytes_read=16, bytes_written=8,
-                )
-            ),
-            id="merge-skips-none-stores",
-        ),
-        pytest.param(
-            _merged,
-            (_engine(store=None), _engine(store=None)),
-            _engine(store=None),
-            id="merge-all-none-stores-stays-none",
-        ),
-        pytest.param(
-            counters.delta,
-            (STORE, None),
+            STORE,
+            None,
             STORE,
             id="delta-without-baseline-is-the-full-history",
         ),
-        pytest.param(_merged, (), None, id="merge-of-nothing-is-none"),
     ],
 )
-def test_delta_and_merged_by_field_kind(combine, snapshots, expected):
-    assert combine(*snapshots) == expected
+def test_delta_by_field_kind(current, baseline, expected):
+    assert counters.delta(current, baseline) == expected
 
 
 def test_line_reads_a_snapshot_and_its_job_record_alike():

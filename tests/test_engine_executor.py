@@ -1,7 +1,6 @@
 """Tests for the parallel execution layer: executor resolution,
 order-preserving maps, thread-safe sessions, sharded matching with
-deterministic link ordering, per-generation reuse diffing, and the
-process-pool path."""
+deterministic link ordering, and per-generation reuse diffing."""
 
 from __future__ import annotations
 
@@ -24,20 +23,17 @@ from repro.data.source import DataSource
 from repro.engine import EngineSession
 from repro.engine.executor import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     WORKERS_ENV,
     parse_workers_spec,
     resolve_executor,
-    window_batches,
 )
 from repro.matching.blocking import FullIndexBlocker
 from repro.matching.engine import MatchingEngine
 
 
 def _square(x):
-    """Module-level so process pools can pickle it."""
     return x * x
 
 
@@ -108,15 +104,19 @@ class TestResolution:
         assert isinstance(parse_workers_spec("0"), SerialExecutor)
         assert isinstance(parse_workers_spec("4"), ThreadExecutor)
         assert isinstance(parse_workers_spec("thread:2"), ThreadExecutor)
-        process = parse_workers_spec("process:2")
-        assert isinstance(process, ProcessExecutor)
-        assert process.workers == 2
         assert parse_workers_spec("thread:0").kind == "serial"
 
     def test_invalid_specs(self):
-        for spec in ("nope", "thread:x", "gpu:4", "thread:-1"):
+        for spec in ("nope", "thread:x", "gpu:4", "thread:-1", "process:2"):
             with pytest.raises(ValueError):
                 parse_workers_spec(spec)
+        # An ambient spec is refused where an engine is built, not
+        # degraded to another executor.
+        with mock.patch.dict(os.environ, {WORKERS_ENV: "process:2"}):
+            with pytest.raises(ValueError, match="thread:N"):
+                EngineSession()
+            with pytest.raises(ValueError, match="thread:N"):
+                MatchingEngine()
         with pytest.raises(TypeError):
             resolve_executor(True)
         with pytest.raises(TypeError):
@@ -146,22 +146,6 @@ class TestExecutors:
     def test_thread_worker_count_validated(self):
         with pytest.raises(ValueError):
             ThreadExecutor(0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(0)
-
-    def test_process_map_preserves_order(self):
-        with ProcessExecutor(2) as executor:
-            assert executor.map(_square, [5, 3, 1]) == [25, 9, 1]
-
-    def test_window_batches(self):
-        assert list(window_batches(iter([1, 2, 3, 4, 5]), 2)) == [
-            [1, 2],
-            [3, 4],
-            [5],
-        ]
-        assert list(window_batches(iter([]), 3)) == []
-        with pytest.raises(ValueError):
-            list(window_batches([1], 0))
 
 
 class TestEntityPickling:
@@ -202,19 +186,6 @@ class TestSessionExecutor:
             assert len(vectors) == len(baseline)
             for vector, expected in zip(vectors, baseline):
                 assert vector.tobytes() == expected.tobytes()
-
-    def test_process_executor_keeps_column_build_inline(self):
-        # Process pools cannot share the column cache; the session must
-        # still produce correct results by building inline.
-        with EngineSession(executor="process:2") as session:
-            vectors = session.context(self._pairs()).population_scores(
-                self._population()
-            )
-        baseline = EngineSession().context(self._pairs()).population_scores(
-            self._population()
-        )
-        for vector, expected in zip(vectors, baseline):
-            assert vector.tobytes() == expected.tobytes()
 
     def test_concurrent_contexts_thread_safe(self):
         # Hammer one session from a thread pool: shared value tier,
@@ -346,26 +317,6 @@ class TestShardedMatching:
                         f"workers={workers} batch_size={batch_size} diverged"
                     )
 
-    def test_process_workers_match_serial(self):
-        source_a, source_b = _sources(12)
-        rule = _rule()
-        serial = MatchingEngine(blocker=FullIndexBlocker(), batch_size=5)
-        expected = [
-            (l.uid_a, l.uid_b, l.score.hex())
-            for l in serial.iter_links(rule, source_a, source_b)
-        ]
-        with MatchingEngine(
-            blocker=FullIndexBlocker(), batch_size=5, workers="process:2"
-        ) as engine:
-            actual = [
-                (l.uid_a, l.uid_b, l.score.hex())
-                for l in engine.iter_links(rule, source_a, source_b)
-            ]
-        assert actual == expected
-        stats = engine.last_run_stats()
-        assert stats.values is not None
-        assert stats.values.size > 0
-
     def test_last_run_stats(self):
         source_a, source_b = _sources(10)
         engine = MatchingEngine(blocker=FullIndexBlocker(), batch_size=8)
@@ -376,10 +327,6 @@ class TestShardedMatching:
         assert stats.batches == 13
         assert stats.links == len(links)
         assert stats.values.size > 0
-
-    def test_process_rejects_shared_session(self):
-        with pytest.raises(ValueError, match="process-pool"):
-            MatchingEngine(session=EngineSession(), workers="process:2")
 
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):

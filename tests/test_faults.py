@@ -24,7 +24,9 @@ The contracts under test:
 from __future__ import annotations
 
 import errno
+import itertools
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,6 +292,45 @@ def test_breaker_reopens_on_a_failed_probe():
     breaker.record_failure("still gone")
     assert breaker.state == "open" and breaker.trips == 2
     assert len(breaker.trip_reasons()) == 2
+
+
+def test_match_stats_list_each_trip_reason_once_sorted(tmp_path):
+    """A serial run whose breaker re-trips from half-open with the same
+    reason reports each degradation once, in sorted order."""
+    from repro.datasets import load_dataset
+    from repro.matching.incremental import dataset_rule
+
+    dataset = load_dataset(DATASET, seed=0, scale=SCALE)
+    # A zero cooldown half-opens the breaker before every disk
+    # operation, and every write fails, alternating between two errors
+    # whose chronological order is the reverse of their sorted order:
+    # each failed probe re-trips the breaker with one of two reasons.
+    store = ColumnStore(
+        tmp_path / "cache", breaker=CircuitBreaker(threshold=1, cooldown=0.0)
+    )
+    disk_errors = itertools.cycle(
+        [
+            OSError(errno.ENOSPC, "No space left on device"),
+            OSError(errno.EIO, "Input/output error"),
+        ]
+    )
+    engine = MatchingEngine(workers=0, cache_dir=store)
+    try:
+        with mock.patch("tempfile.mkstemp", side_effect=disk_errors):
+            links = engine.execute(
+                dataset_rule(DATASET), dataset.source_a, dataset.source_b
+            )
+        stats = engine.last_run_stats()
+    finally:
+        engine.close()
+
+    assert links == direct_links()
+    reasons = store.trip_reasons()
+    assert len(reasons) > 2 and reasons[0].endswith("No space left on device")
+    assert stats.degraded == (
+        "store breaker open after 1 consecutive faults: Input/output error",
+        "store breaker open after 1 consecutive faults: No space left on device",
+    )
 
 
 def test_store_faults_degrade_links_without_changing_them(tmp_path):

@@ -43,7 +43,7 @@ _SCALES = {
 _STEPS = ((9, 4), (8, 4))
 
 _BLOCKERS = ("multiblock", "token")
-_WORKERS = (0, 2, "process:2")
+_WORKERS = (0, 2)
 
 
 def _blocker(kind: str, name: str):
@@ -140,18 +140,9 @@ def _run_combo(name: str, kind: str, workers, tmp_path) -> None:
 @pytest.mark.parametrize("name", sorted(_SCALES))
 @pytest.mark.parametrize("kind", _BLOCKERS)
 def test_incremental_equivalence(name, kind, tmp_path):
-    """Thread/serial legs of the matrix for every dataset x blocker."""
-    for workers in (0, 2):
+    """Every dataset x blocker x executor of the matrix."""
+    for workers in _WORKERS:
         _run_combo(name, kind, workers, tmp_path)
-
-
-@pytest.mark.parametrize("kind", _BLOCKERS)
-def test_incremental_equivalence_process_pool(kind, tmp_path):
-    """Process-pool leg: one dedup and one two-source dataset per
-    blocker (pool startup is too slow for the full dataset matrix;
-    the serial/thread legs above cover it)."""
-    for name in ("restaurant", "sider_drugbank"):
-        _run_combo(name, kind, "process:2", tmp_path)
 
 
 def test_empty_delta_is_identity(tmp_path):

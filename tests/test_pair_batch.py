@@ -5,14 +5,13 @@ straight from probed partner-code arrays, carrying a partial shard
 across probe chunks; every other pair stream enters through
 :meth:`PairBatch.from_pairs`. These tests pin that both routes produce
 exactly the pairs, order and boundaries of the plain chunked pair
-stream, that the batch form keeps store keys and link emission
-unchanged, and that batches cross process boundaries intact.
+stream, and that the batch form keeps store keys and link emission
+unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import random
 
 import numpy as np
@@ -204,50 +203,6 @@ class TestFromPairs:
         assert [batch[k] for k in range(3)] == pairs
         assert batch[-1] == pairs[-1]
         assert batch.index_a.dtype == np.intp
-
-
-class TestBatchesCrossProcesses:
-    def test_pickle_round_trip(self):
-        source_a, source_b = _sources()
-        for shard in MultiBlocker(_rule()).iter_shards(source_a, source_b, 4):
-            blob = pickle.dumps(shard)
-            # Entities, index arrays, positions and state keys: never
-            # the source or its state.
-            assert b"DataSource" not in blob and b"SourceState" not in blob
-            clone = pickle.loads(blob)
-            assert _uids(clone) == _uids(shard)
-            assert clone.index_a.tolist() == shard.index_a.tolist()
-            assert clone.index_b.tolist() == shard.index_b.tolist()
-            assert clone.state_a == source_a.state().key
-            assert clone.state_b == source_b.state().key
-            assert clone.positions_a.tolist() == shard.positions_a.tolist()
-            assert clone.positions_b.tolist() == shard.positions_b.tolist()
-
-    def test_shipped_shards_share_one_column_per_state_key(self):
-        """A worker session fills one column per shipped state key at
-        the positions the shards carry, so a second shard over the same
-        entities gathers every slot the first one filled."""
-        source_a, source_b = _sources()
-        shard = next(TokenBlocker(["label"]).iter_shards(source_a, source_b, 64))
-        session = EngineSession()
-        for _ in range(2):
-            session.context(pickle.loads(pickle.dumps(shard))).scores(_rule().root)
-        stats = session.stats().values
-        assert stats.misses == len(shard.entities_a) + len(shard.entities_b)
-        assert stats.hits == stats.misses
-
-    def test_entities_unpickle_without_renormalising(self, monkeypatch):
-        entity = Entity("e", {"label": ("x", "y"), "year": "1999"})
-        blob = pickle.dumps(entity)
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("Entity.__init__ ran during unpickling")
-
-        monkeypatch.setattr(Entity, "__init__", refuse)
-        clone = pickle.loads(blob)
-        assert clone.values("label") == ("x", "y")
-        assert dict(clone.properties) == dict(entity.properties)
-        assert clone.fingerprint() == entity.fingerprint()
 
 
 class TestSourcePositions:

@@ -224,10 +224,9 @@ class TestProbeMemo:
 
 
 class TestMatchStatsProbeCounters:
-    @pytest.mark.parametrize("workers", [0, 2, "process:2"])
+    @pytest.mark.parametrize("workers", [0, 2])
     def test_probe_counters_reported_per_run(self, workers):
-        """Every execution shape reports probe traffic (process pools
-        probe parent-side; the parent delta carries the counters)."""
+        """Every execution shape reports probe traffic."""
         source_a = DataSource(
             "A", [Entity(f"a{i}", {"label": f"w{i % 7}"}) for i in range(30)]
         )

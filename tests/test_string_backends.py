@@ -63,12 +63,12 @@ def _restaurant():
 
 
 def test_links_identical_across_backends_and_workers():
-    """One string-heavy rule over workers {0, 2, process:2}: identical
-    links including emission order."""
+    """One string-heavy rule over workers {0, 2}: identical links
+    including emission order."""
     dataset = _restaurant()
     rule = _string_rule()
     reference = None
-    for workers in (0, 2, "process:2"):
+    for workers in (0, 2):
         engine = MatchingEngine(workers=workers, batch_size=128)
         try:
             links = [
