@@ -58,11 +58,12 @@ class ValueColumns:
     columns leave in least-recently-gathered order.
 
     :meth:`stats` keeps the per-entity meaning of a value cache: a
-    miss is a slot evaluated, a hit a slot gathered already filled,
-    and ``size`` counts the filled slots alive. Gathers are safe from
-    concurrent threads: slots are written under the lock and a slot is
-    never read before it holds a value, so a racing fill repeats pure
-    work at worst.
+    miss is a slot a gather filled, a hit a slot it found filled —
+    including one a racing gather filled while this one evaluated it,
+    so racing gathers count each fill once — and ``size`` counts the
+    filled slots alive. Gathers are safe from concurrent threads:
+    slots are written under the lock and a slot is never read before
+    it holds a value, so a racing fill repeats pure work at worst.
     """
 
     def __init__(self, capacity: int, transforms: TransformationRegistry):
@@ -115,21 +116,20 @@ class ValueColumns:
         for i in missing:
             values[i] = evaluate_value_op(node, entities[positions[i]], transforms)
         with self._lock:
-            self._hits += len(values) - len(missing)
-            self._misses += len(missing)
-            if missing:
-                filled = 0
-                for i in missing:
-                    position = positions[i]
-                    held = column.get(position)
-                    if held is None:
-                        column[position] = values[i]
-                        filled += 1
-                    else:
-                        values[i] = held
-                if self._columns.get(column_key) is column:
-                    self._size += filled
-                    self._evict()
+            filled = 0
+            for i in missing:
+                position = positions[i]
+                held = column.get(position)
+                if held is None:
+                    column[position] = values[i]
+                    filled += 1
+                else:
+                    values[i] = held
+            self._hits += len(values) - filled
+            self._misses += filled
+            if filled and self._columns.get(column_key) is column:
+                self._size += filled
+                self._evict()
         return values
 
     def release(self, state: SourceState) -> None:

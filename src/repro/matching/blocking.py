@@ -20,11 +20,16 @@ stream:
   (:class:`~repro.data.pairs.PairBatch`): token, rule and MultiBlock
   blocking cut them straight from probed partner-code arrays, so no
   tuple is built per candidate pair.
-* :meth:`Blocker.build_index` builds the blocker's reusable
-  target-side index **vectorized**: tokenisation / key extraction runs
-  once per *distinct value* (not once per entity occurrence), bulk
-  dict operations assemble the blocks, and construction fans across
-  the engine session's shared-memory executor for large sources.
+* Token and MultiBlock blocking keep every index in one **block-table
+  layer**: a table ``{key: (uids...)}`` of one source is built by one
+  builder from per-entity keys (:func:`_build_table`; key derivation
+  fans across the session's shared-memory executor for large
+  sources), moved along the source's delta chain by one patcher
+  (:func:`_table_patcher`), and turned into ``int32`` code blocks by
+  one code view (:func:`_code_view`); tables and the views derived
+  from them resolve through one resolver over
+  :meth:`EngineSession.blocking_index` (:func:`_resolve_index`). The
+  blockers differ only in how an entity's keys are derived.
 * :meth:`CodeProbeBlocker.probe_batch` probes the index for a whole
   A-side chunk at once — the probe side mirrors the build side, and
   both probing blockers answer in sorted partner-code arrays:
@@ -40,13 +45,15 @@ stream:
   run in ``MatchStats``). :class:`CodeProbeBlocker` owns everything
   downstream of the probe — shard cutting, the affected-only rescore
   stream and the probe-result ledger — once for both.
-* With an :class:`~repro.engine.session.EngineSession`, indexes are
-  memoised in the session and — when the session has a persistent
+* Every call of a probing blocker runs under the
+  :class:`~repro.engine.session.EngineSession` it is handed, or else
+  under a private session of the blocker. Indexes are memoised in
+  that session and — when it has a persistent
   :class:`~repro.engine.store.ColumnStore` — persisted in the store's
-  **index tier**, keyed by ``DataSource.fingerprint()`` ×
-  :meth:`Blocker.signature`. Warm reruns over unchanged sources then
-  skip index construction entirely, the same way they already skip
-  distance-column builds.
+  **index tier**, keyed by ``DataSource.fingerprint()`` × index token.
+  Warm reruns over unchanged sources then skip index construction
+  entirely, the same way they already skip distance-column builds,
+  and a source a few deltas ahead patches its tables forward.
 
 Indexes reference entities by uid only; the live source resolves uids
 back to entities at emission time, which is what makes the persisted
@@ -61,7 +68,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,9 +77,8 @@ from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
 from repro.data.pairs import PairBatch, first_appearance
 from repro.data.source import DataSource, SourceState
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession
+from repro.engine.store import index_key
 
 CandidatePair = tuple[Entity, Entity]
 
@@ -154,6 +160,147 @@ def fan_entity_chunks(
     for part in executor.map(fn, chunks):
         merged.extend(part)
     return merged
+
+
+# -- the block-table layer -----------------------------------------------
+#
+# Every index a probing blocker keeps is either a *block table*
+# ``{key: (uids...)}`` of one source, built from per-entity keys and
+# patched along the source's delta chain, or a *view* derived from
+# tables (a size filter, a code view). Both resolve through
+# :meth:`EngineSession.blocking_index` under their index token.
+
+
+def _build_table(
+    entities: Sequence[Entity],
+    keys_of: Callable[[Sequence[Entity]], list],
+    session: "EngineSession | None",
+) -> dict:
+    """The ``{key: (uids...)}`` table of ``entities``: each entity filed
+    under the keys ``keys_of`` derives for it (one duplicate-free key
+    collection per entity), each block in entity order. Key derivation
+    fans across ``session``'s executor (:func:`fan_entity_chunks`)."""
+    per_entity = fan_entity_chunks(session, entities, keys_of)
+    blocks: dict = {}
+    get = blocks.get
+    for entity, keys in zip(entities, per_entity):
+        uid = entity.uid
+        for key in keys:
+            block = get(key)
+            if block is None:
+                blocks[key] = [uid]
+            else:
+                block.append(uid)
+    return {key: tuple(uids) for key, uids in blocks.items()}
+
+
+def _table_patcher(source: DataSource, keys_of: Callable):
+    """An :meth:`EngineSession.blocking_index` patcher moving a block
+    table of ``source`` one delta forward: displaced entity versions
+    leave the blocks of their old keys, upserted versions join the
+    blocks of their new keys. Blocks an upsert joins are re-sorted by
+    the entity's *current* source position — deletions and
+    replacements preserve surviving uids' relative order, so only
+    joined blocks can drift, and restoring source order there makes the
+    patched table equal a cold rebuild block-for-block (dict upsert
+    semantics keep a replaced uid's slot; fresh uids append)."""
+
+    def patch(blocks: dict, delta) -> dict:
+        blocks = dict(blocks)
+        old_entities = delta.old_entities()
+        for old, keys in zip(old_entities, keys_of(old_entities)):
+            uid = old.uid
+            for key in keys:
+                block = blocks.get(key)
+                if block is None or uid not in block:
+                    continue
+                pruned = tuple(u for u in block if u != uid)
+                if pruned:
+                    blocks[key] = pruned
+                else:
+                    del blocks[key]
+        order: dict[str, int] | None = None
+        fallback = 0
+        for entity, keys in zip(delta.upserts, keys_of(delta.upserts)):
+            uid = entity.uid
+            for key in keys:
+                block = blocks.get(key)
+                if block is None:
+                    blocks[key] = (uid,)
+                elif uid not in block:
+                    if order is None:
+                        order = {u: i for i, u in enumerate(source.uids())}
+                        # Mid-chain uids a later delta removes are not
+                        # in the live source; park them at the end (a
+                        # later patch step deletes them anyway).
+                        fallback = len(order)
+                    blocks[key] = tuple(
+                        sorted(
+                            block + (uid,),
+                            key=lambda u: order.get(u, fallback),
+                        )
+                    )
+        return blocks
+
+    return patch
+
+
+def _code_view(blocks: dict, code_of: dict) -> dict:
+    """A block table in code space: each block a sorted unique
+    ``int32`` array of its uids' codes."""
+    return {
+        key: np.unique(
+            np.fromiter(
+                (code_of[uid] for uid in uids), dtype=np.int32, count=len(uids)
+            )
+        )
+        for key, uids in blocks.items()
+    }
+
+
+def _resolve_index(
+    session: EngineSession,
+    source: DataSource,
+    token: str,
+    build: Callable[[], object],
+    patcher: Callable | None = None,
+) -> object:
+    """One index of ``source`` under ``token``, through the session's
+    index memo and persistent index tier. An ancestor epoch's payload
+    moves forward along the source's delta chain through ``patcher``;
+    a view (``patcher=None``) is re-derived by ``build`` from the
+    already-resolved tables instead, which counts as a patch, not a
+    build. Only without an ancestor does ``build`` count as a build."""
+    return session.blocking_index(
+        source.fingerprint(),
+        token,
+        build,
+        lineage=source.delta_chain(),
+        patcher=patcher or (lambda payload, delta: build()),
+    )
+
+
+def _table_index(
+    session: EngineSession,
+    source: DataSource,
+    token: str,
+    keys_of: Callable[[Sequence[Entity]], list],
+    fan: bool = True,
+) -> dict:
+    """The block table of ``source`` under ``token`` whose entities file
+    under ``keys_of`` (see :func:`_build_table`): resolved, patched or
+    built. ``fan=False`` keeps the build inline — callers already
+    fanning across the executor must not nest fan-outs in its
+    workers."""
+    return _resolve_index(
+        session,
+        source,
+        token,
+        lambda: _build_table(
+            source.state().entities, keys_of, session if fan else None
+        ),
+        _table_patcher(source, keys_of),
+    )
 
 
 def _emitted_codes(
@@ -318,113 +465,6 @@ def _affected_code_pair_lists(
             )
 
 
-def _token_blocks(
-    source: DataSource, properties: Sequence[str], session
-) -> dict:
-    """Unfiltered token block table of one source: ``{token: (uids...)}``
-    in source order, per-block uid-deduped, no size filter — the
-    persisted form. Size filtering is a view concern
-    (:meth:`TokenBlocker.build_index`), so one persisted table serves
-    every ``max_block_size`` and stays patchable (a patch can never
-    resurrect uids a filter already dropped)."""
-
-    def extract(chunk):
-        return [
-            (entity.uid, _text_tokens(_entity_text(entity, properties)))
-            for entity in chunk
-        ]
-
-    per_entity = fan_entity_chunks(session, source.entities(), extract)
-    blocks: dict[str, list[str]] = {}
-    get = blocks.get
-    for uid, tokens in per_entity:
-        for token in tokens:
-            block = get(token)
-            if block is None:
-                blocks[token] = [uid]
-            else:
-                block.append(uid)
-    return {token: tuple(dict.fromkeys(uids)) for token, uids in blocks.items()}
-
-
-def _entity_tokens(entity: Entity, properties: Sequence[str]) -> list[str]:
-    """Deduped token list of one entity over ``properties``."""
-    return list(dict.fromkeys(_text_tokens(_entity_text(entity, properties))))
-
-
-def _raw_token_patcher(source: DataSource, properties: Sequence[str]):
-    """A :meth:`EngineSession.blocking_index` patcher moving an
-    unfiltered token block table one source delta forward: displaced
-    entity versions leave their old tokens' blocks, upserted versions
-    join their new tokens' blocks. Blocks an upsert joins are re-sorted
-    by the entity's *current* source position — deletions and
-    replacements preserve surviving uids' relative order, so only
-    joined blocks can drift, and restoring source order there makes
-    the patched table equal a cold rebuild block-for-block (dict
-    upsert semantics keep a replaced uid's slot; fresh uids append)."""
-
-    def patch(blocks: dict, delta) -> dict:
-        blocks = dict(blocks)
-        for old in delta.old_entities():
-            uid = old.uid
-            for token in _entity_tokens(old, properties):
-                block = blocks.get(token)
-                if block is None or uid not in block:
-                    continue
-                pruned = tuple(u for u in block if u != uid)
-                if pruned:
-                    blocks[token] = pruned
-                else:
-                    del blocks[token]
-        order: dict[str, int] | None = None
-        fallback = 0
-        for entity in delta.upserts:
-            uid = entity.uid
-            for token in _entity_tokens(entity, properties):
-                block = blocks.get(token)
-                if block is None:
-                    blocks[token] = (uid,)
-                elif uid not in block:
-                    if order is None:
-                        order = {u: i for i, u in enumerate(source.uids())}
-                        # Mid-chain uids a later delta removes are not
-                        # in the live source; park them at the end (a
-                        # later patch step deletes them anyway).
-                        fallback = len(order)
-                    blocks[token] = tuple(
-                        sorted(
-                            block + (uid,),
-                            key=lambda u: order.get(u, fallback),
-                        )
-                    )
-        return blocks
-
-    return patch
-
-
-def _patch_memo_payload(memo, fingerprint: str, lineage, patcher):
-    """Patch a ``(fingerprint, payload)`` memo entry forward to the
-    current epoch, mirroring the session's lineage walk for
-    session-less use. Returns the patched payload or None (no entry,
-    entry epoch not an ancestor, or the patcher gave up)."""
-    if memo is None:
-        return None
-    chain_deltas = tuple(lineage)
-    if not chain_deltas or chain_deltas[-1].fingerprint != fingerprint:
-        return None
-    pending = []
-    for delta in reversed(chain_deltas):
-        pending.append(delta)
-        if delta.parent_fingerprint == memo[0]:
-            payload = memo[1]
-            for step in reversed(pending):
-                payload = patcher(payload, step)
-                if payload is None:
-                    return None
-            return payload
-    return None
-
-
 class _ProbeLedger:
     """Per-entity probe results over the store's ``probes-v1`` tier.
 
@@ -434,9 +474,10 @@ class _ProbeLedger:
     :meth:`CodeProbeBlocker.probe_batch` would recompute — warm runs
     serve unchanged entities from the ledger and probe only the rest.
     Hit/miss traffic is per entity (``StoreStats.probe_hits`` /
-    ``probe_misses``); new entries persist on :meth:`flush` (called in
-    the pair stream's ``finally``, so partial consumption still saves
-    what was probed).
+    ``probe_misses``). A pair stream opens one ledger and flushes it
+    once, in its ``finally`` — so partial consumption still saves what
+    was probed, and the reverse pass of an affected-only stream shares
+    the forward pass's ledger instead of loading and saving it again.
     """
 
     __slots__ = ("_store", "_session", "_key", "_entries", "_fresh")
@@ -450,10 +491,6 @@ class _ProbeLedger:
             (store.load_probe_ledger(key) if store is not None else None) or {}
         )
         self._fresh: dict = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self._store is not None
 
     def probe(self, chunk: Sequence[Entity], probe_missing):
         """Chunk results, serving known entities and probing the rest
@@ -505,18 +542,15 @@ def _probed_chunks(
 ) -> Iterator[tuple[Sequence[Entity], list]]:
     """``(chunk, partner codes)`` per :data:`_PROBE_CHUNK` probe
     entities: served from the probe ledger where it can, probed in a
-    batch through one memo for the whole stream otherwise. The ledger
-    flushes when the stream ends or is abandoned."""
+    batch through one memo for the whole stream otherwise. The caller
+    owns the ledger and flushes it."""
     memo: dict = {}
-    try:
-        for start in range(0, len(entities), _PROBE_CHUNK):
-            chunk = entities[start : start + _PROBE_CHUNK]
-            yield chunk, ledger.probe(
-                chunk,
-                lambda miss: blocker.probe_batch(miss, index, session, memo=memo),
-            )
-    finally:
-        ledger.flush()
+    for start in range(0, len(entities), _PROBE_CHUNK):
+        chunk = entities[start : start + _PROBE_CHUNK]
+        yield chunk, ledger.probe(
+            chunk,
+            lambda miss: blocker.probe_batch(miss, index, session, memo=memo),
+        )
 
 
 def _chunked(
@@ -570,9 +604,10 @@ class Blocker(ABC):
 
         With a ``session`` the index resolves through the session's
         index memo and — when the session has a persistent store — the
-        store's index tier. Without one, token blocking keeps its own
-        memo keyed by the source's content fingerprint, so repeated
-        runs over an unchanged source still reuse the index.
+        store's index tier, and a source a few deltas ahead of a
+        resolved epoch patches it forward instead of rebuilding.
+        Without one, a probing blocker resolves it the same way through
+        a private session of its own (:class:`CodeProbeBlocker`).
         """
         return None
 
@@ -709,7 +744,24 @@ class CodeProbeBlocker(Blocker):
     source order, each entity's partners in sorted uid order — the
     same deterministic stream for every chunking, worker count and
     batch size.
+
+    Every call runs under the session it is handed or, without one,
+    under a private :class:`~repro.engine.session.EngineSession` of
+    this blocker (created on its first session-less call): indexes
+    resolve, patch and persist through that session's index memo and
+    store, and probe traffic lands in its counters.
     """
+
+    def __init__(self) -> None:
+        self._private_session: EngineSession | None = None
+
+    def _session(self, session: "EngineSession | None") -> EngineSession:
+        """The session one call runs under (see the class docstring)."""
+        if session is not None:
+            return session
+        if self._private_session is None:
+            self._private_session = EngineSession()
+        return self._private_session
 
     @abstractmethod
     def probe_index(
@@ -725,7 +777,8 @@ class CodeProbeBlocker(Blocker):
         block a sorted unique ``int32`` code array — so batch probing
         unions postings with numpy instead of per-uid Python. The view
         resolves through the same session index memo / persistent
-        index tier as the block tables themselves.
+        index tier as the block tables it derives from, and is
+        re-derived from them on a delta.
         """
 
     @abstractmethod
@@ -750,11 +803,11 @@ class CodeProbeBlocker(Blocker):
         stream threads one through the whole run); ``None`` scopes it
         to this call.
 
-        With a ``session``, chunks fan across its shared-memory
-        executor (:func:`fan_entity_chunks`) and probe traffic is
-        recorded in the session's probe counters. Results never depend
-        on the session, the worker count, or how entities are chunked
-        across calls.
+        Chunks fan across the session's shared-memory executor
+        (:func:`fan_entity_chunks`) and probe traffic is recorded in
+        the session's probe counters. Results never depend on the
+        session, the worker count, or how entities are chunked across
+        calls.
         """
 
     @abstractmethod
@@ -768,25 +821,26 @@ class CodeProbeBlocker(Blocker):
         source_b: DataSource,
         affected: frozenset,
         index: object,
-        session: "EngineSession | None",
+        session: EngineSession,
+        ledger: _ProbeLedger,
     ) -> Iterator[list[CandidatePair]]:
         """Two-source pairs of *unaffected* probe entities with
         affected stored entities, per stored entity. Only A probes, so
         these never surface from the affected probes; affected probe
         entities are excluded (their own probe already emits the
-        pair), which keeps every affected pair emitted exactly once."""
+        pair), which keeps every affected pair emitted exactly once.
+        Probes ride the stream's ``ledger``."""
 
     def _probe_plan(
         self,
         source_a: DataSource,
         source_b: DataSource,
-        session: "EngineSession | None",
-    ) -> "tuple[object, EngineSession | None] | None":
-        """``(probe index, session)`` the probe streams run under, or
-        None when the index cannot prune (the streams then fall back to
-        the full product). The default probes under the caller's
-        session."""
-        return self.probe_index(source_a, source_b, session=session), session
+        session: EngineSession,
+    ) -> object | None:
+        """The probe index the probe streams run against, or None when
+        it cannot prune (the streams then fall back to the full
+        product)."""
+        return self.probe_index(source_a, source_b, session=session)
 
     def probe_uids(self, index: object, partners: np.ndarray) -> tuple[str, ...]:
         """The uid view of one entity's :meth:`probe_batch` result."""
@@ -801,8 +855,9 @@ class CodeProbeBlocker(Blocker):
         """Shards cut straight from the batch probe's partner codes
         (:func:`_code_shards`), or the chunked full product when the
         index cannot prune."""
-        plan = self._probe_plan(source_a, source_b, session)
-        if plan is None:
+        session = self._session(session)
+        index = self._probe_plan(source_a, source_b, session)
+        if index is None:
             yield from _chunked(
                 FullIndexBlocker().candidates(source_a, source_b),
                 batch_size,
@@ -810,17 +865,19 @@ class CodeProbeBlocker(Blocker):
                 source_b,
             )
             return
-        index, session = plan
         ledger = self._probe_ledger(source_b, session)
         state_a = source_a.state()
-        yield from _code_shards(
-            _probed_chunks(self, state_a.entities, index, ledger, session),
-            index.uids,
-            state_a,
-            source_b.state(),
-            source_a is source_b,
-            batch_size,
-        )
+        try:
+            yield from _code_shards(
+                _probed_chunks(self, state_a.entities, index, ledger, session),
+                index.uids,
+                state_a,
+                source_b.state(),
+                source_a is source_b,
+                batch_size,
+            )
+        finally:
+            ledger.flush()
 
     def iter_affected_shards(
         self, source_a, source_b, affected, batch_size, session=None
@@ -832,59 +889,53 @@ class CodeProbeBlocker(Blocker):
         )
 
     def _affected_shards(self, source_a, source_b, affected, session, batch_size):
-        plan = self._probe_plan(source_a, source_b, session)
-        if plan is None:
+        session = self._session(session)
+        index = self._probe_plan(source_a, source_b, session)
+        if index is None:
             pairs = _touching(
                 FullIndexBlocker().candidates(source_a, source_b), affected
             )
         else:
             pairs = chain.from_iterable(
-                self._affected_pair_lists(source_a, source_b, affected, *plan)
+                self._affected_pair_lists(
+                    source_a, source_b, affected, index, session
+                )
             )
         yield from _chunked(pairs, batch_size, source_a, source_b)
 
     def _affected_pair_lists(self, source_a, source_b, affected, index, session):
         """Per-entity pair lists of an affected-only rescore: the
         affected probe entities' own probes, then (two-source) the
-        reverse pass for affected stored entities."""
+        reverse pass for affected stored entities — both over one probe
+        ledger, flushed once when the stream ends or is abandoned."""
         dedup = source_a is source_b
         by_code = list(map(source_b.get, index.uids))
         entities = [
             entity for entity in source_a.entities() if entity.uid in affected
         ]
         ledger = self._probe_ledger(source_b, session)
-        for chunk, results in _probed_chunks(
-            self, entities, index, ledger, session
-        ):
-            yield from _affected_code_pair_lists(
-                chunk, results, index.uids, by_code, dedup, affected
-            )
-        if not dedup:
-            yield from self._reverse_pair_lists(
-                source_a, source_b, affected, index, session
-            )
+        try:
+            for chunk, results in _probed_chunks(
+                self, entities, index, ledger, session
+            ):
+                yield from _affected_code_pair_lists(
+                    chunk, results, index.uids, by_code, dedup, affected
+                )
+            if not dedup:
+                yield from self._reverse_pair_lists(
+                    source_a, source_b, affected, index, session, ledger
+                )
+        finally:
+            ledger.flush()
 
     def _probe_ledger(self, source_b: DataSource, session) -> _ProbeLedger:
         """The probe-result ledger against ``source_b``'s epoch (a
         pass-through without a session store)."""
-        from repro.engine.store import index_key
-
-        if session is None or session.store is None:
+        if session.store is None:
             return _ProbeLedger(None, "")
         return _ProbeLedger(
             session, index_key(source_b.fingerprint(), self._ledger_token())
         )
-
-
-def _tokens_of(entity: Entity, properties: Iterable[str]) -> set[str]:
-    """Token set of one entity (the seed per-entity path, kept for
-    reference/tests; the blockers tokenise in bulk — see
-    :func:`_text_tokens`)."""
-    tokens: set[str] = set()
-    for name in properties:
-        for value in entity.values(name):
-            tokens.update(t.lower() for t in _TOKEN_RE.findall(value))
-    return tokens
 
 
 #: ASCII fast path for tokenisation: every ASCII codepoint that is not
@@ -904,9 +955,9 @@ def _text_tokens(text: str) -> list[str]:
     ASCII text — the overwhelming share of real sources — tokenises
     entirely in C (lower + translate + split), where lowering first is
     provably boundary-preserving. Anything else tokenises *before*
-    lowering, exactly like :func:`_tokens_of`: lowering can decompose
-    characters into combining marks ('İ' → 'i' + U+0307) that would
-    otherwise split a token mid-word.
+    lowering, like the seed's per-value regex tokeniser: lowering can
+    decompose characters into combining marks ('İ' → 'i' + U+0307) that
+    would otherwise split a token mid-word.
     """
     if text.isascii():
         return text.lower().translate(_ASCII_TOKEN_TABLE).split()
@@ -930,6 +981,21 @@ def _entity_text(entity: Entity, properties: Sequence[str]) -> str:
     return " ".join(parts)
 
 
+def _token_keys(
+    properties: Sequence[str],
+) -> Callable[[Sequence[Entity]], list]:
+    """Per-entity keys of a token table over ``properties``: each
+    entity's distinct tokens, in text order."""
+
+    def keys_of(entities: Sequence[Entity]) -> list:
+        return [
+            dict.fromkeys(_text_tokens(_entity_text(entity, properties)))
+            for entity in entities
+        ]
+
+    return keys_of
+
+
 @dataclass(frozen=True)
 class _TokenProbeIndex:
     """Integer code view of one token block table.
@@ -950,7 +1016,7 @@ class _TokenProbeIndex:
 
 
 def _token_code_payload(blocks: dict) -> tuple[tuple[str, ...], dict]:
-    """Derive the probe-side code view from a raw token block table.
+    """Derive the probe-side code view from a token block table.
 
     Returned as a plain ``(uids, code blocks)`` tuple — the form the
     persistent index tier pickles stays free of private classes, so
@@ -958,29 +1024,20 @@ def _token_code_payload(blocks: dict) -> tuple[tuple[str, ...], dict]:
     """
     uids = sorted(set(chain.from_iterable(blocks.values())))
     code_of = {uid: code for code, uid in enumerate(uids)}
-    code_blocks = {
-        token: np.unique(
-            np.fromiter(
-                (code_of[uid] for uid in block),
-                dtype=np.int32,
-                count=len(block),
-            )
-        )
-        for token, block in blocks.items()
-    }
-    return tuple(uids), code_blocks
+    return tuple(uids), _code_view(blocks, code_of)
 
 
 class TokenBlocker(CodeProbeBlocker):
     """Standard token blocking: pairs sharing a token on key properties.
 
     ``max_block_size`` drops high-frequency tokens (stop words) whose
-    blocks would reintroduce quadratic behaviour. Probing is batch
-    (:meth:`probe_batch`, over the :meth:`probe_index` code view).
-    Without a session every index this blocker resolves — raw table,
-    filtered view, probe codes, reverse table — lives in one memo keyed
-    by index token, one epoch per token, and patches forward along the
-    source's delta chain like the session's index tier does.
+    blocks would reintroduce quadratic behaviour. Four indexes resolve
+    through the block-table layer: the unfiltered forward table over
+    the target (the persisted, patched form), its size-filtered view
+    (:meth:`build_index`), the probe-code view of that
+    (:meth:`probe_index`), and the unfiltered reverse table over the
+    probe side that bounds affected sets. Probing is batch
+    (:meth:`probe_batch`, over the code view).
     """
 
     def __init__(
@@ -989,65 +1046,31 @@ class TokenBlocker(CodeProbeBlocker):
         properties_b: Iterable[str] | None = None,
         max_block_size: int = 200,
     ):
+        super().__init__()
         self._properties_a = list(properties_a)
         self._properties_b = (
             list(properties_b) if properties_b is not None else self._properties_a
         )
         self._max_block_size = max_block_size
-        #: index token -> (source fingerprint, payload).
-        self._index_memo: dict[str, tuple[str, object]] = {}
 
     def signature(self) -> str:
         # v2: the persisted payload is the *unfiltered* block table
-        # (see :func:`_token_blocks`); v1 blobs miss cleanly.
+        # (see :meth:`_raw_blocks`); v1 blobs miss cleanly.
         return (
             f"token-index:v2:props={sorted(self._properties_b)!r}:"
             f"max={self._max_block_size}"
         )
 
-    def _resolve(
-        self,
-        source: DataSource,
-        session: "EngineSession | None",
-        token: str,
-        build: Callable[[], object],
-        patcher: Callable,
-    ) -> object:
-        """One index of ``source`` under ``token``: through the
-        session's index memo / persistent tier when there is a session,
-        else through this blocker's own memo. Either way an ancestor
-        epoch's payload patches forward along the source's delta chain
-        instead of rebuilding."""
-        fingerprint = source.fingerprint()
-        if session is not None:
-            return session.blocking_index(
-                fingerprint,
-                token,
-                build,
-                lineage=source.delta_chain(),
-                patcher=patcher,
-            )
-        memo = self._index_memo.get(token)
-        if memo is not None and memo[0] == fingerprint:
-            return memo[1]
-        payload = _patch_memo_payload(
-            memo, fingerprint, source.delta_chain(), patcher
-        )
-        if payload is None:
-            payload = build()
-        self._index_memo[token] = (fingerprint, payload)
-        return payload
-
     def build_index(self, source, session=None):
         """Token index of a target source: ``{token: (uids...)}`` in
         source order, with oversized (stop-word) blocks dropped.
 
-        The underlying persisted/patched payload is the *unfiltered*
-        table (:meth:`_raw_blocks`) — a delta patch can shrink a block
+        A view of the *unfiltered* table (:meth:`_raw_blocks`), which
+        is what persists and patches — a delta patch can shrink a block
         back under the limit, which a filtered payload could not
-        express. The public filtered view resolves through its own memo
-        key; on a delta its "patch" is simply a refilter of the
-        already-patched raw table, so it never counts as a rebuild."""
+        express. On a delta the view is re-derived from the patched
+        table."""
+        session = self._session(session)
 
         def filtered():
             raw = self._raw_blocks(source, session)
@@ -1056,107 +1079,33 @@ class TokenBlocker(CodeProbeBlocker):
                 token: uids for token, uids in raw.items() if len(uids) <= limit
             }
 
-        return self._resolve(
-            source,
-            session,
-            f"{self.signature()}|filtered-blocks-v1",
-            filtered,
-            patcher=lambda payload, delta: filtered(),
+        return _resolve_index(
+            session, source, f"{self.signature()}|filtered-blocks-v1", filtered
         )
 
-    def _raw_blocks(self, source: DataSource, session) -> dict:
-        return self._resolve(
-            source,
-            session,
-            self.signature(),
-            lambda: _token_blocks(source, self._properties_b, session),
-            patcher=_raw_token_patcher(source, self._properties_b),
+    def _raw_blocks(self, source: DataSource, session: EngineSession) -> dict:
+        """The unfiltered forward token table of the target source."""
+        return _table_index(
+            session, source, self.signature(), _token_keys(self._properties_b)
         )
 
     def probe_index(self, source_a, source_b, session=None):
-        """Code view of the target block table: distinct B uids number
-        into sorted-uid order, each block becomes a sorted ``int32``
-        code array. Resolves through the same memo / persistent index
-        tier as the block table itself (key suffix ``probe-codes-v1``),
-        so warm sessions and warm stores skip the derivation. On a
-        delta, the view patches in place: unaffected blocks renumber
-        through one vectorized mapping (only when the code space
-        changed), affected blocks recompute from the patched table."""
-        # The raw block table is only materialised inside the builder:
-        # a probe-view hit (warm session or warm store) never loads it.
-        uids, blocks = self._resolve(
-            source_b,
+        """Code view of the filtered target table: distinct B uids
+        number into sorted-uid order, each block becomes a sorted
+        ``int32`` code array. Resolved under its own index token
+        (suffix ``probe-codes-v1``), so warm sessions and warm stores
+        skip the derivation, and re-derived from the patched filtered
+        table on a delta."""
+        session = self._session(session)
+        # The block tables are only materialised inside the builder: a
+        # probe-view hit (warm session or warm store) never loads them.
+        uids, blocks = _resolve_index(
             session,
+            source_b,
             f"{self.signature()}|probe-codes-v1",
-            lambda: _token_code_payload(
-                self.build_index(source_b, session=session)
-            ),
-            patcher=lambda payload, delta: self._patch_probe_view(
-                payload, delta, self.build_index(source_b, session=session)
-            ),
+            lambda: _token_code_payload(self.build_index(source_b, session)),
         )
         return _TokenProbeIndex(uids=uids, blocks=blocks, size=len(uids))
-
-    def _patch_probe_view(self, payload, delta, filtered_blocks):
-        """Move a ``(uids, code blocks)`` probe view one delta forward.
-
-        Dead uids leave the code table (probing resolves codes back to
-        live entities, so they must go); genuinely new uids merge in
-        sorted position and surviving codes renumber through one
-        monotone ``mapping[codes]`` gather — sortedness is preserved,
-        so no per-block sort. Blocks touching any changed entity's
-        tokens (old or new version) recompute from the patched filtered
-        table; every other block is content-identical to a cold build.
-        ``filtered_blocks`` is the *final*-epoch table: a multi-step
-        patch recomputes affected tokens against it at every step,
-        which is idempotent-correct (uids not yet in the step's code
-        table are dropped and re-added by the later step that
-        introduces them).
-        """
-        uids_t, code_blocks = payload
-        properties = self._properties_b
-        affected_tokens: set[str] = set()
-        for entity in chain(delta.upserts, delta.old_entities()):
-            affected_tokens.update(_entity_tokens(entity, properties))
-        table = list(uids_t)
-        table_set = set(table)
-        upsert_uids = delta.upsert_uids
-        dead = (delta.delete_uids - upsert_uids) & table_set
-        inserted = upsert_uids - table_set
-        if dead or inserted:
-            new_table = sorted((table_set - dead) | upsert_uids)
-            code_of = {uid: code for code, uid in enumerate(new_table)}
-            mapping = np.fromiter(
-                (code_of.get(uid, -1) for uid in table),
-                dtype=np.int64,
-                count=len(table),
-            )
-            new_blocks = {}
-            for token, codes in code_blocks.items():
-                if token in affected_tokens:
-                    continue
-                remapped = mapping[codes]
-                remapped = remapped[remapped >= 0]
-                if remapped.size:
-                    new_blocks[token] = remapped.astype(np.int32)
-        else:
-            new_table = table
-            code_of = {uid: code for code, uid in enumerate(table)}
-            new_blocks = {
-                token: codes
-                for token, codes in code_blocks.items()
-                if token not in affected_tokens
-            }
-        for token in affected_tokens:
-            block = filtered_blocks.get(token)
-            if not block:
-                continue
-            codes = sorted(
-                {code_of[uid] for uid in block if uid in code_of}
-            )
-            if codes:
-                new_blocks[token] = np.array(codes, dtype=np.int32)
-        return tuple(new_table), new_blocks
 
     def probe_batch(self, entities, index, session=None, memo=None):
         """Batch token probe: bulk tokenisation (the same C-level
@@ -1168,6 +1117,7 @@ class TokenBlocker(CodeProbeBlocker):
         distinct property text (``memo``; the shard stream threads one
         through the whole run), so duplicate-heavy sources skip
         tokenisation *and* the union."""
+        session = self._session(session)
         properties = self._properties_a
         get = index.blocks.get
         size = index.size
@@ -1191,12 +1141,11 @@ class TokenBlocker(CodeProbeBlocker):
                 codes = _union_codes(blocks, size)
                 _memo_put(shared_memo, text, codes)
                 results.append(codes)
-            if session is not None and hits:
+            if hits:
                 session.record_probe(memo_hits=hits)
             return results
 
-        if session is not None:
-            session.record_probe(batches=1)
+        session.record_probe(batches=1)
         return fan_entity_chunks(session, entities, probe)
 
     def affected_probe_uids(
@@ -1221,6 +1170,7 @@ class TokenBlocker(CodeProbeBlocker):
         block sizes reconstruct exactly from the chain's membership
         deltas.
         """
+        session = self._session(session)
         properties_b = self._properties_b
 
         def entity_tokens(entity) -> frozenset:
@@ -1269,7 +1219,9 @@ class TokenBlocker(CodeProbeBlocker):
             affected.update(holders.get(token, ()))
         return frozenset(affected)
 
-    def _reverse_blocks(self, source_a: DataSource, session) -> dict:
+    def _reverse_blocks(
+        self, source_a: DataSource, session: EngineSession
+    ) -> dict:
         """Unfiltered token table over the *probe* side, keyed by the
         probe properties — the reverse index that answers "which A
         entities could pair with a B entity holding these tokens".
@@ -1277,15 +1229,16 @@ class TokenBlocker(CodeProbeBlocker):
         over-approximate, never drop. Persisted and patched like the
         forward table, under its own ``:rev:`` token."""
         properties = self._properties_a
-        return self._resolve(
-            source_a,
+        return _table_index(
             session,
+            source_a,
             f"token-index:v2:rev:props={sorted(properties)!r}",
-            lambda: _token_blocks(source_a, properties, session),
-            patcher=_raw_token_patcher(source_a, properties),
+            _token_keys(properties),
         )
 
-    def _reverse_pair_lists(self, source_a, source_b, affected, index, session):
+    def _reverse_pair_lists(
+        self, source_a, source_b, affected, index, session, ledger
+    ):
         """The reverse table answers a changed B entity's unchanged A
         partners directly, under the same stop-word filter the forward
         probe applies."""

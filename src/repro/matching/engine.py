@@ -57,11 +57,7 @@ from repro.matching.multiblock import MultiBlocker, multiblock_supports
 BLOCKER_ENV = "REPRO_ENGINE_BLOCKER"
 
 
-def default_blocker(
-    rule: LinkageRule,
-    spec: str = "auto",
-    session: "EngineSession | None" = None,
-) -> Blocker:
+def default_blocker(rule: LinkageRule, spec: str = "auto") -> Blocker:
     """The blocker an engine uses when none is configured explicitly.
 
     ``auto`` picks :class:`~repro.matching.multiblock.MultiBlocker`
@@ -71,9 +67,10 @@ def default_blocker(
     reduction benchmark across the bundled datasets), falling back to
     token blocking on the compared properties
     (:class:`~repro.matching.blocking.RuleBlocker`) and, for rules
-    without property comparisons, the full index. ``session`` binds
-    MultiBlock index construction to the engine's caches and
-    persistent index tier.
+    without property comparisons, the full index. The blocker holds no
+    session: the engine hands its run session to every blocker call,
+    so index construction shares the run's caches and persistent index
+    tier.
     """
     text = spec.strip().lower() or "auto"
     if text == "full":
@@ -84,7 +81,7 @@ def default_blocker(
             f"rule or full"
         )
     if text == "multiblock" or (text == "auto" and multiblock_supports(rule)):
-        return MultiBlocker(rule, session=session)
+        return MultiBlocker(rule)
     try:
         return RuleBlocker(rule)
     except ValueError:
@@ -302,13 +299,10 @@ class MatchingEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _resolve_blocker(
-        self, rule: LinkageRule, session: EngineSession
-    ) -> Blocker:
+    def _resolve_blocker(self, rule: LinkageRule) -> Blocker:
         if self._blocker is not None:
             return self._blocker
-        spec = os.environ.get(BLOCKER_ENV, "")
-        return default_blocker(rule, spec, session=session)
+        return default_blocker(rule, os.environ.get(BLOCKER_ENV, ""))
 
     def execute(
         self,
@@ -355,7 +349,7 @@ class MatchingEngine:
         """
         session = self._run_session()
         baseline = session.stats()
-        blocker = self._resolve_blocker(rule, session)
+        blocker = self._resolve_blocker(rule)
         state = self._run_state()
         batches = pairs = links = 0
         shards = blocker.iter_shards(
@@ -407,7 +401,7 @@ class MatchingEngine:
             deltas_a = deltas_b = deltas_a or deltas_b
         session = self._run_session()
         baseline = session.stats()
-        blocker = self._resolve_blocker(rule, session)
+        blocker = self._resolve_blocker(rule)
         changed: set[str] = set()
         chains = (
             (deltas_a,) if source_a is source_b else (deltas_a, deltas_b)

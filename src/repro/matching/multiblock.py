@@ -28,13 +28,18 @@ string length; with the thresholds GenLink learns this does not occur
 in practice (the recall of every blocker is measurable with
 :func:`blocking_quality`).
 
-Index construction is engine-integrated: transformed values are
-gathered from the session's value column of the source state (the
-columns rule scoring reads afterwards), block keys are derived once
-per *distinct* transformed value tuple, per-comparison builds fan
-across the session's shared-memory executor, and finished block tables
-persist in the session store's index tier keyed by source fingerprint
-× comparison structure — warm reruns skip construction entirely.
+Index construction is engine-integrated and runs on the block-table
+layer of :mod:`repro.matching.blocking`, as token blocking does: each
+comparison keeps a forward block table over the target and a reverse
+one over the probe side, built, patched and resolved by the layer's
+one builder, patcher and resolver, plus a code view of the forward
+table. Transformed values are gathered from the session's value
+column of the source state (the columns rule scoring reads
+afterwards), block keys are derived once per *distinct* transformed
+value tuple, per-comparison builds fan across the session's
+shared-memory executor, and finished tables persist in the session
+store's index tier keyed by source fingerprint × comparison structure
+— warm reruns skip construction entirely.
 Probing mirrors it (:meth:`MultiBlocker.probe_batch`): whole A-side
 chunks gather their values per comparison and evaluate the candidate
 algebra at once, per-comparison probe results memoise per distinct
@@ -69,8 +74,11 @@ from repro.engine.compiler import signature_token, value_tree_signature
 from repro.engine.session import EngineSession
 from repro.engine.values import evaluate_value_op
 from repro.matching.blocking import (
+    _code_view,
     _memo_put,
     _probed_chunks,
+    _resolve_index,
+    _table_index,
     _union_codes,
     Blocker,
     CodeProbeBlocker,
@@ -78,25 +86,30 @@ from repro.matching.blocking import (
     fan_entity_chunks,
 )
 from repro.transforms.registry import TransformationRegistry
-from repro.transforms.registry import default_registry as default_transforms
+
+#: Comparison indexes a :class:`MultiBlocker` builds at most (the
+#: rule's first comparisons); further comparisons are simply not used
+#: for pruning, which is always sound — fewer indexes means a larger
+#: candidate set.
+_MAX_COMPARISONS = 8
 
 
 def _values_of(
     node,
     entities: Sequence[Entity],
     state: SourceState,
-    transforms: TransformationRegistry,
-    session: "EngineSession | None",
+    session: EngineSession,
 ) -> list[tuple[str, ...]]:
     """Transformed values of ``entities`` for index keys: gathered from
     the session's column of ``state`` (shared with rule scoring) when
     every entity is the state's own, evaluated directly otherwise —
-    displaced versions a delta patch unfiles, or no session."""
-    if session is not None:
-        found = state.positions_of(entities)
-        if None not in found:
-            return session.value_tuples(node, state, found)
+    displaced versions a delta patch unfiles."""
+    found = state.positions_of(entities)
+    if None not in found:
+        return session.value_tuples(node, state, found)
+    transforms = session.transforms
     return [evaluate_value_op(node, entity, transforms) for entity in entities]
+
 
 #: Metres per degree of latitude (conservative lower bound).
 _METRES_PER_DEGREE_LATITUDE = 110_574.0
@@ -416,123 +429,32 @@ def comparison_index_token(
     )
 
 
-def _comparison_blocks_patcher(
+def _comparison_table(
     value_node,
-    source: DataSource,
     indexer: ComparisonIndexer,
-    transforms: TransformationRegistry,
-    session: EngineSession | None,
-):
-    """An :meth:`EngineSession.blocking_index` patcher moving one
-    comparison block table a source delta forward: displaced entity
-    versions leave the blocks their old transformed values filed them
-    under, upserted versions join their new keys' blocks. Joined
-    blocks re-sort by the entity's current source position, so the
-    patched table equals a cold rebuild block-for-block (deletions
-    preserve surviving uids' relative order; dict upsert semantics
-    keep a replaced uid's slot)."""
-
-    def patch(blocks: dict, delta) -> dict:
-        blocks = dict(blocks)
-        state = source.state()
-        old_entities = delta.old_entities()
-        for old, values in zip(
-            old_entities,
-            _values_of(value_node, old_entities, state, transforms, session),
-        ):
-            uid = old.uid
-            for key in indexer.block_keys(values):
-                block = blocks.get(key)
-                if block is None or uid not in block:
-                    continue
-                pruned = tuple(u for u in block if u != uid)
-                if pruned:
-                    blocks[key] = pruned
-                else:
-                    del blocks[key]
-        order: dict[str, int] | None = None
-        fallback = 0
-        for entity, values in zip(
-            delta.upserts,
-            _values_of(value_node, delta.upserts, state, transforms, session),
-        ):
-            uid = entity.uid
-            for key in indexer.block_keys(values):
-                block = blocks.get(key)
-                if block is None:
-                    blocks[key] = (uid,)
-                elif uid not in block:
-                    if order is None:
-                        order = {u: i for i, u in enumerate(source.uids())}
-                        # Mid-chain uids a later delta removes are not
-                        # in the live source; park them at the end (a
-                        # later patch step deletes them anyway).
-                        fallback = len(order)
-                    blocks[key] = tuple(
-                        sorted(
-                            block + (uid,),
-                            key=lambda u: order.get(u, fallback),
-                        )
-                    )
-        return blocks
-
-    return patch
-
-
-def _indexed_blocks(
-    value_node,
     source: DataSource,
-    indexer: ComparisonIndexer,
-    transforms: TransformationRegistry,
-    session: EngineSession | None,
-    fan: bool,
+    session: EngineSession,
     token: str,
+    fan: bool = True,
 ) -> dict:
     """One ``{block key: (uids...)}`` table of ``source`` under a value
-    tree × indexer, resolved through the session's index memo and
-    persistent index tier under ``token`` (patched forward along the
-    source's delta chain instead of rebuilt, when possible)."""
+    tree × indexer, through the block-table layer under ``token``:
+    each entity files under the block keys of its transformed values,
+    derived once per *distinct* value tuple."""
+    state = source.state()
+    key_memo: dict[tuple[str, ...], tuple] = {}
 
-    def build() -> dict:
-        state = source.state()
-        if session is None:
-            column = [
-                evaluate_value_op(value_node, entity, transforms)
-                for entity in state.entities
-            ]
-        else:
-            column = fan_entity_chunks(
-                session if fan else None,
-                range(len(state.entities)),
-                lambda positions: session.value_tuples(value_node, state, positions),
-            )
-        key_memo: dict[tuple[str, ...], tuple] = {}
-        blocks: dict = {}
-        for entity, values in zip(state.entities, column):
-            uid = entity.uid
-            keys = key_memo.get(values)
-            if keys is None:
-                keys = tuple(indexer.block_keys(values))
-                key_memo[values] = keys
-            for key in keys:
-                block = blocks.get(key)
-                if block is None:
-                    blocks[key] = [uid]
-                else:
-                    block.append(uid)
-        return {key: tuple(uids) for key, uids in blocks.items()}
+    def keys_of(entities: Sequence[Entity]) -> list:
+        keys = []
+        for values in _values_of(value_node, entities, state, session):
+            entity_keys = key_memo.get(values)
+            if entity_keys is None:
+                entity_keys = tuple(indexer.block_keys(values))
+                key_memo[values] = entity_keys
+            keys.append(entity_keys)
+        return keys
 
-    if session is not None:
-        return session.blocking_index(
-            source.fingerprint(),
-            token,
-            build,
-            lineage=source.delta_chain(),
-            patcher=_comparison_blocks_patcher(
-                value_node, source, indexer, transforms, session
-            ),
-        )
-    return build()
+    return _table_index(session, source, token, keys_of, fan=fan)
 
 
 def build_comparison_index(
@@ -544,17 +466,19 @@ def build_comparison_index(
 ) -> ComparisonIndex | None:
     """Index source B under a comparison's target value tree.
 
-    With a ``session``, transformed values are gathered from the
-    session's value column of ``source_b``'s state (the column the rule
-    scoring that follows blocking reads) and the finished block table
-    resolves through the session's index memo and the persistent
-    store's index tier — a warm rerun over an unchanged source skips
-    construction entirely, and a source a few deltas ahead of a
-    persisted epoch patches the table forward instead of rebuilding.
+    Transformed values are gathered from the session's value column of
+    ``source_b``'s state (the column the rule scoring that follows
+    blocking reads), and the finished block table resolves through the
+    session's index memo and the persistent store's index tier — a
+    warm rerun over an unchanged source skips construction entirely,
+    and a source a few deltas ahead of a resolved epoch patches the
+    table forward instead of rebuilding. Without a ``session`` the
+    index builds through a serial, store-less session over
+    ``transforms``.
 
     Construction is value-memoised: block keys are derived once per
-    *distinct* transformed value tuple, and (with ``fan=True``) value
-    extraction fans across the session's shared-memory executor.
+    *distinct* transformed value tuple, and (with ``fan=True``) key
+    derivation fans across the session's shared-memory executor.
     Callers that already parallelise per comparison pass ``fan=False``
     — nesting executor fan-outs inside pool workers would deadlock a
     saturated thread pool.
@@ -562,31 +486,17 @@ def build_comparison_index(
     indexer = indexer_for_comparison(comparison)
     if indexer is None:
         return None
-    blocks = _indexed_blocks(
+    if session is None:
+        session = EngineSession(transforms=transforms, executor=0, store="")
+    blocks = _comparison_table(
         comparison.target,
-        source_b,
         indexer,
-        transforms,
+        source_b,
         session,
-        fan,
         comparison_index_token(comparison, indexer),
+        fan,
     )
     return ComparisonIndex(comparison=comparison, indexer=indexer, blocks=blocks)
-
-
-def _blocks_code_view(blocks: dict, code_of: dict) -> dict:
-    """One comparison's block table in code space: each block a sorted
-    unique ``int32`` array of B-entity codes."""
-    return {
-        key: np.unique(
-            np.fromiter(
-                (code_of[uid] for uid in uids),
-                dtype=np.int32,
-                count=len(uids),
-            )
-        )
-        for key, uids in blocks.items()
-    }
 
 
 def _intersect_codes(sets: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -630,50 +540,18 @@ class MultiProbeIndex:
 class MultiBlocker(CodeProbeBlocker):
     """Aggregation-aware multidimensional blocking for one rule.
 
-    ``max_comparisons`` caps how many comparison indexes are built;
-    extra comparisons are simply not used for pruning (which is always
-    sound — fewer indexes means a larger candidate set).
+    Indexes the rule's first :data:`_MAX_COMPARISONS` comparisons. Each
+    indexable comparison contributes a forward block table over the
+    target and a reverse one over the probe side, plus a code view of
+    the forward table over one shared uid code table — all through the
+    block-table layer of :mod:`repro.matching.blocking`, under the
+    session a call is handed (whose transforms define the index keys)
+    or this blocker's private one.
     """
 
-    def __init__(
-        self,
-        rule: LinkageRule,
-        transforms: TransformationRegistry | None = None,
-        max_comparisons: int = 8,
-        session: EngineSession | None = None,
-    ):
+    def __init__(self, rule: LinkageRule):
+        super().__init__()
         self._rule = rule
-        self._max_comparisons = max_comparisons
-        #: Built with defaults (no pinned transforms/session): such a
-        #: blocker adopts an engine-passed run session wholesale, so an
-        #: explicit `MatchingEngine(blocker=MultiBlocker(rule),
-        #: cache_dir=...)` still indexes through the engine's caches
-        #: and persistent index tier — and through the transforms the
-        #: engine will evaluate the rule under.
-        self._adoptable = session is None and transforms is None
-        if session is None:
-            self._transforms = (
-                transforms if transforms is not None else default_transforms()
-            )
-            self._session = EngineSession(transforms=self._transforms)
-        else:
-            if transforms is not None and transforms is not session.transforms:
-                raise ValueError(
-                    "conflicting transformation registries: pass either a "
-                    "session or a registry, not both"
-                )
-            # Index construction reads the session's value columns, so
-            # blocking must use the session's registry.
-            self._transforms = session.transforms
-            self._session = session
-
-    def _active_session(self, session: "EngineSession | None") -> EngineSession:
-        """The session one call runs under: an engine-passed session
-        when this blocker is adoptable (built with defaults), its own
-        pinned session otherwise."""
-        if session is not None and self._adoptable:
-            return session
-        return self._session
 
     # -- candidate set algebra -------------------------------------------------
     def _node_codes(
@@ -758,26 +636,21 @@ class MultiBlocker(CodeProbeBlocker):
         """All comparison indexes of this blocker's rule over a target
         source, keyed by comparison node id (construction fans across
         the session executor; each index resolves through the
-        session's memo and persistent index tier). A blocker with
-        pinned transforms or an explicit session uses its own session
-        regardless of ``session`` — its transforms define the index
-        keys."""
-        comparisons = self._rule.comparisons()[: self._max_comparisons]
-        own = self._active_session(session)
-        transforms = own.transforms
-        executor = own.executor
+        session's memo and persistent index tier)."""
+        session = self._session(session)
+        comparisons = self._rule.comparisons()[:_MAX_COMPARISONS]
+        transforms = session.transforms
+        executor = session.executor
         if executor.workers > 1 and len(comparisons) > 1:
             built = executor.map(
                 lambda comparison: build_comparison_index(
-                    comparison, source, transforms, own, fan=False
+                    comparison, source, transforms, session, fan=False
                 ),
                 comparisons,
             )
         else:
             built = [
-                build_comparison_index(
-                    comparison, source, transforms, own, fan=True
-                )
+                build_comparison_index(comparison, source, transforms, session)
                 for comparison in comparisons
             ]
         return {
@@ -794,29 +667,16 @@ class MultiBlocker(CodeProbeBlocker):
     ) -> "MultiProbeIndex":
         """The probe-side state over a target source: the built
         comparison indexes, their code-space views and the shared uid
-        code table. The uid table and each comparison's code view
-        resolve through the session's index memo and persistent index
-        tier (key suffix ``probe-codes-v1``), so warm sessions and
-        warm stores skip the derivation like they skip the block
-        tables themselves."""
-        own = self._active_session(session)
+        code table. The uid table and each comparison's code view are
+        views of the block-table layer (key suffix ``probe-codes-v1``):
+        warm sessions and warm stores skip the derivation like they
+        skip the block tables themselves, and a delta re-derives them
+        from the patched tables."""
+        session = self._session(session)
         indexes = self.build_index(source_b, session=session)
-
-        def resolve(token: str, build):
-            # A view patcher re-derives from the already-patched block
-            # table and the current code table — the view *is* a
-            # derivation, so "patch" means re-derive against the final
-            # epoch (idempotent per chain step; counted as a patch, not
-            # a build).
-            return own.blocking_index(
-                source_b.fingerprint(),
-                token,
-                build,
-                lineage=source_b.delta_chain(),
-                patcher=lambda payload, delta: build(),
-            )
-
-        uids: tuple[str, ...] = resolve(
+        uids: tuple[str, ...] = _resolve_index(
+            session,
+            source_b,
             "multiblock-uid-codes-v1",
             lambda: tuple(sorted(entity.uid for entity in source_b)),
         )
@@ -829,11 +689,11 @@ class MultiBlocker(CodeProbeBlocker):
                 )
                 + "|probe-codes-v1"
             )
-            views[node_id] = resolve(
+            views[node_id] = _resolve_index(
+                session,
+                source_b,
                 token,
-                lambda ci=comparison_index: _blocks_code_view(
-                    ci.blocks, code_of
-                ),
+                lambda ci=comparison_index: _code_view(ci.blocks, code_of),
             )
         return MultiProbeIndex(
             indexes=indexes,
@@ -860,10 +720,9 @@ class MultiBlocker(CodeProbeBlocker):
         across successive probe batches (the shard stream threads one
         through the whole run); ``None`` scopes it to this call.
         """
-        own = self._active_session(session)
+        session = self._session(session)
         root = self._rule.root
         shared_memo = memo if memo is not None else {}
-        transforms = own.transforms
 
         def probe(chunk):
             values = {
@@ -871,30 +730,26 @@ class MultiBlocker(CodeProbeBlocker):
                     comparison_index.comparison.source,
                     chunk,
                     index.probe_state,
-                    transforms,
-                    own,
+                    session,
                 )
                 for node_id, comparison_index in index.indexes.items()
             }
             hits = [0]
             results = self._node_codes(root, values, index, shared_memo, hits)
-            own.record_probe(memo_hits=hits[0])
+            session.record_probe(memo_hits=hits[0])
             if results is None:
                 return [index.all_codes] * len(chunk)
             return results
 
-        own.record_probe(batches=1)
-        return fan_entity_chunks(own, entities, probe)
+        session.record_probe(batches=1)
+        return fan_entity_chunks(session, entities, probe)
 
     def _probe_plan(self, source_a, source_b, session):
-        """Probes run under the active session (the pinned one unless
-        this blocker is adoptable); with no indexable comparison the
-        streams take the (lazy) full product rather than a degenerate
-        everything-matches probe."""
+        """With no indexable comparison the streams take the (lazy)
+        full product rather than a degenerate everything-matches
+        probe."""
         probe = self.probe_index(source_a, source_b, session=session)
-        if not probe.indexes:
-            return None
-        return probe, self._active_session(session)
+        return probe if probe.indexes else None
 
     def _reverse_blocks(
         self,
@@ -913,14 +768,8 @@ class MultiBlocker(CodeProbeBlocker):
             f"cmpidx-rev:v1:{indexer.cache_token()}:"
             f"{signature_token(value_tree_signature(comparison.source))}"
         )
-        return _indexed_blocks(
-            comparison.source,
-            source_a,
-            indexer,
-            session.transforms,
-            session,
-            True,
-            token,
+        return _comparison_table(
+            comparison.source, indexer, source_a, session, token
         )
 
     def affected_probe_uids(
@@ -964,7 +813,9 @@ class MultiBlocker(CodeProbeBlocker):
             return None
         return frozenset()
 
-    def _reverse_pair_lists(self, source_a, source_b, affected, index, session):
+    def _reverse_pair_lists(
+        self, source_a, source_b, affected, index, session, ledger
+    ):
         """For each affected B entity this pass derives a coarse
         A-partner superset from the per-comparison reverse indexes
         (sound because a candidate pair satisfies at least one built
@@ -974,8 +825,9 @@ class MultiBlocker(CodeProbeBlocker):
         against the current index and checking the B entity's code in
         their partner-code arrays — emission without verification
         would leak non-candidate pairs and break byte-parity with a
-        cold execute. Verification probes ride the probe-result ledger
-        and distinct-value memo like every other probe."""
+        cold execute. Verification probes ride the stream's
+        probe-result ledger and a distinct-value memo like every other
+        probe."""
         uids = index.uids
         get_a = source_a.get
         targets: list[tuple[str, int]] = []
@@ -996,11 +848,7 @@ class MultiBlocker(CodeProbeBlocker):
             indexer = comparison_index.indexer
             reverse = self._reverse_blocks(comparison, indexer, source_a, session)
             values = _values_of(
-                comparison.target,
-                entities_b,
-                source_b.state(),
-                session.transforms,
-                session,
+                comparison.target, entities_b, source_b.state(), session
             )
             lookups.append((reverse.get, indexer, values))
         coarse: list[tuple[str, int, list[str]]] = []
@@ -1021,7 +869,6 @@ class MultiBlocker(CodeProbeBlocker):
             return
         entities = [get_a(uid) for uid in sorted(partner_uids)]
         codes_of: dict[str, np.ndarray] = {}
-        ledger = self._probe_ledger(source_b, session)
         for chunk, results in _probed_chunks(
             self, entities, index, ledger, session
         ):
@@ -1046,7 +893,7 @@ class MultiBlocker(CodeProbeBlocker):
         ).hexdigest()[:24]
         return (
             f"multiblock:v1:rule={rule_token}:"
-            f"max={self._max_comparisons}|probe-results-v1"
+            f"max={_MAX_COMPARISONS}|probe-results-v1"
         )
 
 

@@ -534,3 +534,37 @@ class TestValueColumns:
         stats = session.stats().values
         assert stats.size == 300
         assert stats.hits + stats.misses == 1200
+
+    def test_racing_fill_counts_one_miss_per_slot(self):
+        """Two gathers that both evaluate one unfilled slot count one
+        miss (the fill) and one hit (the slot the other one filled)."""
+        from repro.transforms.base import Transformation
+        from repro.transforms.registry import TransformationRegistry
+
+        barrier = threading.Barrier(2)
+
+        class Rendezvous(Transformation):
+            name = "rendezvous"
+
+            def apply(self, inputs):
+                barrier.wait(timeout=10)
+                return inputs[0]
+
+        transforms = TransformationRegistry()
+        transforms.register(Rendezvous())
+        session = EngineSession(transforms=transforms)
+        node = TransformationNode("rendezvous", (PropertyNode("name"),))
+        state = _named_source("s", 1).state()
+        results = []
+
+        def read():
+            results.append(session.value_tuples(node, state, [0]))
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [[("N0",)]] * 2
+        stats = session.stats().values
+        assert (stats.misses, stats.hits, stats.size) == (1, 1, 1)

@@ -272,3 +272,65 @@ def test_iter_link_diff_streams_the_diff(tmp_path):
         assert link in previous
     for link in new_links:
         assert link.score >= 0.5
+
+
+def test_affected_stream_opens_one_probe_ledger(tmp_path, monkeypatch):
+    """A two-source MultiBlock link_diff whose forward pass probes the
+    changed A entities and whose reverse pass probes unchanged partners
+    of a changed B entity loads and saves the probe ledger once: the
+    reverse pass rides the forward pass's ledger."""
+    from repro.core.nodes import ComparisonNode, PropertyNode
+    from repro.core.rule import LinkageRule
+    from repro.data.entity import Entity
+    from repro.engine.store import ColumnStore
+
+    rule = LinkageRule(
+        ComparisonNode(
+            "levenshtein", 2.0, PropertyNode("n"), PropertyNode("n")
+        )
+    )
+    source_a = DataSource(
+        "A", [Entity(f"a{i}", {"n": f"name{i}"}) for i in range(20)]
+    )
+    source_b = DataSource(
+        "B", [Entity(f"b{i}", {"n": f"name{i}"}) for i in range(20)]
+    )
+    engine = MatchingEngine(
+        blocker=MultiBlocker(rule), cache_dir=str(tmp_path)
+    )
+    try:
+        previous = list(engine.execute(rule, source_a, source_b))
+        delta_a = source_a.apply_delta([Entity("a3", {"n": "name3x"})])
+        delta_b = source_b.apply_delta([Entity("b5", {"n": "name5y"})])
+        calls: list[str] = []
+        for name in ("load_probe_ledger", "save_probe_ledger"):
+            method = getattr(ColumnStore, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(ColumnStore, name, counted)
+        diff = engine.link_diff(
+            rule,
+            source_a,
+            source_b,
+            previous,
+            deltas_a=[delta_a],
+            deltas_b=[delta_b],
+        )
+    finally:
+        engine.close()
+    # The reverse pass paired the changed b5 with unchanged partners.
+    assert any(
+        link.uid_b == "b5" and link.uid_a != "a3" for link in diff.links
+    )
+    assert calls == ["load_probe_ledger", "save_probe_ledger"]
+    verifier = MatchingEngine(blocker=MultiBlocker(rule))
+    try:
+        cold = list(
+            verifier.execute(rule, rebuilt(source_a), rebuilt(source_b))
+        )
+    finally:
+        verifier.close()
+    assert _links(diff.links) == _links(cold)

@@ -1,8 +1,16 @@
 """Tests for blocking strategies."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core.nodes import ComparisonNode, PropertyNode, TransformationNode
+from repro.core.nodes import (
+    AggregationNode,
+    ComparisonNode,
+    PropertyNode,
+    TransformationNode,
+)
 from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
 from repro.data.source import DataSource
@@ -12,9 +20,14 @@ from repro.matching.blocking import (
     FullIndexBlocker,
     RuleBlocker,
     TokenBlocker,
-    _tokens_of,
 )
 from repro.matching.incremental import rebuilt
+from repro.matching.multiblock import MultiBlocker, comparison_index_token
+
+# The seed per-entity tokeniser is frozen with the benchmarks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from _seed_blocking import _tokens_of  # noqa: E402  (path set up above)
 
 
 def _sources():
@@ -53,24 +66,86 @@ def _delta_sources():
     return source_a, source_b
 
 
-def _count_builds(monkeypatch) -> list[str]:
-    """Record every cold token-table build (``blocks:<source>``) and
-    every cold probe-code derivation (``codes``)."""
-    builds: list[str] = []
-    token_blocks = blocking._token_blocks
-    token_code_payload = blocking._token_code_payload
+def _count_builds(monkeypatch) -> list[int]:
+    """Record the entity count of every cold block-table build (every
+    table of every probing blocker goes through the shared builder)."""
+    builds: list[int] = []
+    build_table = blocking._build_table
 
-    def counted_blocks(source, properties, session):
-        builds.append(f"blocks:{source.name}")
-        return token_blocks(source, properties, session)
+    def counted(entities, keys_of, session):
+        builds.append(len(entities))
+        return build_table(entities, keys_of, session)
 
-    def counted_codes(blocks):
-        builds.append("codes")
-        return token_code_payload(blocks)
-
-    monkeypatch.setattr(blocking, "_token_blocks", counted_blocks)
-    monkeypatch.setattr(blocking, "_token_code_payload", counted_codes)
+    monkeypatch.setattr(blocking, "_build_table", counted)
     return builds
+
+
+def _token_indexes(blocker, source_a, source_b) -> dict:
+    """Every index a TokenBlocker resolves, in comparable form: the
+    forward and reverse tables, the filtered view and the code view."""
+    session = blocker._session(None)
+    probe = blocker.probe_index(source_a, source_b)
+    codes = {token: codes.tolist() for token, codes in probe.blocks.items()}
+    return {
+        "forward": blocker._raw_blocks(source_b, session),
+        "filtered": blocker.build_index(source_b),
+        "codes": (probe.uids, codes),
+        "reverse": blocker._reverse_blocks(source_a, session),
+    }
+
+
+def _multiblock_rule() -> LinkageRule:
+    def compare(metric, threshold, function):
+        return ComparisonNode(
+            metric,
+            threshold,
+            TransformationNode(function, (PropertyNode("label"),)),
+            TransformationNode(function, (PropertyNode("name"),)),
+        )
+
+    return LinkageRule(
+        AggregationNode(
+            "max",
+            (
+                compare("jaccard", 0.5, "tokenize"),
+                compare("qgrams", 0.5, "lowerCase"),
+            ),
+        )
+    )
+
+
+def _multiblock_indexes(blocker, source_a, source_b) -> dict:
+    """Every index a MultiBlocker resolves, in comparable form: per
+    comparison the forward and reverse tables and the code view, plus
+    the shared uid code table."""
+    session = blocker._session(None)
+    probe = blocker.probe_index(source_a, source_b)
+    found: dict = {"uids": probe.uids}
+    for node_id, index in probe.indexes.items():
+        name = comparison_index_token(index.comparison, index.indexer)
+        found[f"{name}|forward"] = index.blocks
+        found[f"{name}|codes"] = {
+            key: codes.tolist() for key, codes in probe.views[node_id].items()
+        }
+        found[f"{name}|reverse"] = blocker._reverse_blocks(
+            index.comparison, index.indexer, source_a, session
+        )
+    return found
+
+
+#: blocker kind -> (blocker factory, index snapshot, tables per build).
+_PROBING_BLOCKERS = {
+    "token": (
+        lambda: TokenBlocker(["label"], ["name"], max_block_size=3),
+        _token_indexes,
+        2,
+    ),
+    "multiblock": (
+        lambda: MultiBlocker(_multiblock_rule()),
+        _multiblock_indexes,
+        4,
+    ),
+}
 
 
 class TestFullIndexBlocker:
@@ -187,16 +262,21 @@ class TestTokenIndex:
         blocker = TokenBlocker(["name"])
         assert blocker.build_index(source_b) is blocker.build_index(source_b)
 
-    def test_sessionless_memo_patches_every_index_forward(self, monkeypatch):
-        """Without a session, the raw table, filtered view, probe codes
-        and reverse table all patch forward along the delta chains from
-        the blocker's own memo: no table is rebuilt, and every result
+    @pytest.mark.parametrize("kind", sorted(_PROBING_BLOCKERS))
+    def test_sessionless_memo_patches_every_index_forward(
+        self, kind, monkeypatch
+    ):
+        """Without a session, a probing blocker resolves through its
+        private session: after deltas on both sources its forward and
+        reverse tables patch forward and its views re-derive — no table
+        is rebuilt, every index counts one patch — and every index
         equals a fresh blocker's cold build over rebuilt sources."""
+        factory, indexes_of, tables = _PROBING_BLOCKERS[kind]
         source_a, source_b = _delta_sources()
-        blocker = TokenBlocker(["label"], ["name"], max_block_size=3)
-        blocker.build_index(source_b)
-        blocker.probe_index(source_a, source_b)
-        blocker._reverse_blocks(source_a, None)
+        blocker = factory()
+        cold = indexes_of(blocker, source_a, source_b)
+        before = blocker._session(None).stats()
+        assert before.index_builds == len(cold)
         builds = _count_builds(monkeypatch)
         source_b.apply_delta(
             [
@@ -207,23 +287,17 @@ class TestTokenIndex:
         )
         source_b.apply_delta([Entity("b13", {"name": "tok3 later"})], ["b12"])
         source_a.apply_delta([Entity("a12", {"label": "tok1 new"})], ["a3"])
-        filtered = blocker.build_index(source_b)
-        raw = blocker._raw_blocks(source_b, None)
-        probe = blocker.probe_index(source_a, source_b)
-        reverse = blocker._reverse_blocks(source_a, None)
+        patched = indexes_of(blocker, source_a, source_b)
+        after = blocker._session(None).stats()
         assert builds == []
+        assert after.index_builds == before.index_builds
+        assert after.index_patches - before.index_patches == len(patched)
 
-        fresh = TokenBlocker(["label"], ["name"], max_block_size=3)
+        fresh = factory()
         cold_a, cold_b = rebuilt(source_a), rebuilt(source_b)
-        assert filtered == fresh.build_index(cold_b)
-        assert raw == fresh._raw_blocks(cold_b, None)
-        cold_probe = fresh.probe_index(cold_a, cold_b)
-        assert probe.uids == cold_probe.uids
-        assert probe.blocks.keys() == cold_probe.blocks.keys()
-        for token, codes in cold_probe.blocks.items():
-            assert probe.blocks[token].tolist() == codes.tolist(), token
-        assert reverse == fresh._reverse_blocks(cold_a, None)
-        assert builds == ["blocks:B", "codes", "blocks:A"]
+        assert patched == indexes_of(fresh, cold_a, cold_b)
+        assert patched != cold
+        assert len(builds) == tables
 
     def test_alternating_resolution_never_rebuilds(self, monkeypatch):
         """Alternating the filtered view, the probe codes and the
@@ -240,7 +314,10 @@ class TestTokenIndex:
         # come from the reverse table.
         affected = blocker.affected_probe_uids(source_a, source_b, (), deltas_b)
         assert affected == {"a0", "a4", "a8"}
-        assert builds == ["blocks:B", "codes", "blocks:A"]
+        # The forward table over B and the reverse table over A.
+        assert builds == [13, 12]
+        stats = blocker._session(None).stats()
+        assert (stats.index_builds, stats.index_patches) == (4, 0)
         for _ in range(3):
             assert (
                 blocker.affected_probe_uids(source_a, source_b, (), deltas_b)
@@ -248,7 +325,9 @@ class TestTokenIndex:
             )
             assert blocker.probe_index(source_a, source_b).blocks is probe.blocks
             assert blocker.build_index(source_b) is filtered
-        assert builds == ["blocks:B", "codes", "blocks:A"]
+        assert builds == [13, 12]
+        stats = blocker._session(None).stats()
+        assert (stats.index_builds, stats.index_patches) == (4, 0)
 
     def test_session_memo_shared_across_blocker_instances(self):
         _, source_b = _sources()

@@ -333,26 +333,6 @@ class TestSessionAdoption:
         assert warm_store.index_misses == 0
         assert warm_store.index_hits > 0
 
-    def test_pinned_session_is_kept(self, tmp_path):
-        """A blocker constructed over an explicit session keeps it —
-        its transforms define the index keys — so the engine's store
-        sees no index traffic."""
-        from repro.engine.session import EngineSession
-        from repro.matching.engine import MatchingEngine
-
-        source_a, source_b, __ = city_sources()
-        rule = self._rule()
-        pinned = EngineSession()
-        engine = MatchingEngine(
-            blocker=MultiBlocker(rule, session=pinned),
-            cache_dir=str(tmp_path),
-        )
-        try:
-            engine.execute(rule, source_a, source_b)
-        finally:
-            engine.close()
-        assert engine.last_run_stats().store.index_writes == 0
-
 
 class TestComparisonIndex:
     def test_build_and_probe(self):
