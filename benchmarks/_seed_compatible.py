@@ -1,19 +1,21 @@
-"""The per-pair Algorithm 2 seeding path and the unmemoised date
-parser, frozen verbatim.
+"""The per-pair Algorithm 2 seeding path and the unmemoised date and
+number parsers, frozen verbatim.
 
 ``repro.core.compatible`` now builds one property profile per entity
 (tokens, points, dates and numbers parsed once per value) and runs the
 detectors over those pre-parsed lists, and
-``repro.distances.dates.parse_date`` is memoised per process behind a
-four-digit prefilter. This module preserves the original shapes: every
-detector re-tokenises and re-parses both value lists for each property
-pair, and ``seed_parse_date`` tries the eight ``strptime`` formats on
-every call (``seed_date_distance`` is the per-pair date measure over
-it).
+``repro.distances.dates.parse_date`` and
+``repro.distances.numeric.parse_number`` are memoised per process (the
+date parser behind a four-digit prefilter). This module preserves the
+original shapes: every detector re-tokenises and re-parses both value
+lists for each property pair, ``seed_parse_date`` tries the eight
+``strptime`` formats on every call, and ``seed_parse_number`` runs its
+regex on every call (``seed_date_distance`` and
+``seed_numeric_distance`` are the per-pair measures over them).
 
 ``tests/test_core_compatible.py`` and ``tests/test_distances_dates.py``
 pin the live code to these copies, and ``bench_micro_engine.py``'s
-``test_seeding_speedup`` and the date leg of
+``test_seeding_speedup`` and the date and numeric legs of
 ``test_batch_kernel_speedup`` measure against them.
 Do not "improve" this module; its value is being frozen.
 """
@@ -32,7 +34,6 @@ from repro.data.source import DataSource
 from repro.distances.base import INFINITE_DISTANCE, min_over_pairs
 from repro.distances.geographic import haversine_metres, parse_point
 from repro.distances.levenshtein import levenshtein
-from repro.distances.numeric import parse_number
 
 _FORMATS = (
     "%Y-%m-%d",
@@ -74,6 +75,38 @@ def seed_date_distance(values_a: Sequence[str], values_b: Sequence[str]) -> floa
         if da is None or db is None:
             return INFINITE_DISTANCE
         return float(abs((da - db).days))
+
+    return min_over_pairs(values_a, values_b, pair_distance)
+
+
+_NUMBER_RE = re.compile(r"[-+]?\d+(?:[.,]\d+)?(?:[eE][-+]?\d+)?")
+
+
+def seed_parse_number(value: str) -> float | None:
+    """Extract the first number from a string, or None.
+
+    Accepts both ``.`` and ``,`` decimal separators, a common divergence
+    between data sources (e.g. "3,5 mg" vs "3.5mg").
+    """
+    match = _NUMBER_RE.search(value.strip())
+    if match is None:
+        return None
+    text = match.group(0).replace(",", ".")
+    try:
+        return float(text)
+    except ValueError:  # pragma: no cover - regex should guarantee parse
+        return None
+
+
+def seed_numeric_distance(values_a: Sequence[str], values_b: Sequence[str]) -> float:
+    """``NumericDistance.evaluate`` over the unmemoised parser."""
+
+    def pair_distance(a: str, b: str) -> float:
+        na = seed_parse_number(a)
+        nb = seed_parse_number(b)
+        if na is None or nb is None:
+            return INFINITE_DISTANCE
+        return abs(na - nb)
 
     return min_over_pairs(values_a, values_b, pair_distance)
 
@@ -139,8 +172,8 @@ def _date_compatible(
 def _numeric_compatible(
     values_a: Sequence[str], values_b: Sequence[str], tolerance: float = 0.1
 ) -> bool:
-    numbers_a = [n for v in values_a if (n := parse_number(v)) is not None]
-    numbers_b = [n for v in values_b if (n := parse_number(v)) is not None]
+    numbers_a = [n for v in values_a if (n := seed_parse_number(v)) is not None]
+    numbers_b = [n for v in values_b if (n := seed_parse_number(v)) is not None]
     if not numbers_a or not numbers_b:
         return False
     for na in numbers_a:

@@ -12,6 +12,8 @@ import os
 import random
 import time
 
+import numpy as np
+
 # Plain import (no `benchmarks.` prefix) so the file collects under
 # both `python -m pytest` from the repo root and `pytest benchmarks/`
 # (pytest puts this directory on sys.path via conftest.py).
@@ -32,6 +34,7 @@ from repro.core.rule import LinkageRule
 from repro.data.entity import Entity
 from repro.datasets import DATASET_NAMES, load_dataset
 from repro.distances.dates import parse_date
+from repro.distances.numeric import parse_number
 from repro.distances.levenshtein import levenshtein
 from repro.distances.jaro import jaro_winkler_similarity
 from repro.engine import EngineSession
@@ -279,11 +282,12 @@ def _distance_columns(rng: random.Random, count: int, kind: str):
 def test_batch_kernel_speedup():
     """`evaluate_column` must be at least 2x faster than the per-pair
     loop on numeric and date columns, while staying bit-identical to
-    the live `evaluate` loop. The date loop runs the frozen unmemoised
-    parser (``_seed_compatible.seed_date_distance``), so the gate
-    measures the kernel against per-pair parsing rather than against a
-    loop served by the same process memo."""
-    from _seed_compatible import seed_date_distance
+    the live `evaluate` loop. The loops run the frozen unmemoised
+    parsers (``_seed_compatible.seed_numeric_distance`` and
+    ``seed_date_distance``), so the gate measures the kernel against
+    per-pair parsing rather than against a loop served by the same
+    process memo."""
+    from _seed_compatible import seed_date_distance, seed_numeric_distance
 
     from repro.distances.registry import default_registry
 
@@ -291,20 +295,22 @@ def test_batch_kernel_speedup():
     rng = random.Random(13)
 
     def cold_best_of_3(fn):
-        # Every trial starts from a cold date memo, so the gate measures
-        # the kernel rather than parses an earlier trial left behind.
+        # Every trial starts from cold parser memos, so the gate
+        # measures the kernel rather than parses an earlier trial left
+        # behind.
         best = float("inf")
         for _ in range(3):
             parse_date.cache_clear()
+            parse_number.cache_clear()
             start = time.perf_counter()
             result = fn()
             best = min(best, time.perf_counter() - start)
         return result, best
 
-    for kind in ("numeric", "date"):
+    pair_loops = {"numeric": seed_numeric_distance, "date": seed_date_distance}
+    for kind, pair_loop in pair_loops.items():
         measure = registry.get(kind)
         columns_a, columns_b = _distance_columns(rng, 4000, kind)
-        pair_loop = seed_date_distance if kind == "date" else measure.evaluate
 
         loop, loop_seconds = cold_best_of_3(lambda: [
             pair_loop(a, b) for a, b in zip(columns_a, columns_b)
@@ -339,7 +345,7 @@ def test_seeding_speedup():
     faster than the frozen per-pair detectors
     (``_seed_compatible.py``), which re-parse every value of one
     property once per property of the other entity, and must rank the
-    same pairs. The live leg starts from a cold date memo."""
+    same pairs. The live leg starts from cold date and number memos."""
     dataset = load_dataset("dbpedia_drugbank", seed=0, scale=0.06)
     links = list(dataset.links.positive)
 
@@ -354,6 +360,7 @@ def test_seeding_speedup():
     seed_seconds = time.perf_counter() - start
 
     parse_date.cache_clear()
+    parse_number.cache_clear()
     start = time.perf_counter()
     live_pairs = run(find_compatible_properties)
     live_seconds = time.perf_counter() - start
@@ -470,6 +477,97 @@ def test_string_kernel_speedup():
             f"{name} string kernel speedup {speedup:.2f}x below the "
             f"required 2x (seed {seed_seconds:.3f}s vs batch "
             f"{batch_seconds:.3f}s)"
+        )
+
+
+def _levenshtein_pool(rng: random.Random, low: int, high: int):
+    """300 distinct strings of ``low``-``high`` characters built from a
+    word vocabulary, half of them one to three typos away from another,
+    plus 3000 distinct index pairs over them: the shape of one distance
+    column's kernel call."""
+    alphabet = "abcdefghijklmnopqrstuvwxyz"
+    vocabulary = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 9)))
+        for _ in range(400)
+    ]
+
+    def text() -> str:
+        words = []
+        while len(" ".join(words)) < low:
+            words.append(rng.choice(vocabulary))
+        return " ".join(words)[:high]
+
+    def typo(value: str) -> str:
+        chars = list(value)
+        for _ in range(rng.randint(1, 3)):
+            chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+        return "".join(chars)
+
+    strings: list[str] = []
+    while len(strings) < 300:
+        value = typo(rng.choice(strings)) if strings and rng.random() < 0.5 else text()
+        if value not in strings:
+            strings.append(value)
+    pairs = sorted(
+        {(rng.randrange(300), rng.randrange(300)) for _ in range(3200)}
+    )[:3000]
+    index_a = np.array([a for a, _ in pairs], dtype=np.int64)
+    index_b = np.array([b for _, b in pairs], dtype=np.int64)
+    return strings, index_a, index_b
+
+
+def test_levenshtein_kernel_speedup():
+    """The lane-packed bit-vector levenshtein kernel must be at least 2x
+    faster than the numpy row-DP kernel it replaced (frozen as
+    ``_seed_string_kernels.seed_levenshtein_pairs``) on cora-title-shaped
+    strings (60-120 characters) and on short words, both at the
+    measure's bound 11, and bit-identical to the scalar ``levenshtein``.
+    """
+    from _seed_string_kernels import seed_levenshtein_pairs
+
+    from repro.distances.strings import levenshtein_pairs
+
+    rng = random.Random(37)
+    bound = 11
+
+    def best_of_3(fn):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - start)
+        return result, best
+
+    for shape, low, high in (("cora titles", 60, 120), ("short words", 8, 14)):
+        strings, index_a, index_b = _levenshtein_pool(rng, low, high)
+        frozen, frozen_seconds = best_of_3(
+            lambda: seed_levenshtein_pairs(strings, index_a, index_b, bound)
+        )
+        lanes, lanes_seconds = best_of_3(
+            lambda: levenshtein_pairs(strings, index_a, index_b, bound)
+        )
+        expected = [
+            levenshtein(strings[a], strings[b], bound=bound)
+            for a, b in zip(index_a.tolist(), index_b.tolist())
+        ]
+        assert lanes.tolist() == expected  # bit-identical to the scalar
+        assert frozen.tolist() == expected
+        assert min(expected) <= bound  # some pairs are near
+        speedup = frozen_seconds / lanes_seconds
+        print(
+            f"\nlevenshtein kernel on {shape}: row-DP "
+            f"{frozen_seconds * 1000:.1f} ms, lanes {lanes_seconds * 1000:.1f} ms, "
+            f"speedup {speedup:.1f}x"
+        )
+        if os.environ.get("CI"):
+            # Same policy as the other ratio gates: shared runners make
+            # wall-clock ratios flaky; CI keeps the bit-identity
+            # assertion and reports the ratio.
+            continue
+        assert speedup >= 2.0, (
+            f"levenshtein kernel speedup on {shape} {speedup:.2f}x below the "
+            f"required 2x (row-DP {frozen_seconds:.3f}s vs lanes "
+            f"{lanes_seconds:.3f}s)"
         )
 
 

@@ -16,8 +16,13 @@ comparisons over coordinates and dates carry an appropriate measure.
 Each link's two entities are profiled once: every property's values are
 tokenised and parsed into points, dates and numbers a single time, and
 the detectors then run over those pre-parsed lists for every property
-pair. Parsing thus costs O(P_a + P_b) per link instead of O(P_a * P_b);
-the detectors, thresholds and support counting are unchanged.
+pair. Parsing thus costs O(P_a + P_b) per link instead of O(P_a * P_b).
+The levenshtein detector runs once for the whole sample: each link's
+token pairs within ``bound`` in length join one bounded call of the
+batch kernel (:func:`repro.distances.strings.levenshtein_pairs`), and a
+property pair gains support from every link where any of its token
+pairs is a hit. The detectors, thresholds and support counts are those
+of the per-pair loops.
 """
 
 from __future__ import annotations
@@ -28,13 +33,15 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from repro.data.entity import Entity
 from repro.data.reference_links import Link
 from repro.data.source import DataSource
 from repro.distances.dates import parse_date
 from repro.distances.geographic import haversine_metres, parse_point
-from repro.distances.levenshtein import levenshtein
 from repro.distances.numeric import parse_number
+from repro.distances.strings import levenshtein_pairs
 
 _TOKEN_CAP = 24  # tokens considered per property value set
 
@@ -88,15 +95,61 @@ def _profiles(entity: Entity) -> list[tuple[str, _Profile]]:
     return profiles
 
 
-def _levenshtein_compatible(
-    tokens_a: Sequence[str], tokens_b: Sequence[str], threshold: float
-) -> bool:
-    bound = int(threshold)
-    for ta in tokens_a:
-        for tb in tokens_b:
-            if levenshtein(ta, tb, bound=bound) <= threshold:
-                return True
-    return False
+def _near_token_pairs(
+    link: int,
+    profiles_a: list[tuple[str, _Profile]],
+    profiles_b: list[tuple[str, _Profile]],
+    bound: int,
+    candidates: dict[tuple[str, str], list[tuple[int, str, str]]],
+) -> None:
+    """File one link's token pairs that can be within ``bound`` edits
+    under ``candidates[(token a, token b)]`` as ``(link, property a,
+    property b)``: pairs whose lengths differ by more than ``bound`` are
+    never within it, so they are left out."""
+    by_length: dict[int, list[tuple[str, str]]] = {}
+    for prop_b, profile in profiles_b:
+        for token in profile.tokens:
+            by_length.setdefault(len(token), []).append((prop_b, token))
+    for prop_a, profile in profiles_a:
+        for token in profile.tokens:
+            for length in range(len(token) - bound, len(token) + bound + 1):
+                for prop_b, other in by_length.get(length, ()):
+                    candidates.setdefault((token, other), []).append(
+                        (link, prop_a, prop_b)
+                    )
+
+
+def _levenshtein_support(
+    candidates: dict[tuple[str, str], list[tuple[int, str, str]]],
+    threshold: float,
+    support: dict[CompatibleProperty, int],
+) -> None:
+    """Count the levenshtein detector's support over every sampled link
+    (``candidates`` as :func:`_near_token_pairs` files them).
+
+    A token pair is a hit when its distance is within ``threshold``, and
+    a property pair is compatible on a link when any of its token pairs
+    is a hit. The distinct token pairs of all links run through one
+    bounded call of the batch kernel.
+    """
+    ids: dict[str, int] = {}
+    for token_a, token_b in candidates:
+        ids.setdefault(token_a, len(ids))
+        ids.setdefault(token_b, len(ids))
+    left, right = (
+        np.fromiter((ids[pair[side]] for pair in candidates), np.int64, len(candidates))
+        for side in (0, 1)
+    )
+    hits = levenshtein_pairs(list(ids), left, right, int(threshold)) <= threshold
+    compatible = {
+        owner
+        for owners, hit in zip(candidates.values(), hits.tolist())
+        if hit
+        for owner in owners
+    }
+    for _, prop_a, prop_b in compatible:
+        key = CompatibleProperty(prop_a, prop_b, "levenshtein")
+        support[key] = support.get(key, 0) + 1
 
 
 def _geographic_compatible(
@@ -157,28 +210,30 @@ def find_compatible_properties(
         return []
 
     support: dict[CompatibleProperty, int] = {}
-    for uid_a, uid_b in links:
-        entity_a = source_a.get(uid_a)
-        entity_b = source_b.get(uid_b)
-        _analyse_pair(entity_a, entity_b, levenshtein_threshold, support)
+    candidates: dict[tuple[str, str], list[tuple[int, str, str]]] = {}
+    for link, (uid_a, uid_b) in enumerate(links):
+        profiles_a = _profiles(source_a.get(uid_a))
+        profiles_b = _profiles(source_b.get(uid_b))
+        _value_support(profiles_a, profiles_b, support)
+        _near_token_pairs(
+            link, profiles_a, profiles_b, int(levenshtein_threshold), candidates
+        )
+    _levenshtein_support(candidates, levenshtein_threshold, support)
 
     threshold_count = max(1, int(min_support * len(links)))
     ranked = sorted(support.items(), key=lambda item: (-item[1], str(item[0])))
     return [pair for pair, count in ranked if count >= threshold_count]
 
 
-def _analyse_pair(
-    entity_a: Entity,
-    entity_b: Entity,
-    levenshtein_threshold: float,
+def _value_support(
+    profiles_a: list[tuple[str, _Profile]],
+    profiles_b: list[tuple[str, _Profile]],
     support: dict[CompatibleProperty, int],
 ) -> None:
-    profiles_b = _profiles(entity_b)
-    for prop_a, a in _profiles(entity_a):
+    """Count one link's support from the geographic, date and numeric
+    detectors."""
+    for prop_a, a in profiles_a:
         for prop_b, b in profiles_b:
-            if _levenshtein_compatible(a.tokens, b.tokens, levenshtein_threshold):
-                key = CompatibleProperty(prop_a, prop_b, "levenshtein")
-                support[key] = support.get(key, 0) + 1
             if _geographic_compatible(a.points, b.points):
                 key = CompatibleProperty(prop_a, prop_b, "geographic")
                 support[key] = support.get(key, 0) + 1

@@ -6,11 +6,13 @@ soon as every cell in a row exceeds the bound. This turns the usual
 O(n*m) cost into O(n*bound), which is what makes pure-Python GP fitness
 evaluation feasible at paper scale.
 
-Both measures also expose vectorized batch columns: the clamped DP of
-:func:`repro.distances.strings.levenshtein_pairs` runs as numpy row
-sweeps across every distinct value pair of a column at once, under the
-min-over-pairs column driver. The scalar functions here stay the
-bit-identical parity oracle.
+Both measures also expose vectorized batch columns under the
+min-over-pairs column driver:
+:func:`repro.distances.strings.levenshtein_pairs` runs Hyyrö's
+bit-vector edit distance with every distinct value pair of a column a
+lane of the same Python ints, so a text position costs about 17
+big-int operations for all pairs at once. The scalar functions here
+stay the bit-identical parity oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def levenshtein(a: str, b: str, bound: int | None = None) -> float:
     ``min(distance, bound + 1)``: every out-of-range pair reports
     ``bound + 1``, regardless of which shortcut detected it. The callers
     only need "out of range", but pinning the clamped value is what lets
-    the batch row-DP produce bit-identical columns.
+    the batch kernel produce bit-identical columns.
     """
     if a == b:
         return 0.0

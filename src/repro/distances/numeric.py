@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Sequence
 
@@ -18,11 +19,14 @@ from repro.distances.base import (
 _NUMBER_RE = re.compile(r"[-+]?\d+(?:[.,]\d+)?(?:[eE][-+]?\d+)?")
 
 
+@functools.lru_cache(maxsize=8192)
 def parse_number(value: str) -> float | None:
     """Extract the first number from a string, or None.
 
     Accepts both ``.`` and ``,`` decimal separators, a common divergence
-    between data sources (e.g. "3,5 mg" vs "3.5mg").
+    between data sources (e.g. "3,5 mg" vs "3.5mg"). Memoised per
+    process, like :func:`repro.distances.dates.parse_date`: seeding and
+    every numeric column of a learning run parse the same values again.
     """
     match = _NUMBER_RE.search(value.strip())
     if match is None:

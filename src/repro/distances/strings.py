@@ -4,22 +4,24 @@ The levenshtein and jaro/jaro-winkler measures are pair kernels under
 the one min-over-pairs column driver
 (:func:`repro.distances.base.pairwise_min_column`): each receives the
 column's distinct strings plus two index arrays naming the distinct
-pairs, and works on **integer code matrices** gathered from one pool of
-encoded strings. The set measures have their own column driver here:
+pairs, and works on **integer codes** gathered from one pool of
+encoded strings (each distinct string is encoded once into int32 code
+points: UTF-32 gives one code per Python character, so code equality
+is exactly ``str`` character equality). The set measures have their
+own column driver here:
 
-* :func:`levenshtein_pairs` — a clamped edit-distance DP run as numpy
-  row sweeps across every distinct pair at once. Each distinct string
-  is encoded once into int32 code points (UTF-32 — one code per Python
-  character, so batch equality is exactly ``str`` equality), pairs are
-  gathered into padded per-chunk matrices, and the classic row
-  recurrence is evaluated for all pairs simultaneously; the sequential
-  insertion dependency inside a row becomes a logarithmic min-plus
-  doubling scan. The band contract: every intermediate cell is clamped
-  at ``bound + 1``, which provably yields ``min(true_distance, bound +
-  1)`` per pair, the length-difference pre-filter is one vectorized
-  mask, and pairs whose entire DP row hits the clamp are retired early
-  (the batch analogue of the scalar loop's early exit).
-* :func:`jaro_pairs` — bulk Jaro / Jaro-Winkler over the same code
+* :func:`levenshtein_pairs` — Hyyrö's bit-vector edit distance (Myers'
+  recurrence) with every pair a lane of one Python ``int``. Each lane
+  holds the shorter string's characters as bits plus guard bits up to a
+  byte boundary, which absorb the carry of the recurrence's addition,
+  so one text position costs about 17 big-int operations for a whole
+  chunk of pairs, at any string length. Match masks are gathered byte
+  by byte from a per-chunk table over the call's dense alphabet, and
+  chunks are cut by a cell budget (text positions x lane bits). Bounded
+  calls first drop the pairs whose length gap or bag distance (the
+  character-multiset difference, a lower bound) already exceeds the
+  bound, then clamp to ``min(d, bound + 1)``, the scalar contract.
+* :func:`jaro_pairs` — bulk Jaro / Jaro-Winkler over padded code
   matrices: the greedy match-window scan runs one character position at
   a time across all pairs (first-fit ``argmax`` per row reproduces the
   scalar loop's leftmost-unmatched choice exactly), transpositions are
@@ -54,11 +56,19 @@ from repro.distances.base import INFINITE_DISTANCE, aligned_length, distinct_row
 #: blocking probe memo.
 _MEMO_LIMIT = 65536
 
-#: Cell budget for one padded DP/matching matrix (rows x width). Chunks
-#: are cut so no intermediate matrix exceeds this many int32 cells,
-#: which keeps one pathologically long string from inflating the
+#: Cell budget for one padded jaro matching matrix (rows x width).
+#: Chunks are cut so no intermediate matrix exceeds this many int32
+#: cells, which keeps one pathologically long string from inflating the
 #: padding of thousands of short ones.
 _CELL_BUDGET = 1 << 20
+
+#: Cell budget of the levenshtein kernel, a constant: one lane chunk
+#: spans at most this many text positions x lane bits, and each of its
+#: blocks of match masks (eight gather-index bytes per lane byte) and
+#: each block of the bag bound's int64 histogram counts stays within
+#: this many bytes. Without a cap, one call over a whole column held
+#: every match mask at once.
+_LANE_BUDGET = 1 << 18
 
 
 def encode_string(value: str) -> np.ndarray:
@@ -209,74 +219,215 @@ def levenshtein_pairs(
 
     With ``bound`` the result is exactly ``min(d, bound + 1)`` per pair
     — the scalar :func:`repro.distances.levenshtein.levenshtein`
-    contract. The DP runs as vectorized row sweeps over all pairs at
-    once; every cell is clamped at ``bound + 1`` (which by induction
-    clamps the final value and nothing else), ``|len(a) - len(b)| >
-    bound`` pairs are pre-filtered as one mask, and pairs whose whole
-    DP row reaches the clamp retire early. Equal indexes and pairs of
-    empty strings short-cut to 0 (the column driver hands in distinct
-    strings, so those are all the equal pairs; equal non-empty strings
-    at different indexes still compute 0 through the DP).
+    contract. Equal indexes score 0 and an empty side scores the other
+    side's length. Bounded calls drop the ``|len(a) - len(b)| > bound``
+    pairs and then the pairs whose bag distance (a lower bound on the
+    edit distance) already exceeds ``bound``; every other pair runs
+    through the lane-packed bit-vector kernel (:func:`_lane_distances`).
+    Equal non-empty strings at different indexes compute 0 there.
     """
-    count = len(index_a)
-    out = np.empty(count, dtype=np.float64)
-    if count == 0:
-        return out
     lengths = np.fromiter(map(len, strings), np.int64, len(strings))
     la, lb = lengths[index_a], lengths[index_b]
-    eq = (index_a == index_b) | ((la == 0) & (lb == 0))
-    out[eq] = 0.0
-    todo = ~eq
+    slen, llen = np.minimum(la, lb), np.maximum(la, lb)
+    out = llen.astype(np.float64)
+    same = index_a == index_b
+    out[same] = 0.0
+    todo = ~same & (slen > 0)
     if bound is not None:
-        over = (np.abs(la - lb) > bound) & todo
-        out[over] = float(bound + 1)
-        todo &= ~over
+        todo &= llen - slen <= bound
     indexes = np.flatnonzero(todo)
-    if indexes.size == 0:
-        return out
-    pool, starts = _code_pool(strings, lengths, memo)
-    la, lb = la[indexes], lb[indexes]
-    index_a, index_b = index_a[indexes], index_b[indexes]
-    swap = la > lb
-    shorts = np.where(swap, index_b, index_a)
-    longs = np.where(swap, index_a, index_b)
-    slen = np.minimum(la, lb)
-    llen = np.maximum(la, lb)
+    if indexes.size:
+        codes, starts, sigma = _dense_pool(strings, lengths, memo)
+        swap = la[indexes] > lb[indexes]
+        shorts = np.where(swap, index_b[indexes], index_a[indexes])
+        longs = np.where(swap, index_a[indexes], index_b[indexes])
+        if bound is not None:
+            near = (
+                _bag_distances(codes, sigma, starts, lengths, shorts, longs)
+                <= bound
+            )
+            indexes, shorts, longs = indexes[near], shorts[near], longs[near]
+        out[indexes] = _lane_distances(codes, sigma, starts, lengths, shorts, longs)
     if bound is not None:
-        cap = bound + 1
-    else:
-        cap = int(llen.max()) + 1  # unreachable: d <= max(la, lb)
-    order = np.argsort(llen, kind="stable")
-    for chunk in _budget_chunks(order, slen):
-        width = max(int(slen[chunk].max()), 1)
-        rows = _lev_chunk(
-            _padded(pool, starts, lengths, shorts[chunk], width, -1),
-            _padded(pool, starts, lengths, longs[chunk], int(llen[chunk].max()), -2),
-            slen[chunk],
-            llen[chunk],
-            cap,
-        )
-        out[indexes[chunk]] = rows
+        # Every dropped pair is at least bound + 1 away: its length gap
+        # or bag distance says so, and ``out`` holds the longer length.
+        np.minimum(out, float(bound + 1), out=out)
     return out
 
 
-def _budget_chunks(order: np.ndarray, width_len: np.ndarray):
-    """Split ``order`` (indexes sorted by cost driver) into chunks whose
-    padded matrix ``rows x (max width + 1)`` stays within the cell
-    budget, so one long string cannot inflate every row's padding."""
+def _dense_pool(
+    strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The code pool over a dense alphabet: every distinct code point of
+    the call numbered ``0 .. sigma - 1`` (``uint8`` while the padding
+    code ``sigma`` still fits), plus each string's start offset and
+    ``sigma``."""
+    pool, starts = _code_pool(strings, lengths, memo)
+    alphabet, dense = np.unique(pool, return_inverse=True)
+    sigma = alphabet.size
+    dtype = np.uint8 if sigma < 256 else np.int32
+    return dense.astype(dtype), starts, sigma
+
+
+def _bag_distances(
+    codes: np.ndarray,
+    sigma: int,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    shorts: np.ndarray,
+    longs: np.ndarray,
+) -> np.ndarray:
+    """Bag distances ``max(|A - B|, |B - A|)`` of the pairs' character
+    multisets, a lower bound on the edit distance (an edit changes at
+    most one character of each multiset). With ``L1`` the summed
+    difference of the two character histograms, the shared characters
+    number ``(len(a) + len(b) - L1) / 2``, so the bag distance is
+    ``(len(long) - len(short) + L1) / 2``. Histograms are counted once
+    per string, and both passes run in row blocks whose int64 counts
+    stay within the cell budget's bytes."""
+    rows = max(1, _LANE_BUDGET // (8 * sigma))
+    depth = np.int16 if int(lengths.max()) < 1 << 15 else np.int64
+    histograms = np.empty((lengths.size, sigma), dtype=depth)
+    for lo in range(0, lengths.size, rows):
+        part = lengths[lo : lo + rows]
+        first = int(starts[lo])
+        owner = np.repeat(np.arange(part.size) * sigma, part)
+        histograms[lo : lo + rows] = np.bincount(
+            owner + codes[first : first + int(part.sum())],
+            minlength=part.size * sigma,
+        ).reshape(part.size, sigma)
+    out = np.empty(shorts.size, dtype=np.int64)
+    for lo in range(0, shorts.size, rows):
+        pair_s, pair_l = shorts[lo : lo + rows], longs[lo : lo + rows]
+        l1 = np.abs(histograms[pair_s] - histograms[pair_l]).sum(axis=1)
+        out[lo : lo + rows] = (lengths[pair_l] - lengths[pair_s] + l1) // 2
+    return out
+
+
+def _lane_distances(
+    codes: np.ndarray,
+    sigma: int,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    shorts: np.ndarray,
+    longs: np.ndarray,
+) -> np.ndarray:
+    """Exact edit distances of non-empty pairs ``(shorts[k], longs[k])``
+    (the shorter string first), in chunks of pairs sorted by the longer
+    length and cut by :data:`_LANE_BUDGET` (text positions x lane bits),
+    so a long text never pads the steps of many short ones."""
+    out = np.empty(shorts.size, dtype=np.float64)
+    widths = 8 * ((lengths[shorts] + 8) // 8)  # lane bits, guards included
+    texts = lengths[longs]
+    order = np.argsort(texts, kind="stable")
+    cumulative = np.cumsum(widths[order])
+    sorted_texts = texts[order]
     start = 0
-    count = order.size
-    while start < count:
-        end = start + 1
-        max_width = int(width_len[order[start]])
-        while end < count:
-            width = max(max_width, int(width_len[order[end]]))
-            if (end - start + 1) * (width + 1) > _CELL_BUDGET:
-                break
-            max_width = width
-            end += 1
-        yield order[start:end]
+    while start < order.size:
+        before = cumulative[start - 1] if start else 0
+        cells = sorted_texts[start:] * (cumulative[start:] - before)
+        end = start + max(1, int(np.searchsorted(cells, _LANE_BUDGET, "right")))
+        chunk = order[start:end]
+        out[chunk] = _lane_chunk(codes, sigma, starts, lengths, shorts[chunk], longs[chunk])
         start = end
+    return out
+
+
+def _lane_chunk(
+    codes: np.ndarray,
+    sigma: int,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    shorts: np.ndarray,
+    longs: np.ndarray,
+) -> np.ndarray:
+    """Hyyrö's bit-vector edit distance (Myers' recurrence with a +1 top
+    row) for one chunk, every pair a lane of the same Python ints.
+
+    Lane ``k`` holds one bit per character of the shorter string (the
+    pattern), then guard bits up to the next byte boundary. The guards
+    are 0 in ``vp`` and in ``eq & vp``, so they absorb the carry of
+    ``(eq & vp) + vp`` and no lane reaches into the next; each lane's
+    bottom bit is forced to 1 by ``low`` after the shift, and
+    ``lane_mask`` clears the guards of ``vp``. Text position ``j`` costs
+    about 17 int operations for the whole chunk; its match mask ``eq``
+    is gathered byte by byte from ``peq``. ``vp``/``vn`` hold the
+    vertical deltas of the current DP column, so a lane's distance is
+    its text length plus ``popcount(vp) - popcount(vn)`` over its bits.
+
+    ``longs`` arrive sorted by length, and lanes are laid out longest
+    text first: the lanes whose text ends at a step are the top ones, so
+    their bytes are read out then and every int narrows below them.
+    """
+    m = lengths[shorts][::-1]
+    n = lengths[longs][::-1]
+    lane_bytes = (m + 8) // 8
+    byte_ends = np.cumsum(lane_bytes)
+    byte_starts = byte_ends - lane_bytes
+    size = int(byte_ends[-1])
+    bit = _positions(8 * byte_starts, m)
+    char = codes[_positions(starts[shorts[::-1]], m)].astype(np.int64)
+    # peq[b * (sigma + 1) + c] is byte b of the chunk's match mask for
+    # character c; code sigma, which pads the texts, matches nothing.
+    peq = np.bincount(
+        (bit >> 3) * (sigma + 1) + char,
+        weights=1 << (bit & 7),
+        minlength=size * (sigma + 1),
+    ).astype(np.uint8)
+    lane = np.repeat(np.arange(n.size), lane_bytes)
+    text = _padded(codes, starts, lengths, longs[::-1], int(n[0]), sigma)
+    rows = text[lane].T
+    base = np.arange(size) * (sigma + 1)
+    # Each byte's pattern bits: 8, fewer in a lane's last pattern byte,
+    # none in its guard bytes.
+    pattern_bits = np.clip(m[lane] - 8 * (np.arange(size) - byte_starts[lane]), 0, 8)
+    lane_bits = ((1 << pattern_bits) - 1).astype(np.uint8)
+    bottom = np.zeros(size, dtype=np.uint8)
+    bottom[byte_starts] = 1
+    lane_mask, low = (
+        int.from_bytes(mask.tobytes(), "little") for mask in (lane_bits, bottom)
+    )
+    # Step j ends the lanes of text length j + 1: bytes [first, live).
+    first = np.flatnonzero(np.diff(n, prepend=-1))
+    ends = dict(zip((n[first] - 1).tolist(), byte_starts[first].tolist()))
+    vp, vn, full, live = lane_mask, 0, (1 << (8 * size)) - 1, size
+    read_vp, read_vn = [], []
+    from_bytes = int.from_bytes
+    step = max(1, _LANE_BUDGET // (8 * size))
+    for done in range(0, rows.shape[0], step):
+        data = peq.take(base + rows[done : done + step]).tobytes()
+        for j in range(done, min(done + step, rows.shape[0])):
+            at = (j - done) * size
+            eq = from_bytes(data[at : at + live], "little")
+            x = eq | vn
+            d0 = (((eq & vp) + vp) ^ vp) | x
+            hn = vp & d0
+            hp = vn | ((d0 | vp) ^ full)
+            x = (hp << 1) | low
+            vn = x & d0
+            vp = ((hn << 1) | ((d0 | x) ^ full)) & lane_mask
+            first_byte = ends.get(j)
+            if first_byte is not None:
+                read_vp.append(vp.to_bytes(live, "little")[first_byte:])
+                read_vn.append(vn.to_bytes(live, "little")[first_byte:])
+                live = first_byte
+                full = (1 << (8 * live)) - 1
+                vp &= full
+                vn &= full
+                lane_mask &= full
+                low &= full
+    # vn keeps stray bits in the guards; count lane bits only.
+    up, down = (
+        np.add.reduceat(
+            np.bitwise_count(
+                np.frombuffer(b"".join(reversed(read)), np.uint8) & lane_bits
+            ),
+            byte_starts,
+            dtype=np.int64,
+        )
+        for read in (read_vp, read_vn)
+    )
+    return (n + up - down)[::-1].astype(np.float64)
 
 
 def _code_pool(
@@ -298,78 +449,32 @@ def _padded(
     width: int,
     fill: int,
 ) -> np.ndarray:
-    """Code-point rows of the strings ``index`` names, padded with
-    ``fill`` to ``width`` columns (one gather, no per-row loop)."""
+    """Code rows of the strings ``index`` names, padded with ``fill`` to
+    ``width`` columns (one gather, no per-row loop)."""
     columns = np.arange(width)
     inside = columns < lengths[index][:, None]
-    matrix = np.full((index.size, width), fill, dtype=np.int32)
+    matrix = np.full((index.size, width), fill, dtype=pool.dtype)
     matrix[inside] = pool[(starts[index][:, None] + columns)[inside]]
     return matrix
 
 
-def _lev_chunk(
-    a_matrix: np.ndarray,
-    b_matrix: np.ndarray,
-    slen: np.ndarray,
-    llen: np.ndarray,
-    cap: int,
-) -> np.ndarray:
-    """Clamped edit distances for one padded chunk (all pairs at once):
-    row ``k`` of ``a_matrix``/``b_matrix`` holds the shorter/longer
-    string of pair ``k``, padded with codes that never match.
-
-    Row sweep over the longer strings: ``prev``/``cur`` hold one DP row
-    per pair. The in-row insertion dependency is resolved by a min-plus
-    doubling scan (after step ``s``, ``cur[i]`` covers insertion chains
-    up to ``2^s`` long — log2(width) vector ops instead of a sequential
-    scan). Cells clamp at ``cap``; a pair whose whole row clamps can
-    never come back under it (distances are bounded below by row
-    minima along any alignment path), so those pairs retire with
-    ``cap`` immediately — the vectorized early exit.
-    """
-    width = int(slen.max())
-    size = len(slen)
-    results = np.empty(size, dtype=np.int32)
-    prev = np.minimum(np.arange(width + 1, dtype=np.int32), cap)
-    prev = np.broadcast_to(prev, (size, width + 1)).copy()
-    pending = np.arange(size)
-    sw, lw = slen.astype(np.int64), llen.astype(np.int64)
-    j = 1
-    while pending.size:
-        column = b_matrix[:, j - 1][:, None]
-        cur = np.empty((pending.size, width + 1), dtype=np.int32)
-        cur[:, 0] = min(j, cap)
-        np.minimum(
-            prev[:, :-1] + (a_matrix[:, :width] != column),
-            prev[:, 1:] + 1,
-            out=cur[:, 1:],
-        )
-        np.minimum(cur, cap, out=cur)
-        shift = 1
-        while shift <= width:
-            cur[:, shift:] = np.minimum(
-                cur[:, shift:], cur[:, :-shift] + shift
-            )
-            shift <<= 1
-        np.minimum(cur, cap, out=cur)
-        done = lw == j
-        finished = done | (cur.min(axis=1) >= cap)
-        if finished.any():
-            if done.any():
-                results[pending[done]] = cur[done, sw[done]]
-            capped = finished & ~done
-            if capped.any():
-                results[pending[capped]] = cap
-            keep = ~finished
-            pending = pending[keep]
-            a_matrix = a_matrix[keep]
-            b_matrix = b_matrix[keep]
-            sw, lw = sw[keep], lw[keep]
-            prev = cur[keep]
-        else:
-            prev = cur
-        j += 1
-    return results.astype(np.float64)
+def _budget_chunks(order: np.ndarray, width_len: np.ndarray):
+    """Split ``order`` (indexes sorted by cost driver) into chunks whose
+    padded matrix ``rows x (max width + 1)`` stays within the cell
+    budget, so one long string cannot inflate every row's padding."""
+    start = 0
+    count = order.size
+    while start < count:
+        end = start + 1
+        max_width = int(width_len[order[start]])
+        while end < count:
+            width = max(max_width, int(width_len[order[end]]))
+            if (end - start + 1) * (width + 1) > _CELL_BUDGET:
+                break
+            max_width = width
+            end += 1
+        yield order[start:end]
+        start = end
 
 
 # -- jaro / jaro-winkler --------------------------------------------------------

@@ -269,14 +269,18 @@ def _resolve_index(
     index memo and persistent index tier. An ancestor epoch's payload
     moves forward along the source's delta chain through ``patcher``;
     a view (``patcher=None``) is re-derived by ``build`` from the
-    already-resolved tables instead, which counts as a patch, not a
-    build. Only without an ancestor does ``build`` count as a build."""
+    already-resolved tables instead, once at the end of the chain
+    however many deltas it spans, which counts as a patch, not a build.
+    Only without an ancestor does ``build`` count as a build."""
+    lineage = source.delta_chain()
+    if patcher is None:
+        last = lineage[-1] if lineage else None
+
+        def patcher(payload, delta):
+            return build() if delta is last else payload
+
     return session.blocking_index(
-        source.fingerprint(),
-        token,
-        build,
-        lineage=source.delta_chain(),
-        patcher=patcher or (lambda payload, delta: build()),
+        source.fingerprint(), token, build, lineage=lineage, patcher=patcher
     )
 
 

@@ -289,11 +289,31 @@ def test_column_length_mismatch_rejected():
         fallback_column(measure.evaluate, [("1",)], [])
 
 
+def _text(length: int) -> str:
+    """Deterministic lowercase text of ``length`` characters."""
+    return "".join(chr(97 + (i * 7 + length) % 26) for i in range(length))
+
+
+def _one_edit(value: str) -> str:
+    """``value`` with its middle character substituted."""
+    middle = len(value) // 2
+    return value[:middle] + "#" + value[middle + 1 :]
+
+
+#: Strings around the 64- and 128-bit word sizes and beyond, each with
+#: a one-edit near-duplicate.
+_LONG_VALUES = tuple(
+    value
+    for length in (63, 64, 65, 127, 128, 129, 200)
+    for value in (_text(length), _one_edit(_text(length)))
+)
+
 #: Adversarial string pool for the string-kernel parity tests: empty
 #: strings, non-ASCII and combining marks (precomposed e-acute vs
 #: e + U+0301 must stay distinct characters), astral-plane code points,
-#: strings far longer than the levenshtein band, and near-duplicates
-#: that stress the early-exit and transposition paths.
+#: strings far longer than the levenshtein band, near-duplicates that
+#: stress the bag bound and transposition paths, lengths on both sides
+#: of machine-word sizes, and an alphabet wider than one byte of codes.
 _STRING_VALUES = (
     "",
     "a",
@@ -310,6 +330,8 @@ _STRING_VALUES = (
     "sitting",
     "the quick brown fox jumps over the lazy dog",
     "quick the fox brown jumps lazy the over dog",
+    *_LONG_VALUES,
+    "".join(map(chr, range(0x100, 0x100 + 300))),  # 300 distinct code points
 )
 
 
@@ -365,6 +387,64 @@ def test_pair_kernels_accept_repeated_strings():
         jaro_pairs(strings, index_a, index_b, prefix_scale=0.1),
         [jaro_winkler_similarity(a, b) for a, b in pairs],
     )
+
+
+def _scalar_pairs(strings, index_a, index_b, bound):
+    from repro.distances.levenshtein import levenshtein
+
+    return [
+        levenshtein(strings[a], strings[b], bound=bound)
+        for a, b in zip(index_a.tolist(), index_b.tolist())
+    ]
+
+
+@given(
+    strings=st.lists(st.text(alphabet="abc", max_size=150), min_size=1, max_size=6),
+    pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+)
+@settings(max_examples=50, deadline=None)
+def test_levenshtein_pairs_match_scalar(strings, pairs):
+    """The lane-packed kernel is exactly the scalar ``levenshtein``,
+    clamp included, unbounded and at bounds 0, 1 and 11, over strings of
+    0-150 characters from a three-letter alphabet (so near and far
+    pairs, equal strings and empty ones all occur)."""
+    from repro.distances.strings import levenshtein_pairs
+
+    index_a = np.array([a % len(strings) for a, _ in pairs], dtype=np.int64)
+    index_b = np.array([b % len(strings) for _, b in pairs], dtype=np.int64)
+    for bound in (None, 0, 1, 11):
+        np.testing.assert_array_equal(
+            levenshtein_pairs(strings, index_a, index_b, bound),
+            _scalar_pairs(strings, index_a, index_b, bound),
+        )
+
+
+def test_levenshtein_pairs_across_small_chunks(monkeypatch):
+    """A tiny cell budget cuts one call into many lane chunks, match
+    masks into many blocks of text positions and the bag bound into
+    many steps; the distances stay exactly the scalar ones."""
+    from repro.distances import strings as kernels
+
+    strings = [*_LONG_VALUES, "kitten", "sitting", "", "a", _text(9)]
+    count = len(strings)
+    index_a = np.repeat(np.arange(count), count)
+    index_b = np.tile(np.arange(count), count)
+    chunks = []
+    lane_chunk = kernels._lane_chunk
+
+    def counting(*args):
+        chunks.append(args[4].size)
+        return lane_chunk(*args)
+
+    monkeypatch.setattr(kernels, "_LANE_BUDGET", 512)
+    monkeypatch.setattr(kernels, "_lane_chunk", counting)
+    for bound in (None, 11):
+        chunks.clear()
+        np.testing.assert_array_equal(
+            kernels.levenshtein_pairs(strings, index_a, index_b, bound),
+            _scalar_pairs(strings, index_a, index_b, bound),
+        )
+        assert len(chunks) > 3
 
 
 @pytest.mark.parametrize("name", STRING_MEASURES)

@@ -299,6 +299,39 @@ class TestTokenIndex:
         assert patched != cold
         assert len(builds) == tables
 
+    def test_view_derives_once_along_a_delta_chain(self, monkeypatch):
+        """A view patched along a delta chain derives once at its end:
+        after 5 single-entity deltas on a 600-entity target, the probe
+        code view runs ``_token_code_payload`` once, not once per step,
+        and equals a fresh blocker's cold build."""
+        source_a = DataSource(
+            "A", [Entity(f"a{i}", {"label": f"tok{i % 40}"}) for i in range(50)]
+        )
+        source_b = DataSource(
+            "B",
+            [Entity(f"b{i:03d}", {"name": f"tok{i % 40} w{i}"}) for i in range(600)],
+        )
+        blocker = TokenBlocker(["label"], ["name"])
+        blocker.probe_index(source_a, source_b)
+        for step in range(5):
+            source_b.apply_delta([Entity(f"b{step:03d}", {"name": f"new{step}"})])
+        derived = []
+        derive = blocking._token_code_payload
+
+        def counting(blocks):
+            derived.append(len(blocks))
+            return derive(blocks)
+
+        monkeypatch.setattr(blocking, "_token_code_payload", counting)
+        patched = blocker.probe_index(source_a, source_b)
+        assert len(derived) == 1
+        cold = TokenBlocker(["label"], ["name"]).probe_index(
+            rebuilt(source_a), rebuilt(source_b)
+        )
+        assert (patched.uids, patched.blocks.keys()) == (cold.uids, cold.blocks.keys())
+        for token, codes in cold.blocks.items():
+            assert patched.blocks[token].tolist() == codes.tolist()
+
     def test_alternating_resolution_never_rebuilds(self, monkeypatch):
         """Alternating the filtered view, the probe codes and the
         affected-set tables over one unchanged source builds each once:
