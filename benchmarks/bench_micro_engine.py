@@ -643,38 +643,6 @@ def test_multivalued_kernel_speedup():
         )
 
 
-def test_population_fitness_multiworker():
-    """Measured (not asserted) multi-worker speedup on population
-    fitness evaluation: thread workers must stay bit-identical to
-    serial; the wall-clock ratio is reported because it depends on the
-    machine (1-core CI boxes and the GIL bound it near 1x)."""
-    rng = random.Random(7)
-    pairs, _labels = _fitness_pairs(rng, 400)
-    population = _gp_population(rng, 60)
-    roots = [rule.root for rule in population]
-
-    start = time.perf_counter()
-    serial_vectors = (
-        EngineSession(executor=0).context(pairs).population_scores(roots)
-    )
-    serial_seconds = time.perf_counter() - start
-
-    workers = min(4, max(2, os.cpu_count() or 2))
-    with EngineSession(executor=workers) as session:
-        start = time.perf_counter()
-        parallel_vectors = session.context(pairs).population_scores(roots)
-        parallel_seconds = time.perf_counter() - start
-
-    for serial, parallel in zip(serial_vectors, parallel_vectors):
-        assert serial.tobytes() == parallel.tobytes()
-    print(
-        f"\npopulation fitness: serial {serial_seconds * 1000:.1f} ms, "
-        f"{workers} thread workers {parallel_seconds * 1000:.1f} ms, "
-        f"speedup {serial_seconds / parallel_seconds:.2f}x "
-        f"({os.cpu_count()} cpus)"
-    )
-
-
 def test_persistent_store_warm_rerun():
     """The persistent column store must let a warm rerun skip >= 90% of
     distance-column builds (it skips all of them: every store lookup

@@ -17,10 +17,11 @@ own column driver here:
   so one text position costs about 17 big-int operations for a whole
   chunk of pairs, at any string length. Match masks are gathered byte
   by byte from a per-chunk table over the call's dense alphabet, and
-  chunks are cut by a cell budget (text positions x lane bits). Bounded
-  calls first drop the pairs whose length gap or bag distance (the
-  character-multiset difference, a lower bound) already exceeds the
-  bound, then clamp to ``min(d, bound + 1)``, the scalar contract.
+  one cell budget bounds a chunk's text positions x lane bits and its
+  table (lane bytes x alphabet). Bounded calls first drop the pairs
+  whose length gap or bag distance (the character-multiset difference,
+  a lower bound) already exceeds the bound, then clamp to
+  ``min(d, bound + 1)``, the scalar contract.
 * :func:`jaro_pairs` — bulk Jaro / Jaro-Winkler over padded code
   matrices: the greedy match-window scan runs one character position at
   a time across all pairs (first-fit ``argmax`` per row reproduces the
@@ -62,13 +63,21 @@ _MEMO_LIMIT = 65536
 #: padding of thousands of short ones.
 _CELL_BUDGET = 1 << 20
 
-#: Cell budget of the levenshtein kernel, a constant: one lane chunk
-#: spans at most this many text positions x lane bits, and each of its
-#: blocks of match masks (eight gather-index bytes per lane byte) and
-#: each block of the bag bound's int64 histogram counts stays within
-#: this many bytes. Without a cap, one call over a whole column held
-#: every match mask at once.
+#: Cell budget of the levenshtein kernel, a constant. One lane chunk
+#: spans at most this many text positions x lane bits, and its
+#: match-mask table (lane bytes x alphabet) stays within this many
+#: bytes. Each block of a chunk's match masks (eight gather-index bytes
+#: per lane byte) and each block of the bag bound's histogram counts
+#: stays within this many bytes too. Without a cap, one call over a
+#: whole column held every match mask at once.
 _LANE_BUDGET = 1 << 18
+
+#: Character classes of the bag bound's histograms. Each string's
+#: histogram holds at most this many counts, so a wide alphabet (CJK
+#: names, say) neither widens the histograms nor shrinks their blocks.
+#: The kernel calls of cora and dbpedia_drugbank learning see at most
+#: 55 distinct characters, one class each.
+_BAG_CLASSES = 64
 
 
 def encode_string(value: str) -> np.ndarray:
@@ -255,6 +264,53 @@ def levenshtein_pairs(
     return out
 
 
+def _budget_chunks(order: np.ndarray, width_len: np.ndarray):
+    """Split ``order`` (indexes sorted by cost driver) into chunks whose
+    padded matrix ``rows x (max width + 1)`` stays within the cell
+    budget, so one long string cannot inflate every row's padding."""
+    start = 0
+    count = order.size
+    while start < count:
+        end = start + 1
+        max_width = int(width_len[order[start]])
+        while end < count:
+            width = max(max_width, int(width_len[order[end]]))
+            if (end - start + 1) * (width + 1) > _CELL_BUDGET:
+                break
+            max_width = width
+            end += 1
+        yield order[start:end]
+        start = end
+
+
+def _code_pool(
+    strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every string's code points back to back, plus each string's
+    start offset. Each distinct string encodes once per call, or once
+    per session through the memo."""
+    encode = memo.codes if memo is not None else encode_string
+    pool = np.concatenate([encode(value) for value in strings])
+    return pool, np.cumsum(lengths) - lengths
+
+
+def _padded(
+    pool: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    index: np.ndarray,
+    width: int,
+    fill: int,
+) -> np.ndarray:
+    """Code rows of the strings ``index`` names, padded with ``fill`` to
+    ``width`` columns (one gather, no per-row loop)."""
+    columns = np.arange(width)
+    inside = columns < lengths[index][:, None]
+    matrix = np.full((index.size, width), fill, dtype=pool.dtype)
+    matrix[inside] = pool[(starts[index][:, None] + columns)[inside]]
+    return matrix
+
+
 def _dense_pool(
     strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -277,25 +333,30 @@ def _bag_distances(
     shorts: np.ndarray,
     longs: np.ndarray,
 ) -> np.ndarray:
-    """Bag distances ``max(|A - B|, |B - A|)`` of the pairs' character
-    multisets, a lower bound on the edit distance (an edit changes at
-    most one character of each multiset). With ``L1`` the summed
-    difference of the two character histograms, the shared characters
-    number ``(len(a) + len(b) - L1) / 2``, so the bag distance is
+    """Bag distances ``max(|A - B|, |B - A|)`` of the pairs' multisets
+    of character classes, a lower bound on the edit distance (an edit
+    changes at most one element of each multiset). A class is a dense
+    code mod :data:`_BAG_CLASSES`, so a small alphabet has one class
+    per character; merging characters into a class only lowers the bag
+    distance, which keeps it a lower bound. With ``L1`` the summed
+    difference of the two class histograms, the shared elements number
+    ``(len(a) + len(b) - L1) / 2``, so the bag distance is
     ``(len(long) - len(short) + L1) / 2``. Histograms are counted once
-    per string, and both passes run in row blocks whose int64 counts
-    stay within the cell budget's bytes."""
-    rows = max(1, _LANE_BUDGET // (8 * sigma))
+    per string, at most :data:`_BAG_CLASSES` int16 counts each whatever
+    the alphabet, and both passes run in row blocks within the cell
+    budget's bytes."""
+    width = min(sigma, _BAG_CLASSES)
+    rows = max(1, _LANE_BUDGET // (8 * width))
     depth = np.int16 if int(lengths.max()) < 1 << 15 else np.int64
-    histograms = np.empty((lengths.size, sigma), dtype=depth)
+    histograms = np.empty((lengths.size, width), dtype=depth)
     for lo in range(0, lengths.size, rows):
         part = lengths[lo : lo + rows]
         first = int(starts[lo])
-        owner = np.repeat(np.arange(part.size) * sigma, part)
+        owner = np.repeat(np.arange(part.size) * width, part)
         histograms[lo : lo + rows] = np.bincount(
-            owner + codes[first : first + int(part.sum())],
-            minlength=part.size * sigma,
-        ).reshape(part.size, sigma)
+            owner + codes[first : first + int(part.sum())] % width,
+            minlength=part.size * width,
+        ).reshape(part.size, width)
     out = np.empty(shorts.size, dtype=np.int64)
     for lo in range(0, shorts.size, rows):
         pair_s, pair_l = shorts[lo : lo + rows], longs[lo : lo + rows]
@@ -314,21 +375,26 @@ def _lane_distances(
 ) -> np.ndarray:
     """Exact edit distances of non-empty pairs ``(shorts[k], longs[k])``
     (the shorter string first), in chunks of pairs sorted by the longer
-    length and cut by :data:`_LANE_BUDGET` (text positions x lane bits),
-    so a long text never pads the steps of many short ones."""
+    length. :data:`_LANE_BUDGET` bounds both a chunk's text positions x
+    lane bits and its match-mask table (lane bytes x alphabet), so a
+    long text never pads the steps of many short ones and a wide
+    alphabet never inflates the table."""
     out = np.empty(shorts.size, dtype=np.float64)
     widths = 8 * ((lengths[shorts] + 8) // 8)  # lane bits, guards included
     texts = lengths[longs]
     order = np.argsort(texts, kind="stable")
     cumulative = np.cumsum(widths[order])
-    sorted_texts = texts[order]
+    # Cells per lane bit: the text's positions, or the table's bytes.
+    depth = np.maximum(texts[order], -(-(sigma + 1) // 8))
     start = 0
     while start < order.size:
         before = cumulative[start - 1] if start else 0
-        cells = sorted_texts[start:] * (cumulative[start:] - before)
+        cells = depth[start:] * (cumulative[start:] - before)
         end = start + max(1, int(np.searchsorted(cells, _LANE_BUDGET, "right")))
         chunk = order[start:end]
-        out[chunk] = _lane_chunk(codes, sigma, starts, lengths, shorts[chunk], longs[chunk])
+        out[chunk] = _lane_chunk(
+            codes, sigma, starts, lengths, shorts[chunk], longs[chunk]
+        )
         start = end
     return out
 
@@ -369,11 +435,11 @@ def _lane_chunk(
     char = codes[_positions(starts[shorts[::-1]], m)].astype(np.int64)
     # peq[b * (sigma + 1) + c] is byte b of the chunk's match mask for
     # character c; code sigma, which pads the texts, matches nothing.
-    peq = np.bincount(
-        (bit >> 3) * (sigma + 1) + char,
-        weights=1 << (bit & 7),
-        minlength=size * (sigma + 1),
-    ).astype(np.uint8)
+    # A byte's bits are distinct powers of two, so adding them is or.
+    peq = np.zeros(size * (sigma + 1), dtype=np.uint8)
+    np.add.at(
+        peq, (bit >> 3) * (sigma + 1) + char, (1 << (bit & 7)).astype(np.uint8)
+    )
     lane = np.repeat(np.arange(n.size), lane_bytes)
     text = _padded(codes, starts, lengths, longs[::-1], int(n[0]), sigma)
     rows = text[lane].T
@@ -428,53 +494,6 @@ def _lane_chunk(
         for read in (read_vp, read_vn)
     )
     return (n + up - down)[::-1].astype(np.float64)
-
-
-def _code_pool(
-    strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every string's code points back to back, plus each string's
-    start offset. Each distinct string encodes once per call, or once
-    per session through the memo."""
-    encode = memo.codes if memo is not None else encode_string
-    pool = np.concatenate([encode(value) for value in strings])
-    return pool, np.cumsum(lengths) - lengths
-
-
-def _padded(
-    pool: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    index: np.ndarray,
-    width: int,
-    fill: int,
-) -> np.ndarray:
-    """Code rows of the strings ``index`` names, padded with ``fill`` to
-    ``width`` columns (one gather, no per-row loop)."""
-    columns = np.arange(width)
-    inside = columns < lengths[index][:, None]
-    matrix = np.full((index.size, width), fill, dtype=pool.dtype)
-    matrix[inside] = pool[(starts[index][:, None] + columns)[inside]]
-    return matrix
-
-
-def _budget_chunks(order: np.ndarray, width_len: np.ndarray):
-    """Split ``order`` (indexes sorted by cost driver) into chunks whose
-    padded matrix ``rows x (max width + 1)`` stays within the cell
-    budget, so one long string cannot inflate every row's padding."""
-    start = 0
-    count = order.size
-    while start < count:
-        end = start + 1
-        max_width = int(width_len[order[start]])
-        while end < count:
-            width = max(max_width, int(width_len[order[end]]))
-            if (end - start + 1) * (width + 1) > _CELL_BUDGET:
-                break
-            max_width = width
-            end += 1
-        yield order[start:end]
-        start = end
 
 
 # -- jaro / jaro-winkler --------------------------------------------------------

@@ -67,13 +67,6 @@ from repro.engine.values import ValueColumns
 from repro.transforms.registry import TransformationRegistry
 from repro.transforms.registry import default_registry as default_transforms
 
-#: Contexts with fewer pairs build a population's distance columns
-#: inline even on a thread executor. Below it the thread hop costs more
-#: than it buys: the string kernels hold the GIL, and on a 2-core host
-#: fanned random GenLink populations only broke even with inline
-#: columns at about 16k pairs (cora, nyt and dbpedia_drugbank pairs).
-_FAN_THRESHOLD = 16384
-
 
 @dataclass(frozen=True, kw_only=True)
 class EngineCounters:
@@ -489,20 +482,15 @@ class PairContext:
         Unique comparison ops are evaluated first (each one exactly
         once — this is where the deduplicated DAG pays off), then each
         root reduces over the shared vectors. Column building is
-        independent per op, so on contexts of at least
-        :data:`_FAN_THRESHOLD` pairs the session executor fans it out
-        across workers; the columns land in the shared cache either way,
-        and every op is pure, so results are byte-identical for any
-        worker count.
+        independent per op, but it runs inline on every executor: the
+        string kernels hold the GIL, and on a 2-core host fanning a
+        population's columns across threads never beat building them
+        inline, from 250 to 64k pairs. Every op is pure, so results
+        are byte-identical for any worker count.
         """
         plan = self._session.compile_population(roots)
-        if len(self) < _FAN_THRESHOLD:
-            for op in plan.comparison_ops:
-                self._store.distance_column(op)
-        else:
-            self._session.executor.map(
-                self._store.distance_column, plan.comparison_ops
-            )
+        for op in plan.comparison_ops:
+            self._store.distance_column(op)
         return [self.execute(root) for root in plan.roots]
 
     def execute(self, compiled: CompiledSimilarity) -> np.ndarray:

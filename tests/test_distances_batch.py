@@ -447,6 +447,41 @@ def test_levenshtein_pairs_across_small_chunks(monkeypatch):
         assert len(chunks) > 3
 
 
+def test_levenshtein_pairs_wide_alphabet_stays_within_budget(monkeypatch):
+    """Three-character strings over a 2,000-character alphabet: the
+    match-mask tables and bag histograms grow with the alphabet, so the
+    cell budget must shrink chunks and blocks rather than let them grow.
+    The call's peak allocation stays within a few budgets (the inputs,
+    code pool and index arrays, take about 100 KB of it), and the
+    distances stay exactly the scalar ones."""
+    import tracemalloc
+
+    from repro.distances import strings as kernels
+
+    rng = np.random.default_rng(11)
+    alphabet = [chr(0x4E00 + k) for k in range(2000)]
+    strings = [
+        "".join(alphabet[c] for c in rng.integers(0, 2000, 3)) for _ in range(400)
+    ]
+    strings += [value[0] + alphabet[0] + value[2] for value in strings[:100]]
+    count = len(strings)
+    index_a = np.arange(count)
+    index_b = np.concatenate([np.arange(400, count), rng.permutation(count)[:400]])
+    budget = 1 << 16
+    monkeypatch.setattr(kernels, "_LANE_BUDGET", budget)
+    for bound in (None, 1):
+        tracemalloc.start()
+        try:
+            distances = kernels.levenshtein_pairs(strings, index_a, index_b, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * budget
+        np.testing.assert_array_equal(
+            distances, _scalar_pairs(strings, index_a, index_b, bound)
+        )
+
+
 @pytest.mark.parametrize("name", STRING_MEASURES)
 def test_string_measures_are_memo_capable(name):
     assert _REGISTRY.get(name).memo_capable

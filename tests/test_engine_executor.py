@@ -187,33 +187,6 @@ class TestSessionExecutor:
             for vector, expected in zip(vectors, baseline):
                 assert vector.tobytes() == expected.tobytes()
 
-    def test_population_columns_fan_out_from_the_threshold(self, monkeypatch):
-        """Contexts below ``_FAN_THRESHOLD`` pairs build a population's
-        columns inline; from it on the executor maps them. The vectors
-        are byte-identical either way."""
-        from repro.engine import session as session_module
-
-        pairs = self._pairs()
-        population = self._population()
-        baseline = EngineSession(executor=0).context(pairs).population_scores(
-            population
-        )
-        for threshold, fanned in ((len(pairs) + 1, False), (len(pairs), True)):
-            monkeypatch.setattr(session_module, "_FAN_THRESHOLD", threshold)
-            with EngineSession(executor=2) as session:
-                mapped = []
-                original = session.executor.map
-
-                def spy(fn, items, mapped=mapped, original=original):
-                    mapped.append(len(items))
-                    return original(fn, items)
-
-                monkeypatch.setattr(session.executor, "map", spy)
-                vectors = session.context(pairs).population_scores(population)
-            assert bool(mapped) == fanned
-            for vector, expected in zip(vectors, baseline):
-                assert vector.tobytes() == expected.tobytes()
-
     def test_concurrent_contexts_thread_safe(self):
         # Hammer one session from a thread pool: shared value tier,
         # separate contexts. Results must match fresh serial sessions.
