@@ -101,8 +101,9 @@ class PairEvaluator:
             # caps both per-comparison tiers (distance columns and score
             # vectors) — the column tier is what actually holds the bulk
             # of per-comparison memory now. ``workers`` selects the
-            # session's executor for population-level evaluation
-            # (default: the REPRO_ENGINE_WORKERS environment variable).
+            # session's executor (default: the REPRO_ENGINE_WORKERS
+            # environment variable); population evaluation builds its
+            # columns inline on any executor.
             capacities: dict[str, int] = {}
             if max_cached_values is not None:
                 capacities["max_value_entries"] = max_cached_values

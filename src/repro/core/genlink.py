@@ -132,13 +132,13 @@ class GenLink:
         workers: "int | str | None" = None,
         cache_dir: "str | None" = None,
     ):
-        """``workers`` selects the engine executor used for
-        population-level fitness evaluation (``None`` consults the
-        ``REPRO_ENGINE_WORKERS`` environment variable; 0 = serial):
-        thread workers fan each generation's independent distance
-        columns out over the session's shared caches. Learning results
-        are byte-identical for every setting — the GP itself is
-        sequential.
+        """``workers`` selects the executor of the learning session
+        (``None`` consults the ``REPRO_ENGINE_WORKERS`` environment
+        variable; 0 = serial). Fitness evaluation builds each
+        generation's distance columns inline on every executor (see
+        :meth:`repro.engine.session.PairContext.population_scores`), so
+        learning results are byte-identical for every setting — the GP
+        itself is sequential.
 
         ``cache_dir`` enables the engine's persistent distance-column
         store for the learning session (``None`` consults
@@ -179,9 +179,7 @@ class GenLink:
         convergence diagnostics.
         """
         # One engine session backs both evaluators: entities shared
-        # between the train and validation pair lists transform once,
-        # and a single executor (``workers``) owns the parallel fan-out
-        # of each generation's distance columns.
+        # between the train and validation pair lists transform once.
         session = EngineSession(
             distances=self._distances,
             transforms=self._transforms,
