@@ -9,14 +9,15 @@ Run with::
 
     python examples/quickstart.py
 
-Learning and link generation both run on the parallel engine when you
-ask for workers — results are byte-identical, only faster::
+Link generation scores its candidate shards on a thread pool when you
+ask for workers; learning is sequential and runs the same on every
+setting. Results are byte-identical either way::
 
     REPRO_ENGINE_WORKERS=4 python examples/quickstart.py   # thread pool
-    repro-experiments --workers 4 learn restaurant         # CLI flag
+    repro-experiments --workers 4 learn restaurant --execute
 
-or per component: ``GenLink(config, workers=4)`` and
-``generate_links(..., workers=4)`` (see ``docs/engine.md``).
+or per call: ``generate_links(..., workers=4)`` (see
+``docs/engine.md``).
 
 Point ``REPRO_ENGINE_CACHE`` at a directory and reruns get warm-cache
 distance columns — the second invocation loads every column from disk

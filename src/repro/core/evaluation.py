@@ -93,17 +93,13 @@ class PairEvaluator:
         max_cached_comparisons: int | None = None,
         max_cached_values: int | None = None,
         session: EngineSession | None = None,
-        workers: "int | str | None" = None,
         cache_dir: "str | None" = None,
     ):
         if session is None:
             # None means "engine defaults". An explicit comparison bound
             # caps both per-comparison tiers (distance columns and score
             # vectors) — the column tier is what actually holds the bulk
-            # of per-comparison memory now. ``workers`` selects the
-            # session's executor (default: the REPRO_ENGINE_WORKERS
-            # environment variable); population evaluation builds its
-            # columns inline on any executor.
+            # of per-comparison memory now.
             capacities: dict[str, int] = {}
             if max_cached_values is not None:
                 capacities["max_value_entries"] = max_cached_values
@@ -113,7 +109,6 @@ class PairEvaluator:
             session = EngineSession(
                 distances=distances,
                 transforms=transforms,
-                executor=workers,
                 store=cache_dir,
                 **capacities,
             )
@@ -135,11 +130,6 @@ class PairEvaluator:
                 raise ValueError(
                     "cache capacities are owned by the session; configure "
                     "them on EngineSession instead"
-                )
-            if workers is not None:
-                raise ValueError(
-                    "the executor is owned by the session; configure "
-                    "workers on EngineSession instead"
                 )
             if cache_dir is not None:
                 raise ValueError(

@@ -134,11 +134,11 @@ class GenLink:
     ):
         """``workers`` selects the executor of the learning session
         (``None`` consults the ``REPRO_ENGINE_WORKERS`` environment
-        variable; 0 = serial). Fitness evaluation builds each
-        generation's distance columns inline on every executor (see
-        :meth:`repro.engine.session.PairContext.population_scores`), so
-        learning results are byte-identical for every setting — the GP
-        itself is sequential.
+        variable; 0 = serial), which learning never maps: the GP is
+        sequential, and fitness evaluation builds each generation's
+        distance columns inline (see
+        :meth:`repro.engine.session.PairContext.population_scores`).
+        Learning results are byte-identical for every setting.
 
         ``cache_dir`` enables the engine's persistent distance-column
         store for the learning session (``None`` consults

@@ -106,8 +106,8 @@ class DistanceMeasure(ABC):
 
     #: True when :meth:`evaluate_column` additionally accepts a
     #: ``memo`` keyword (a :class:`repro.distances.strings.StringKernelMemo`)
-    #: carrying session-scoped encode caches and kernel-routing
-    #: counters. Kept as a separate flag so user-defined measures with
+    #: carrying the session's token-set cache (the set-algebra
+    #: measures). Kept as a separate flag so user-defined measures with
     #: the plain two-argument signature keep working unchanged.
     memo_capable: bool = False
 

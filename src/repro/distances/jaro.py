@@ -18,7 +18,7 @@ from repro.distances.base import (
     min_over_pairs,
     pairwise_min_column,
 )
-from repro.distances.strings import StringKernelMemo, jaro_pairs
+from repro.distances.strings import jaro_pairs
 
 
 def jaro_similarity(a: str, b: str) -> float:
@@ -76,7 +76,6 @@ class JaroDistance(DistanceMeasure):
     name = "jaro"
     threshold_range = (0.0, 0.5)
     batch_capable = True
-    memo_capable = True
 
     #: Jaro winkler-prefix scale, or None for plain Jaro. The batch
     #: kernel is shared between the two measures through this knob.
@@ -88,17 +87,12 @@ class JaroDistance(DistanceMeasure):
         )
 
     def evaluate_column(
-        self,
-        columns_a: ValueColumn,
-        columns_b: ValueColumn,
-        memo: StringKernelMemo | None = None,
+        self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
         prefix_scale = self._prefix_scale
 
         def kernel(strings, index_a, index_b):
-            return 1.0 - jaro_pairs(
-                strings, index_a, index_b, memo=memo, prefix_scale=prefix_scale
-            )
+            return 1.0 - jaro_pairs(strings, index_a, index_b, prefix_scale)
 
         return pairwise_min_column(columns_a, columns_b, kernel)
 

@@ -28,7 +28,7 @@ from repro.distances.base import (
     min_over_pairs,
     pairwise_min_column,
 )
-from repro.distances.strings import StringKernelMemo, levenshtein_pairs
+from repro.distances.strings import levenshtein_pairs
 
 
 def levenshtein(a: str, b: str, bound: int | None = None) -> float:
@@ -98,7 +98,6 @@ class LevenshteinDistance(DistanceMeasure):
     name = "levenshtein"
     threshold_range = (0.0, 10.0)
     batch_capable = True
-    memo_capable = True
 
     def __init__(self, max_bound: int = 11):
         if max_bound < 1:
@@ -117,15 +116,12 @@ class LevenshteinDistance(DistanceMeasure):
         )
 
     def evaluate_column(
-        self,
-        columns_a: ValueColumn,
-        columns_b: ValueColumn,
-        memo: StringKernelMemo | None = None,
+        self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
         bound = self._max_bound
 
         def kernel(strings, index_a, index_b):
-            return levenshtein_pairs(strings, index_a, index_b, bound, memo=memo)
+            return levenshtein_pairs(strings, index_a, index_b, bound)
 
         return pairwise_min_column(columns_a, columns_b, kernel)
 
@@ -136,7 +132,6 @@ class NormalizedLevenshteinDistance(DistanceMeasure):
     name = "normalizedLevenshtein"
     threshold_range = (0.0, 1.0)
     batch_capable = True
-    memo_capable = True
 
     def evaluate(self, values_a: Sequence[str], values_b: Sequence[str]) -> float:
         if not values_a or not values_b:
@@ -144,13 +139,10 @@ class NormalizedLevenshteinDistance(DistanceMeasure):
         return min_over_pairs(values_a, values_b, normalized_levenshtein)
 
     def evaluate_column(
-        self,
-        columns_a: ValueColumn,
-        columns_b: ValueColumn,
-        memo: StringKernelMemo | None = None,
+        self, columns_a: ValueColumn, columns_b: ValueColumn
     ) -> np.ndarray:
         def kernel(strings, index_a, index_b):
-            distances = levenshtein_pairs(strings, index_a, index_b, memo=memo)
+            distances = levenshtein_pairs(strings, index_a, index_b)
             lengths = np.fromiter(map(len, strings), np.int64, len(strings))
             longest = np.maximum(lengths[index_a], lengths[index_b]).astype(
                 np.float64

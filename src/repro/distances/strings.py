@@ -5,10 +5,10 @@ the one min-over-pairs column driver
 (:func:`repro.distances.base.pairwise_min_column`): each receives the
 column's distinct strings plus two index arrays naming the distinct
 pairs, and works on **integer codes** gathered from one pool of
-encoded strings (each distinct string is encoded once into int32 code
-points: UTF-32 gives one code per Python character, so code equality
-is exactly ``str`` character equality). The set measures have their
-own column driver here:
+encoded strings (each call encodes its distinct strings once, into
+int32 code points: UTF-32 gives one code per Python character, so code
+equality is exactly ``str`` character equality). The set measures have
+their own column driver here:
 
 * :func:`levenshtein_pairs` — Hyyrö's bit-vector edit distance (Myers'
   recurrence) with every pair a lane of one Python ``int``. Each lane
@@ -37,10 +37,10 @@ own column driver here:
   (each side holds unique codes, so every adjacent duplicate is
   exactly one shared token).
 
-:class:`StringKernelMemo` is the session-scoped carrier for the
-encoding memoisation (per distinct string / per distinct value tuple,
-bounded like the blocking probe memo) and for the per-measure
-kernel-routing counters surfaced in ``EngineStats``/``MatchStats``.
+:class:`StringKernelMemo` is the session-scoped carrier for the set
+measures' token memo (per distinct value tuple, bounded like the
+blocking probe memo) and for the per-measure kernel-routing counters
+surfaced in ``EngineStats``/``MatchStats``.
 """
 
 from __future__ import annotations
@@ -80,26 +80,12 @@ _LANE_BUDGET = 1 << 18
 _BAG_CLASSES = 64
 
 
-def encode_string(value: str) -> np.ndarray:
-    """One string as an int32 array of Unicode code points.
-
-    UTF-32-LE gives exactly one code unit per Python character, so
-    elementwise comparison of encoded arrays is exactly ``str``
-    character equality — including combining marks and astral-plane
-    characters, which stay separate code points just like they do for
-    the scalar measures.
-    """
-    return np.frombuffer(value.encode("utf-32-le"), dtype="<i4")
-
-
 class StringKernelMemo:
-    """Session-scoped encode memo + kernel-routing counters.
+    """Session-scoped token memo + kernel-routing counters.
 
-    Three bounded tables, each dropped wholesale at the limit (the
-    probe-memo policy — resets warm-up, never results):
+    Two tables, the first bounded and dropped wholesale at the limit
+    (the probe-memo policy — resets warm-up, never results):
 
-    * per distinct **string**: its int32 code-point array (levenshtein
-      and jaro kernels);
     * per distinct **value tuple** (identity-keyed; the engine hands
       out one tuple object per filled value-column slot — one per
       entity of a source state — and the column keeps it alive while
@@ -110,29 +96,17 @@ class StringKernelMemo:
       ``EngineStats.kernel_routing``.
 
     Thread-safe: the token table and the counters take a lock (token
-    ids have a cross-key invariant), the string-code table relies on
-    GIL-atomic dict operations — races there only duplicate pure work.
+    ids have a cross-key invariant).
     """
 
     def __init__(self, limit: int = _MEMO_LIMIT):
         self._limit = limit
-        self._codes: dict[str, np.ndarray] = {}
         self._token_ids: dict[str, int] = {}
         #: id(tuple) -> (tuple, sorted unique code array); the tuple is
         #: kept alive so its id cannot be recycled while cached.
         self._token_sets: dict[int, tuple] = {}
         self._routing: dict[str, list[int]] = {}
         self._lock = threading.Lock()
-
-    def codes(self, value: str) -> np.ndarray:
-        """Encoded code-point array of one string (memoised)."""
-        arr = self._codes.get(value)
-        if arr is None:
-            if len(self._codes) >= self._limit:
-                self._codes.clear()
-            arr = encode_string(value)
-            self._codes[value] = arr
-        return arr
 
     def token_sets(
         self, value_sets: Sequence[Sequence[str]]
@@ -221,7 +195,6 @@ def levenshtein_pairs(
     index_a: np.ndarray,
     index_b: np.ndarray,
     bound: int | None = None,
-    memo: StringKernelMemo | None = None,
 ) -> np.ndarray:
     """Edit distances of the pairs ``(strings[index_a[k]],
     strings[index_b[k]])``, as float64.
@@ -246,7 +219,7 @@ def levenshtein_pairs(
         todo &= llen - slen <= bound
     indexes = np.flatnonzero(todo)
     if indexes.size:
-        codes, starts, sigma = _dense_pool(strings, lengths, memo)
+        codes, starts, sigma = _dense_pool(strings, lengths)
         swap = la[indexes] > lb[indexes]
         shorts = np.where(swap, index_b[indexes], index_a[indexes])
         longs = np.where(swap, index_a[indexes], index_b[indexes])
@@ -284,13 +257,16 @@ def _budget_chunks(order: np.ndarray, width_len: np.ndarray):
 
 
 def _code_pool(
-    strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
+    strings: Sequence[str], lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every string's code points back to back, plus each string's
-    start offset. Each distinct string encodes once per call, or once
-    per session through the memo."""
-    encode = memo.codes if memo is not None else encode_string
-    pool = np.concatenate([encode(value) for value in strings])
+    """Every string's Unicode code points back to back as int32, plus
+    each string's start offset, from one encode of the joined strings.
+    UTF-32-LE gives exactly one code unit per Python character, so
+    elementwise comparison of codes is exactly ``str`` character
+    equality — including combining marks and astral-plane characters,
+    which stay separate code points just like they do for the scalar
+    measures."""
+    pool = np.frombuffer("".join(strings).encode("utf-32-le"), dtype="<i4")
     return pool, np.cumsum(lengths) - lengths
 
 
@@ -312,13 +288,13 @@ def _padded(
 
 
 def _dense_pool(
-    strings: Sequence[str], lengths: np.ndarray, memo: StringKernelMemo | None
+    strings: Sequence[str], lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The code pool over a dense alphabet: every distinct code point of
     the call numbered ``0 .. sigma - 1`` (``uint8`` while the padding
     code ``sigma`` still fits), plus each string's start offset and
     ``sigma``."""
-    pool, starts = _code_pool(strings, lengths, memo)
+    pool, starts = _code_pool(strings, lengths)
     alphabet, dense = np.unique(pool, return_inverse=True)
     sigma = alphabet.size
     dtype = np.uint8 if sigma < 256 else np.int32
@@ -503,7 +479,6 @@ def jaro_pairs(
     strings: Sequence[str],
     index_a: np.ndarray,
     index_b: np.ndarray,
-    memo: StringKernelMemo | None = None,
     prefix_scale: float | None = None,
 ) -> np.ndarray:
     """Jaro similarities of the pairs ``(strings[index_a[k]],
@@ -534,7 +509,7 @@ def jaro_pairs(
     indexes = np.flatnonzero(~eq & ~empty)
     if indexes.size == 0:
         return out
-    pool, starts = _code_pool(strings, lengths, memo)
+    pool, starts = _code_pool(strings, lengths)
     index_a, index_b = index_a[indexes], index_b[indexes]
     la, lb = la[indexes], lb[indexes]
     order = np.argsort(la + lb, kind="stable")

@@ -158,7 +158,7 @@ class PairStore:
         memo = self._string_memo
         if measure.memo_capable and memo is not None:
             # Memo-capable measures take the session's string-kernel
-            # memo (encode and token-set caches).
+            # memo (its token-set cache).
             out = measure.evaluate_column(columns_a, columns_b, memo=memo)
         else:
             out = measure.evaluate_column(columns_a, columns_b)

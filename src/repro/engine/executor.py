@@ -1,19 +1,20 @@
-"""Pluggable parallel execution for the engine.
+"""Pluggable parallel execution for shard scoring.
 
-Both halves of the hot path are embarrassingly parallel: distance
-columns within one compiled plan are independent per comparison op, and
-candidate-pair shards within one matching run are independent per
-shard. :class:`Executor` abstracts *how* that independent work runs —
+A matching run has one parallel site: its candidate-pair shards are
+independent per shard, and
+:class:`~repro.matching.engine.MatchingEngine` scores them through its
+run session's executor, the run's only one. Learning, compiling and
+blocking run inline. :class:`Executor` abstracts *how* the shards run —
 inline (:class:`SerialExecutor`) or on a shared-memory thread pool
 (:class:`ThreadExecutor`) — behind one order-preserving ``map``. Either
 way every shard, column and counter stays in one address space, so
 submitted callables may close over the engine session and its caches.
 
-Determinism is the design constraint: every task the engine submits is
-a pure function, and consumers always consume results in submission
-order, so outputs are byte-identical regardless of executor kind or
-worker count. Parallelism may change *cache statistics* (who computed
-what first), never results.
+Determinism is the design constraint: every shard is scored by a pure
+function, and results are always consumed in submission order, so
+outputs are byte-identical regardless of executor kind or worker
+count. Parallelism may change *cache statistics* (who computed what
+first), never results.
 
 Selection is explicit (constructor argument) or ambient via the
 ``REPRO_ENGINE_WORKERS`` environment variable::

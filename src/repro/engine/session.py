@@ -157,11 +157,13 @@ class EngineSession:
         executor: Executor | int | str | None = None,
         store: "ColumnStore | str | None" = None,
     ):
-        """``executor`` selects the parallel execution strategy for
-        independent work within this session (distance columns of one
-        compiled plan). ``None`` consults ``REPRO_ENGINE_WORKERS``
-        (default serial); an int selects a thread pool of that size;
-        see :func:`repro.engine.executor.resolve_executor` for the full
+        """``executor`` is the executor a matching run over this
+        session scores its shards on
+        (:class:`~repro.matching.engine.MatchingEngine`), the session's
+        one parallel site: compiling, learning and blocking run inline.
+        ``None`` consults ``REPRO_ENGINE_WORKERS`` (default serial); an
+        int selects a thread pool of that size; see
+        :func:`repro.engine.executor.resolve_executor` for the full
         spec grammar. Results are byte-identical for every setting —
         only wall-clock and cache statistics change.
 
@@ -191,17 +193,16 @@ class EngineSession:
         self._context_id_lock = threading.Lock()
         #: Blocking probe-side counters (monotonic; reported through
         #: :meth:`stats` and per-run deltas in ``MatchStats``). Locked:
-        #: probe chunks may record from executor worker threads.
+        #: one session may serve several threads at once.
         self._probe_lock = threading.Lock()
         self._probe_batches = 0
         self._probe_memo_hits = 0
         self._index_builds = 0
         self._index_patches = 0
-        #: Session-scoped string-kernel carrier: bounded encode memos
-        #: (code-point arrays per distinct string, token-code sets per
-        #: distinct value tuple) plus the per-measure kernel-routing
-        #: counters. Threaded through every PairStore like the probe
-        #: memo; thread-safe, so shared-memory executors are fine.
+        #: Session-scoped string-kernel carrier: a bounded token-code
+        #: memo (one set per distinct value tuple) plus the per-measure
+        #: kernel-routing counters. Threaded through every PairStore
+        #: like the probe memo; thread-safe, so shard threads are fine.
         self._string_memo = StringKernelMemo()
 
     @property
@@ -214,7 +215,8 @@ class EngineSession:
 
     @property
     def executor(self) -> Executor:
-        """The execution strategy for this session's parallel work."""
+        """The executor matching runs over this session score shards
+        on."""
         return self._executor
 
     @property
@@ -371,7 +373,7 @@ class EngineSession:
     def record_probe(self, batches: int = 0, memo_hits: int = 0) -> None:
         """Record blocking probe-side traffic (called by the blockers'
         :meth:`~repro.matching.blocking.CodeProbeBlocker.probe_batch`
-        paths; safe from executor worker threads)."""
+        paths; thread-safe)."""
         with self._probe_lock:
             self._probe_batches += batches
             self._probe_memo_hits += memo_hits
@@ -431,7 +433,7 @@ class EngineSession:
 
     def close(self) -> None:
         """Release the executor's pooled workers (serial: a no-op).
-        The session itself stays usable — a later parallel map lazily
+        The session itself stays usable — a later shard map lazily
         recreates the pool. Usable as a context manager."""
         self._executor.close()
 

@@ -350,8 +350,7 @@ def _run_delta(args: argparse.Namespace) -> None:
     if stats is not None:
         print(
             f"index reuse     : {stats.index_patches} patched, "
-            f"{stats.index_builds} rebuilt (window depth "
-            f"{stats.window_depth})"
+            f"{stats.index_builds} rebuilt"
         )
         if stats.store is not None:
             print(counters.line("engine store", stats.store), file=sys.stderr)
@@ -858,9 +857,9 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         default=None,
         metavar="SPEC",
-        help="engine executor: 0/serial, or N/thread:N for a thread "
-        "pool that parallelises fitness evaluation and link "
-        "generation; results are identical for every setting "
+        help="matching shard pool: 0/serial, or N/thread:N for a thread "
+        "pool that scores link generation's candidate shards; results "
+        "are identical for every setting "
         f"(default: the {WORKERS_ENV} environment variable)",
     )
     parser.add_argument(

@@ -13,18 +13,17 @@ stream:
 
 * :meth:`Blocker.iter_shards` emits candidate pairs pre-chunked into
   ready-to-score shards, so :class:`repro.matching.engine.
-  MatchingEngine` hands them straight to executor workers without a
-  re-chunking layer. Shard boundaries depend only on ``batch_size``
-  and the pair order never depends on it, so links stay byte-identical
-  across batch sizes and worker counts. Shards are columnar
+  MatchingEngine` hands them straight to its shard-scoring workers
+  without a re-chunking layer. Shard boundaries depend only on
+  ``batch_size`` and the pair order never depends on it, so links stay
+  byte-identical across batch sizes and worker counts. Shards are columnar
   (:class:`~repro.data.pairs.PairBatch`): token, rule and MultiBlock
   blocking cut them straight from probed partner-code arrays, so no
   tuple is built per candidate pair.
 * Token and MultiBlock blocking keep every index in one **block-table
   layer**: a table ``{key: (uids...)}`` of one source is built by one
-  builder from per-entity keys (:func:`_build_table`; key derivation
-  fans across the session's shared-memory executor for large
-  sources), moved along the source's delta chain by one patcher
+  builder from per-entity keys (:func:`_build_table`), moved along
+  the source's delta chain by one patcher
   (:func:`_table_patcher`), and turned into ``int32`` code blocks by
   one code view (:func:`_code_view`); tables and the views derived
   from them resolve through one resolver over
@@ -38,9 +37,8 @@ stream:
   entity's postings in one boolean-mask pass over the code space;
   :class:`~repro.matching.multiblock.MultiBlocker` evaluates its
   candidate algebra the same way and memoises probe results per
-  distinct transformed value tuple. Probe chunks fan across the
-  session's shared-memory executor via :func:`fan_entity_chunks`, and
-  probe traffic is reported through the session
+  distinct transformed value tuple. Building and probing run inline
+  on the calling thread; probe traffic is reported through the session
   (``EngineStats.probe_batches`` / ``probe_memo_hits``, surfaced per
   run in ``MatchStats``). :class:`CodeProbeBlocker` owns everything
   downstream of the probe — shard cutting, the affected-only rescore
@@ -84,15 +82,10 @@ CandidatePair = tuple[Entity, Entity]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-#: Sources below this size are indexed inline even when the session
-#: executor could fan out — the thread hop costs more than the work.
-_FAN_THRESHOLD = 512
-
 #: A-side entities probed per :meth:`CodeProbeBlocker.probe_batch`
 #: call inside the pair stream. Bounds resident per-entity candidate
 #: lists (the stream stays memory-bounded like the per-entity loop it
-#: replaced) while amortising batch machinery and giving
-#: `fan_entity_chunks` enough work to fan. Never affects results —
+#: replaced) while amortising batch machinery. Never affects results —
 #: only how many entities are probed per batch.
 _PROBE_CHUNK = 2048
 
@@ -132,36 +125,6 @@ def _memo_put(memo: dict, key, value) -> None:
     memo[key] = value
 
 
-def fan_entity_chunks(
-    session: "EngineSession | None",
-    entities: Sequence,
-    fn: Callable[[Sequence], list],
-) -> list:
-    """Map ``fn`` over contiguous chunks of ``entities`` (entities, or
-    their source positions), fanned across the session's shared-memory
-    executor when one is available.
-
-    ``fn`` receives a chunk and returns a list of per-entity results;
-    chunk results are concatenated in chunk order, so the output is
-    identical to ``fn(entities)`` whatever the worker count. Falls back
-    to one inline call for serial executors and small inputs.
-    """
-    executor = session.executor if session is not None else None
-    if (
-        executor is None
-        or executor.workers < 2
-        or len(entities) < _FAN_THRESHOLD
-    ):
-        return fn(entities)
-    workers = executor.workers
-    size = (len(entities) + workers - 1) // workers
-    chunks = [entities[i : i + size] for i in range(0, len(entities), size)]
-    merged: list = []
-    for part in executor.map(fn, chunks):
-        merged.extend(part)
-    return merged
-
-
 # -- the block-table layer -----------------------------------------------
 #
 # Every index a probing blocker keeps is either a *block table*
@@ -174,16 +137,13 @@ def fan_entity_chunks(
 def _build_table(
     entities: Sequence[Entity],
     keys_of: Callable[[Sequence[Entity]], list],
-    session: "EngineSession | None",
 ) -> dict:
     """The ``{key: (uids...)}`` table of ``entities``: each entity filed
     under the keys ``keys_of`` derives for it (one duplicate-free key
-    collection per entity), each block in entity order. Key derivation
-    fans across ``session``'s executor (:func:`fan_entity_chunks`)."""
-    per_entity = fan_entity_chunks(session, entities, keys_of)
+    collection per entity), each block in entity order."""
     blocks: dict = {}
     get = blocks.get
-    for entity, keys in zip(entities, per_entity):
+    for entity, keys in zip(entities, keys_of(entities)):
         uid = entity.uid
         for key in keys:
             block = get(key)
@@ -289,20 +249,15 @@ def _table_index(
     source: DataSource,
     token: str,
     keys_of: Callable[[Sequence[Entity]], list],
-    fan: bool = True,
 ) -> dict:
     """The block table of ``source`` under ``token`` whose entities file
     under ``keys_of`` (see :func:`_build_table`): resolved, patched or
-    built. ``fan=False`` keeps the build inline — callers already
-    fanning across the executor must not nest fan-outs in its
-    workers."""
+    built."""
     return _resolve_index(
         session,
         source,
         token,
-        lambda: _build_table(
-            source.state().entities, keys_of, session if fan else None
-        ),
+        lambda: _build_table(source.state().entities, keys_of),
         _table_patcher(source, keys_of),
     )
 
@@ -807,11 +762,9 @@ class CodeProbeBlocker(Blocker):
         stream threads one through the whole run); ``None`` scopes it
         to this call.
 
-        Chunks fan across the session's shared-memory executor
-        (:func:`fan_entity_chunks`) and probe traffic is recorded in
-        the session's probe counters. Results never depend on the
-        session, the worker count, or how entities are chunked across
-        calls.
+        Probe traffic is recorded in the session's probe counters.
+        Results never depend on the session or on how entities are
+        chunked across calls.
         """
 
     @abstractmethod
@@ -1126,31 +1079,27 @@ class TokenBlocker(CodeProbeBlocker):
         get = index.blocks.get
         size = index.size
         shared_memo = memo if memo is not None else {}
-
-        def probe(chunk):
-            hits = 0
-            results = []
-            for entity in chunk:
-                text = _entity_text(entity, properties)
-                codes = shared_memo.get(text)
-                if codes is not None:
-                    hits += 1
-                    results.append(codes)
-                    continue
-                blocks = []
-                for token in dict.fromkeys(_text_tokens(text)):
-                    block = get(token)
-                    if block is not None:
-                        blocks.append(block)
-                codes = _union_codes(blocks, size)
-                _memo_put(shared_memo, text, codes)
-                results.append(codes)
-            if hits:
-                session.record_probe(memo_hits=hits)
-            return results
-
         session.record_probe(batches=1)
-        return fan_entity_chunks(session, entities, probe)
+        hits = 0
+        results = []
+        for entity in entities:
+            text = _entity_text(entity, properties)
+            codes = shared_memo.get(text)
+            if codes is not None:
+                hits += 1
+                results.append(codes)
+                continue
+            blocks = []
+            for token in dict.fromkeys(_text_tokens(text)):
+                block = get(token)
+                if block is not None:
+                    blocks.append(block)
+            codes = _union_codes(blocks, size)
+            _memo_put(shared_memo, text, codes)
+            results.append(codes)
+        if hits:
+            session.record_probe(memo_hits=hits)
+        return results
 
     def affected_probe_uids(
         self, source_a, source_b, deltas_a, deltas_b, session=None

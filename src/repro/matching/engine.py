@@ -8,14 +8,15 @@ per execution, so an entity's transformed values computed in one batch
 are re-used by every later batch it appears in (the seed discarded all
 caches every 4096 pairs).
 
-Batches are additionally **sharded across workers** through a
-pluggable :class:`repro.engine.executor.Executor` (``workers=`` or the
-``REPRO_ENGINE_WORKERS`` environment variable): a window of batches
-(``window=``, default 2x the worker count) is scored concurrently on
-threads sharing the session's caches, and results are merged back in
-submission order. Candidate shards come straight from the
-blocker (:meth:`repro.matching.blocking.Blocker.iter_shards`) over the
-run's session, so blocking-index construction shares the executor, the
+Shard scoring is the run's one parallel site: batches are **sharded
+across workers** through the run session's
+:class:`repro.engine.executor.Executor` (``workers=`` or the
+``REPRO_ENGINE_WORKERS`` environment variable). Groups of 2x the
+worker count are scored concurrently on threads sharing the session's
+caches, and results are merged back in submission order. Candidate
+shards come straight from the blocker
+(:meth:`repro.matching.blocking.Blocker.iter_shards`), which builds and
+probes its indexes inline over the run's session, so they share its
 value columns and the persistent store's index tier. Batch boundaries
 depend only on ``batch_size`` and every shard is scored by pure
 functions, so the generated links are byte-identical for every worker
@@ -31,7 +32,6 @@ generate exactly the full-index links on every bundled dataset.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
@@ -120,12 +120,6 @@ class MatchStats(EngineCounters):
     batches: int
     pairs: int
     links: int
-    #: In-flight shard window depth the run finished with. Equals the
-    #: ``window=`` override when one is set; otherwise starts at 2x the
-    #: worker count and adapts to measured shard-time variance (up to
-    #: 4x the base — skewed shard runtimes need a deeper window to keep
-    #: the pool busy).
-    window_depth: int = 0
 
 
 @dataclass(frozen=True)
@@ -180,43 +174,17 @@ def _batch_links(
     ]
 
 
-class _RunState:
-    """Mutable per-run scoring state: the in-flight shard window depth,
-    adapted from measured shard durations when no ``window=`` override
-    pins it.
-
-    The adaptive rule: uniform shard times need no slack beyond the
-    2x-workers base, but high variance drains the pool while the long
-    shard finishes — so the depth grows with the coefficient of
-    variation of recent shard durations, clamped to [base, 4x base].
-    """
-
-    __slots__ = ("base", "adaptive", "depth", "max_depth", "durations")
-
-    def __init__(self, base: int, adaptive: bool):
-        self.base = base
-        self.adaptive = adaptive
-        self.depth = base
-        self.max_depth = base * 4
-        self.durations: list[float] = []
-
-    def adapt(self) -> None:
-        if not self.adaptive:
-            return
-        recent = self.durations[-16:]
-        if len(recent) < 4:
-            return
-        mean = sum(recent) / len(recent)
-        if mean <= 0.0:
-            return
-        variance = sum((d - mean) ** 2 for d in recent) / len(recent)
-        cv = variance**0.5 / mean
-        target = round(self.base * (1.0 + 2.0 * cv))
-        self.depth = max(self.base, min(self.max_depth, target))
-
-
 class MatchingEngine:
-    """Executes linkage rules over data sources."""
+    """Executes linkage rules over data sources.
+
+    Each run blocks and scores through one
+    :class:`~repro.engine.session.EngineSession`, and the shard loop
+    maps through that session's executor, the run's only one. A
+    session-less engine resolves ``workers=`` once and lends that
+    executor to every per-run session it creates; :meth:`close`
+    releases it. An explicit ``session=`` owns its executor and its
+    store.
+    """
 
     def __init__(
         self,
@@ -226,23 +194,19 @@ class MatchingEngine:
         session: EngineSession | None = None,
         workers: Executor | int | str | None = None,
         cache_dir: "ColumnStore | str | None" = None,
-        window: int | None = None,
     ):
         """``blocker=None`` selects rule-aware blocking per executed
         rule (:func:`default_blocker`; ``REPRO_ENGINE_BLOCKER``
         overrides the ``auto`` strategy), falling back to the full
-        index for rules without property comparisons. ``window``
-        bounds how many shards are in flight at once: ``None`` keeps
-        2x the worker count (deeper than the workers themselves, so
-        skewed shard runtimes don't drain the pool); larger windows
-        hide more shard-size variance at proportionally more resident
-        pair memory. ``session=None`` creates a fresh engine
-        session per :meth:`iter_links` call (caches persist across the
-        batches of one execution but cannot go stale across data
-        sources); pass a session explicitly to share caches across
-        executions. ``workers`` selects the sharding executor (see
-        :func:`repro.engine.executor.resolve_executor`); ``None``
-        consults ``REPRO_ENGINE_WORKERS``.
+        index for rules without property comparisons.
+        ``session=None`` creates a fresh engine session per
+        :meth:`iter_links` call (caches persist across the batches of
+        one execution but cannot go stale across data sources); pass a
+        session explicitly to share caches across executions.
+        ``workers`` selects the sharding executor of a session-less
+        engine (see :func:`repro.engine.executor.resolve_executor`);
+        ``None`` consults ``REPRO_ENGINE_WORKERS``. Shards go to it in
+        groups of 2x its worker count.
 
         ``cache_dir`` enables the persistent distance-column store for
         the sessions this engine creates (a path, a
@@ -250,37 +214,34 @@ class MatchingEngine:
         consult ``REPRO_ENGINE_CACHE``; ``""`` forces it off). A warm
         rerun over unchanged sources then loads every distance column
         from disk instead of rebuilding it — links are byte-identical
-        either way. An explicit ``session`` owns its own store and
-        rejects ``cache_dir``."""
+        either way. An explicit ``session`` owns its own executor and
+        store, and rejects ``workers`` and ``cache_dir``."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
-        self._blocker = blocker
-        self._batch_size = batch_size
-        self._threshold = threshold
-        self._session = session
-        self._window = window
-        self._executor = resolve_executor(workers)
+        if session is not None and workers is not None:
+            raise ValueError(
+                "the executor is owned by the session; configure "
+                "executor= on EngineSession instead of workers="
+            )
         if session is not None and cache_dir is not None:
             raise ValueError(
                 "the persistent store is owned by the session; configure "
                 "store= on EngineSession instead of cache_dir="
             )
+        self._blocker = blocker
+        self._batch_size = batch_size
+        self._threshold = threshold
+        self._session = session
+        self._executor = (
+            session.executor if session is not None else resolve_executor(workers)
+        )
         self._cache_dir = cache_dir
         self._last_stats: MatchStats | None = None
 
     @property
     def executor(self) -> Executor:
-        """The sharding executor of this engine."""
+        """The executor this engine's runs score shards on."""
         return self._executor
-
-    @property
-    def window(self) -> int:
-        """Shards kept in flight per scheduling round (resolved)."""
-        if self._window is not None:
-            return self._window
-        return max(1, 2 * self._executor.workers)
 
     def last_run_stats(self) -> MatchStats | None:
         """Statistics of the most recently *completed* run (None before
@@ -289,9 +250,11 @@ class MatchingEngine:
         return self._last_stats
 
     def close(self) -> None:
-        """Release pooled executor workers. Usable as a context
-        manager."""
-        self._executor.close()
+        """Release the pooled workers of the executor this engine
+        resolved (an explicit session's executor is the session's to
+        close). Usable as a context manager."""
+        if self._session is None:
+            self._executor.close()
 
     def __enter__(self) -> "MatchingEngine":
         return self
@@ -326,17 +289,16 @@ class MatchingEngine:
     ) -> Iterator[GeneratedLink]:
         """Stream links batch by batch (memory-bounded).
 
-        With a parallel executor, a window of shards (default 2x the
-        worker count, ``window=``) is in flight at a time; links are
-        always emitted in batch order, then pair order within a batch —
-        the same order the serial engine produces, whatever the worker
-        count.
+        With a parallel executor, a group of 2x the worker count of
+        shards is in flight at a time; links are always emitted in batch
+        order, then pair order within a batch — the same order the
+        serial engine produces, whatever the worker count.
 
         Candidate shards come straight from the blocker
         (:meth:`~repro.matching.blocking.Blocker.iter_shards`) — no
         re-chunking layer — and the blocker shares the run's engine
-        session, so its index construction goes through the session
-        executor, the value columns and (when configured) the persistent
+        session, so its inline index construction goes through the
+        session's value columns and (when configured) the persistent
         store's index tier.
 
         ``cancel`` enables cooperative cancellation: the token is
@@ -350,13 +312,12 @@ class MatchingEngine:
         session = self._run_session()
         baseline = session.stats()
         blocker = self._resolve_blocker(rule)
-        state = self._run_state()
         batches = pairs = links = 0
         shards = blocker.iter_shards(
             source_a, source_b, self._batch_size, session=session
         )
         for batch, scores in self._scored_batches(
-            session, rule, shards, state, cancel=cancel
+            session, rule, shards, cancel=cancel
         ):
             batches += 1
             pairs += len(batch)
@@ -364,7 +325,7 @@ class MatchingEngine:
             links += len(emitted)
             yield from emitted
         self._last_stats = self._finish_stats(
-            session, baseline, state, batches, pairs, links
+            session, baseline, batches, pairs, links
         )
 
     def link_diff(
@@ -428,14 +389,13 @@ class MatchingEngine:
                 for link in previous
                 if link.uid_a not in aff and link.uid_b not in aff
             ]
-            state = self._run_state()
             batches = pairs = 0
             rescored: list[GeneratedLink] = []
             shards = blocker.iter_affected_shards(
                 source_a, source_b, aff, self._batch_size, session=session
             )
             for batch, scores in self._scored_batches(
-                session, rule, shards, state, cancel=cancel
+                session, rule, shards, cancel=cancel
             ):
                 batches += 1
                 pairs += len(batch)
@@ -444,7 +404,7 @@ class MatchingEngine:
             links.sort(key=lambda link: (-link.score, link.uid_a, link.uid_b))
             rescored_pairs = pairs
             stats = self._finish_stats(
-                session, baseline, state, batches, pairs, len(links)
+                session, baseline, batches, pairs, len(links)
             )
             self._last_stats = stats
         prev_by_pair = {link.as_pair(): link for link in previous}
@@ -497,62 +457,48 @@ class MatchingEngine:
 
     def _run_session(self) -> EngineSession:
         """The session one run blocks and scores through: the shared
-        one, or a fresh one per run."""
+        one, or a fresh one per run on this engine's executor."""
         if self._session is not None:
             return self._session
-        return EngineSession(store=self._cache_dir)
-
-    def _run_state(self) -> _RunState:
-        return _RunState(
-            base=self.window,
-            adaptive=self._window is None and self._executor.workers > 1,
-        )
+        return EngineSession(executor=self._executor, store=self._cache_dir)
 
     def _scored_batches(
         self,
         session: EngineSession,
         rule: LinkageRule,
         shards,
-        state: _RunState,
         cancel: CancelToken | None = None,
     ) -> Iterator[tuple[PairBatch, np.ndarray]]:
-        """Score a shard stream across the executor, yielding
-        ``(batch, score_vector)`` in stream order — groups of
-        ``state.depth`` shards are in flight at a time, map preserves
-        submission order within a group, so concatenation reproduces
-        the serial emission order whatever the worker count. Shard
-        durations feed the adaptive window between groups.
+        """Score a shard stream across the session's executor, yielding
+        ``(batch, score_vector)`` in stream order — groups of 2x the
+        worker count are in flight at a time, map preserves submission
+        order within a group, so concatenation reproduces the serial
+        emission order whatever the worker count.
 
         Each group boundary is both a cancellation point
         (``cancel.check()``) and the ``engine.shard`` fault-injection
         seam — together they bound how long a hung or doomed run can
         keep computing to one in-flight group."""
+        executor = session.executor
+        window = max(1, 2 * executor.workers)
 
-        def timed(batch):
-            started = time.perf_counter()
-            scores = self._batch_scores(session, rule, batch)
-            return scores, time.perf_counter() - started
+        def score(batch):
+            return self._batch_scores(session, rule, batch)
 
         stream = iter(shards)
         while True:
             if cancel is not None:
                 cancel.check()
             faults.fire("engine.shard")
-            group = list(islice(stream, state.depth))
+            group = list(islice(stream, window))
             if not group:
                 return
-            score_vectors = []
-            for scores, duration in self._executor.map(timed, group):
-                state.durations.append(duration)
-                score_vectors.append(scores)
-            state.adapt()
-            yield from zip(group, score_vectors)
+            yield from zip(group, executor.map(score, group))
 
     def _finish_stats(
         self,
         session: EngineSession,
         baseline: EngineStats,
-        state: _RunState,
         batches: int,
         pairs: int,
         links: int,
@@ -566,7 +512,6 @@ class MatchingEngine:
             batches=batches,
             pairs=pairs,
             links=links,
-            window_depth=state.depth,
         )
 
     def _batch_scores(

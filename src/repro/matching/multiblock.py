@@ -36,14 +36,13 @@ one builder, patcher and resolver, plus a code view of the forward
 table. Transformed values are gathered from the session's value
 column of the source state (the columns rule scoring reads
 afterwards), block keys are derived once per *distinct* transformed
-value tuple, per-comparison builds fan across the session's
-shared-memory executor, and finished tables persist in the session
-store's index tier keyed by source fingerprint × comparison structure
-— warm reruns skip construction entirely.
-Probing mirrors it (:meth:`MultiBlocker.probe_batch`): whole A-side
-chunks gather their values per comparison and evaluate the candidate
-algebra at once, per-comparison probe results memoise per distinct
-transformed value tuple, and chunks fan across the same executor.
+value tuple, and finished tables persist in the session store's index
+tier keyed by source fingerprint × comparison structure — warm reruns
+skip construction entirely. Probing mirrors it
+(:meth:`MultiBlocker.probe_batch`): whole A-side chunks gather their
+values per comparison and evaluate the candidate algebra at once, and
+per-comparison probe results memoise per distinct transformed value
+tuple. Both run inline on the calling thread.
 :func:`multiblock_supports` is the structure test behind the engine's
 default-blocker selection.
 """
@@ -83,7 +82,6 @@ from repro.matching.blocking import (
     Blocker,
     CodeProbeBlocker,
     FullIndexBlocker,
-    fan_entity_chunks,
 )
 from repro.transforms.registry import TransformationRegistry
 
@@ -435,7 +433,6 @@ def _comparison_table(
     source: DataSource,
     session: EngineSession,
     token: str,
-    fan: bool = True,
 ) -> dict:
     """One ``{block key: (uids...)}`` table of ``source`` under a value
     tree × indexer, through the block-table layer under ``token``:
@@ -454,7 +451,7 @@ def _comparison_table(
             keys.append(entity_keys)
         return keys
 
-    return _table_index(session, source, token, keys_of, fan=fan)
+    return _table_index(session, source, token, keys_of)
 
 
 def build_comparison_index(
@@ -462,7 +459,6 @@ def build_comparison_index(
     source_b: DataSource,
     transforms: TransformationRegistry,
     session: EngineSession | None = None,
-    fan: bool = True,
 ) -> ComparisonIndex | None:
     """Index source B under a comparison's target value tree.
 
@@ -477,11 +473,7 @@ def build_comparison_index(
     ``transforms``.
 
     Construction is value-memoised: block keys are derived once per
-    *distinct* transformed value tuple, and (with ``fan=True``) key
-    derivation fans across the session's shared-memory executor.
-    Callers that already parallelise per comparison pass ``fan=False``
-    — nesting executor fan-outs inside pool workers would deadlock a
-    saturated thread pool.
+    *distinct* transformed value tuple.
     """
     indexer = indexer_for_comparison(comparison)
     if indexer is None:
@@ -494,7 +486,6 @@ def build_comparison_index(
         source_b,
         session,
         comparison_index_token(comparison, indexer),
-        fan,
     )
     return ComparisonIndex(comparison=comparison, indexer=indexer, blocks=blocks)
 
@@ -578,10 +569,9 @@ class MultiBlocker(CodeProbeBlocker):
         build's distinct-value memo — so entities sharing a transformed
         tuple (duplicate-heavy sources, constant properties) skip
         probe-key derivation *and* the union; ``memo_hits[0]`` counts
-        the skips. The memo is shared across fanned probe chunks — dict
-        reads/writes are atomic and a racing recompute is
-        deterministic, so sharing can only save work, never change a
-        result.
+        the skips. The memo is shared across the probe batches of a
+        run; a memoised result equals a recomputed one, so sharing can
+        only save work, never change a result.
         """
         size = probe.size
         if isinstance(node, ComparisonNode):
@@ -634,25 +624,14 @@ class MultiBlocker(CodeProbeBlocker):
 
     def build_index(self, source, session=None):
         """All comparison indexes of this blocker's rule over a target
-        source, keyed by comparison node id (construction fans across
-        the session executor; each index resolves through the
-        session's memo and persistent index tier)."""
+        source, keyed by comparison node id (each index resolves
+        through the session's memo and persistent index tier)."""
         session = self._session(session)
         comparisons = self._rule.comparisons()[:_MAX_COMPARISONS]
-        transforms = session.transforms
-        executor = session.executor
-        if executor.workers > 1 and len(comparisons) > 1:
-            built = executor.map(
-                lambda comparison: build_comparison_index(
-                    comparison, source, transforms, session, fan=False
-                ),
-                comparisons,
-            )
-        else:
-            built = [
-                build_comparison_index(comparison, source, transforms, session)
-                for comparison in comparisons
-            ]
+        built = [
+            build_comparison_index(comparison, source, session.transforms, session)
+            for comparison in comparisons
+        ]
         return {
             id(comparison): index
             for comparison, index in zip(comparisons, built)
@@ -710,8 +689,7 @@ class MultiBlocker(CodeProbeBlocker):
         (``index.probe_state``), then evaluates the min/max/wmean
         candidate algebra for the whole chunk in code space, memoising
         per-comparison probe results per distinct transformed value
-        tuple (mirroring the index build's distinct-value memo) and
-        fanning chunks across the session's shared-memory executor.
+        tuple (mirroring the index build's distinct-value memo).
         Returns one sorted partner-code array per entity (sorted codes
         are sorted uids — the blocker's deterministic emission order);
         :meth:`probe_uids` materialises the uid view.
@@ -723,26 +701,22 @@ class MultiBlocker(CodeProbeBlocker):
         session = self._session(session)
         root = self._rule.root
         shared_memo = memo if memo is not None else {}
-
-        def probe(chunk):
-            values = {
-                node_id: _values_of(
-                    comparison_index.comparison.source,
-                    chunk,
-                    index.probe_state,
-                    session,
-                )
-                for node_id, comparison_index in index.indexes.items()
-            }
-            hits = [0]
-            results = self._node_codes(root, values, index, shared_memo, hits)
-            session.record_probe(memo_hits=hits[0])
-            if results is None:
-                return [index.all_codes] * len(chunk)
-            return results
-
         session.record_probe(batches=1)
-        return fan_entity_chunks(session, entities, probe)
+        values = {
+            node_id: _values_of(
+                comparison_index.comparison.source,
+                entities,
+                index.probe_state,
+                session,
+            )
+            for node_id, comparison_index in index.indexes.items()
+        }
+        hits = [0]
+        results = self._node_codes(root, values, index, shared_memo, hits)
+        session.record_probe(memo_hits=hits[0])
+        if results is None:
+            return [index.all_codes] * len(entities)
+        return results
 
     def _probe_plan(self, source_a, source_b, session):
         """With no indexable comparison the streams take the (lazy)

@@ -53,8 +53,7 @@ BATCH_CAPABLE = (
 #: Measures still on the generic per-pair column path.
 FALLBACK = ("softJaccard", "mongeElkan", "relativeNumeric")
 
-#: Measures whose columns run on the string kernels and take the
-#: session's ``StringKernelMemo``.
+#: Measures whose columns run on the string kernels.
 STRING_MEASURES = (
     "levenshtein",
     "normalizedLevenshtein",
@@ -65,6 +64,10 @@ STRING_MEASURES = (
     "overlap",
     "equality",
 )
+
+#: The set-algebra measures: the string measures that take the
+#: session's ``StringKernelMemo`` (its token-set cache).
+SET_MEASURES = ("jaccard", "dice", "overlap", "equality")
 
 #: Measures lifting a pair distance through ``min_over_pairs`` — the
 #: ones whose columns run on ``pairwise_min_column``.
@@ -345,9 +348,8 @@ _FILLER_TOKENS = tuple(f"filler{i}" for i in range(5000))
 @settings(max_examples=40, deadline=None)
 def test_string_kernels_match_scalar_on_all_backends(name, columns):
     """Batch/scalar bit-parity for the string kernels over adversarial
-    inputs, with and without the session memo (the memoised call runs
-    twice, gathered then indexed, so the second call reads warm encode
-    and token tables). The
+    inputs, gathered then indexed; the set measures also run with the
+    session memo, so their second call reads a warm token table. The
     memo starts with more than 4096 interned tokens, which moves the
     set measures from packed bitsets to the sorted-key intersection
     pass; the plain call keeps the bitsets."""
@@ -358,9 +360,10 @@ def test_string_kernels_match_scalar_on_all_backends(name, columns):
     memo.token_sets([_FILLER_TOKENS])
     plain = measure.evaluate_column(*gathered)
     np.testing.assert_array_equal(plain, expected)
+    extra = {"memo": memo} if measure.memo_capable else {}
     for columns_a, columns_b in (gathered, indexed):
-        memoised = measure.evaluate_column(columns_a, columns_b, memo=memo)
-        np.testing.assert_array_equal(memoised, expected)
+        column = measure.evaluate_column(columns_a, columns_b, **extra)
+        np.testing.assert_array_equal(column, expected)
 
 
 def test_pair_kernels_accept_repeated_strings():
@@ -484,7 +487,9 @@ def test_levenshtein_pairs_wide_alphabet_stays_within_budget(monkeypatch):
 
 @pytest.mark.parametrize("name", STRING_MEASURES)
 def test_string_measures_are_memo_capable(name):
-    assert _REGISTRY.get(name).memo_capable
+    """Only the set measures take the session memo; the pair kernels
+    encode each call's strings afresh."""
+    assert _REGISTRY.get(name).memo_capable == (name in SET_MEASURES)
 
 
 def test_routing_counters_split_batch_and_fallback():
@@ -556,9 +561,6 @@ def test_plain_custom_measure_walks_the_engine_column():
 
 def test_string_memo_tables_are_bounded():
     memo = StringKernelMemo(limit=4)
-    for i in range(10):
-        memo.codes(str(i))
-    assert len(memo._codes) <= 4
     keep_alive = [tuple([f"token{i}"]) for i in range(10)]
     for values in keep_alive:
         memo.token_sets([values])

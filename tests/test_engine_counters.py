@@ -84,7 +84,7 @@ def test_line_reads_a_snapshot_and_its_job_record_alike():
     record = json.loads(json.dumps(dataclasses.asdict(stats)))
     assert counters.line("run", stats) == counters.line("run", record) == (
         "[run] probe_batches=0 probe_memo_hits=0 index_builds=0 "
-        "index_patches=0 batches=2 pairs=40 links=3 window_depth=0"
+        "index_patches=0 batches=2 pairs=40 links=3"
     )
     assert counters.line("store", STORE).startswith(
         "[store] hits=3 misses=1 writes=1 invalid=0 bytes_read=8 "

@@ -1,11 +1,13 @@
 """Tests for the parallel execution layer: executor resolution,
 order-preserving maps, thread-safe sessions, sharded matching with
-deterministic link ordering, and per-generation reuse diffing."""
+deterministic link ordering, one executor per matching run, and
+per-generation reuse diffing."""
 
 from __future__ import annotations
 
 import os
 import pickle
+import threading
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.engine.executor import (
 )
 from repro.matching.blocking import FullIndexBlocker
 from repro.matching.engine import MatchingEngine
+from repro.matching.multiblock import MultiBlocker
 
 
 def _square(x):
@@ -79,6 +82,54 @@ def _sources(n=23):
         ],
     )
     return source_a, source_b
+
+
+def _wide_sources(n=600):
+    """600 entities a side: enough index-build and probe work that a
+    blocking pool, were there one, would start threads."""
+    source_a = DataSource(
+        "A",
+        [
+            Entity(f"a{i}", {"label": f"item{i} tok{i % 40}", "code": f"c{i % 97}"})
+            for i in range(n)
+        ],
+    )
+    source_b = DataSource(
+        "B",
+        [
+            Entity(
+                f"b{i}",
+                {"label": f"item{i} tok{(i + 1) % 40}", "code": f"c{i % 89}"},
+            )
+            for i in range(n)
+        ],
+    )
+    return source_a, source_b
+
+
+def _wide_rule() -> LinkageRule:
+    """Two MultiBlock-indexed comparisons (token and equality blocks)."""
+    tokens = TransformationNode("tokenize", (PropertyNode("label"),))
+    return LinkageRule(
+        AggregationNode(
+            "max",
+            (
+                ComparisonNode("jaccard", 0.7, tokens, tokens),
+                ComparisonNode(
+                    "equality", 0.5, PropertyNode("code"), PropertyNode("code")
+                ),
+            ),
+        )
+    )
+
+
+def _pool_threads(exclude=frozenset()) -> list[threading.Thread]:
+    """Live shard-pool threads, ignoring those in ``exclude``."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-engine") and thread not in exclude
+    ]
 
 
 class TestResolution:
@@ -338,6 +389,50 @@ class TestShardedMatching:
         assert engine.executor.kind == "thread"
         assert engine.executor.workers == 2
         engine.close()
+
+
+class TestOneExecutorPerRun:
+    def _run(self, workers):
+        """Execute ``_wide_rule`` under ``REPRO_ENGINE_WORKERS=2``;
+        returns the links, the pool threads started and alive halfway
+        through the run, and those alive after the engine closed."""
+        source_a, source_b = _wide_sources()
+        rule = _wide_rule()
+        before = set(threading.enumerate())
+        with mock.patch.dict(os.environ, {WORKERS_ENV: "2"}):
+            with MatchingEngine(
+                blocker=MultiBlocker(rule), batch_size=64, workers=workers
+            ) as engine:
+                stream = engine.iter_links(rule, source_a, source_b)
+                links = [next(stream)]
+                during = _pool_threads(before)
+                links.extend(stream)
+        assert engine.last_run_stats().batches > 2 * (workers + 1)
+        return links, during, _pool_threads(before)
+
+    def test_serial_engine_starts_no_pool_under_the_env(self):
+        """``workers=0`` is the run's one executor: its per-run session
+        borrows it, so the ambient ``REPRO_ENGINE_WORKERS`` starts no
+        pool for blocking or scoring."""
+        links, during, after = self._run(workers=0)
+        assert links
+        assert during == []
+        assert after == []
+
+    def test_pool_threads_end_with_the_engine(self):
+        """``workers=2`` is the run's one pool, whatever the
+        environment says, and it ends with the engine."""
+        links, during, after = self._run(workers=2)
+        assert links == self._run(workers=0)[0]
+        assert 0 < len(during) <= 2
+        assert after == []
+
+    def test_session_owns_its_executor(self):
+        with EngineSession(executor=2) as session:
+            with pytest.raises(ValueError, match="owned by the session"):
+                MatchingEngine(session=session, workers=2)
+            engine = MatchingEngine(session=session)
+            assert engine.executor is session.executor
 
 
 class TestGenLinkWorkers:

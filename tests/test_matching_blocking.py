@@ -72,9 +72,9 @@ def _count_builds(monkeypatch) -> list[int]:
     builds: list[int] = []
     build_table = blocking._build_table
 
-    def counted(entities, keys_of, session):
+    def counted(entities, keys_of):
         builds.append(len(entities))
-        return build_table(entities, keys_of, session)
+        return build_table(entities, keys_of)
 
     monkeypatch.setattr(blocking, "_build_table", counted)
     return builds

@@ -189,48 +189,6 @@ class TestDefaultBlocker:
         assert {link.as_pair() for link in links} == {("a1", "b1"), ("a2", "b2")}
 
 
-class TestWindow:
-    def test_default_window_is_twice_the_workers(self):
-        # Explicit worker counts: the ambient REPRO_ENGINE_WORKERS (set
-        # by CI's matrix legs) must not leak into this assertion.
-        assert MatchingEngine(workers=0).window == 1  # serial floor
-        engine = MatchingEngine(workers=3)
-        try:
-            assert engine.window == 6
-        finally:
-            engine.close()
-
-    def test_explicit_window_resolves(self):
-        engine = MatchingEngine(workers=2, window=7)
-        try:
-            assert engine.window == 7
-        finally:
-            engine.close()
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            MatchingEngine(window=0)
-
-    def test_window_depth_never_changes_links(self, rule, sources):
-        source_a, source_b = sources
-        reference = None
-        for window in (1, 2, 8):
-            engine = MatchingEngine(
-                blocker=FullIndexBlocker(),
-                batch_size=2,
-                workers=2,
-                window=window,
-            )
-            try:
-                links = list(engine.iter_links(rule, source_a, source_b))
-            finally:
-                engine.close()
-            if reference is None:
-                reference = links
-            else:
-                assert links == reference
-
-
 class TestEvaluateLinks:
     def test_perfect(self):
         generated = [GeneratedLink("a1", "b1", 1.0), GeneratedLink("a2", "b2", 0.9)]
