@@ -29,6 +29,12 @@ _FORMATS = (
     "%b %d, %Y",
 )
 
+#: Each format with the literal separators its text must contain. A
+#: space filters nothing: ``strptime`` reads it as ``\s+``.
+_FORMAT_SEPARATORS = tuple(
+    (fmt, tuple(sep for sep in "-/.," if sep in fmt)) for fmt in _FORMATS
+)
+
 _YEAR_RE = re.compile(r"^\s*(\d{4})\s*$")
 # Every format needs %Y, which ``strptime`` matches as four ``\d``
 # (Unicode digits on str patterns), and so does the bare-year path.
@@ -42,7 +48,8 @@ def parse_date(value: str) -> _dt.date | None:
     Memoised per process: seeding, fitness date columns and the date
     grid index all parse the same values over and over. Text without
     four consecutive digits returns ``None`` before the ``strptime``
-    loop, whose failures each raise an exception.
+    loop, whose failures each raise an exception, and the loop skips
+    every format with a literal separator the text lacks.
     """
     text = value.strip()
     if _FOUR_DIGITS_RE.search(text) is None:
@@ -53,7 +60,9 @@ def parse_date(value: str) -> _dt.date | None:
         if 1 <= year <= 9999:
             return _dt.date(year, 1, 1)
         return None
-    for fmt in _FORMATS:
+    for fmt, separators in _FORMAT_SEPARATORS:
+        if not all(sep in text for sep in separators):
+            continue
         try:
             return _dt.datetime.strptime(text, fmt).date()
         except ValueError:

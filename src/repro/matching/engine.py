@@ -23,8 +23,9 @@ functions, so the generated links are byte-identical for every worker
 count, including their order.
 
 The default blocker is rule-structure-aware (:func:`default_blocker`):
-MultiBlock where the rule's comparisons support a dismissal-free
-index, token blocking on the compared properties otherwise, gated by
+MultiBlock, built for the engine's link threshold, where the rule's
+comparisons support a dismissal-free index, token blocking on the
+compared properties otherwise, gated by
 ``benchmarks/bench_multiblock.py`` asserting MultiBlock executions
 generate exactly the full-index links on every bundled dataset.
 """
@@ -57,8 +58,11 @@ from repro.matching.multiblock import MultiBlocker, multiblock_supports
 BLOCKER_ENV = "REPRO_ENGINE_BLOCKER"
 
 
-def default_blocker(rule: LinkageRule, spec: str = "auto") -> Blocker:
-    """The blocker an engine uses when none is configured explicitly.
+def default_blocker(
+    rule: LinkageRule, spec: str = "auto", threshold: float = MATCH_THRESHOLD
+) -> Blocker:
+    """The blocker an engine uses when none is configured explicitly,
+    for an engine that links at ``threshold``.
 
     ``auto`` picks :class:`~repro.matching.multiblock.MultiBlocker`
     when the rule's comparison structure supports a selective,
@@ -67,10 +71,11 @@ def default_blocker(rule: LinkageRule, spec: str = "auto") -> Blocker:
     reduction benchmark across the bundled datasets), falling back to
     token blocking on the compared properties
     (:class:`~repro.matching.blocking.RuleBlocker`) and, for rules
-    without property comparisons, the full index. The blocker holds no
-    session: the engine hands its run session to every blocker call,
-    so index construction shares the run's caches and persistent index
-    tier.
+    without property comparisons, the full index. A MultiBlocker
+    indexes each comparison only as far as a pair can still reach
+    ``threshold``. The blocker holds no session: the engine hands its
+    run session to every blocker call, so index construction shares the
+    run's caches and persistent index tier.
     """
     text = spec.strip().lower() or "auto"
     if text == "full":
@@ -81,7 +86,7 @@ def default_blocker(rule: LinkageRule, spec: str = "auto") -> Blocker:
             f"rule or full"
         )
     if text == "multiblock" or (text == "auto" and multiblock_supports(rule)):
-        return MultiBlocker(rule)
+        return MultiBlocker(rule, threshold)
     try:
         return RuleBlocker(rule)
     except ValueError:
@@ -215,9 +220,20 @@ class MatchingEngine:
         rerun over unchanged sources then loads every distance column
         from disk instead of rebuilding it — links are byte-identical
         either way. An explicit ``session`` owns its own executor and
-        store, and rejects ``workers`` and ``cache_dir``."""
+        store, and rejects ``workers`` and ``cache_dir``.
+
+        An explicit :class:`~repro.matching.multiblock.MultiBlocker`
+        must be built for a link threshold no higher than
+        ``threshold``: one built for a higher one could dismiss
+        links."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if isinstance(blocker, MultiBlocker) and blocker.threshold > threshold:
+            raise ValueError(
+                f"the MultiBlocker indexes for link threshold "
+                f"{blocker.threshold}, above the engine's {threshold}; "
+                f"build it with MultiBlocker(rule, threshold={threshold})"
+            )
         if session is not None and workers is not None:
             raise ValueError(
                 "the executor is owned by the session; configure "
@@ -265,7 +281,9 @@ class MatchingEngine:
     def _resolve_blocker(self, rule: LinkageRule) -> Blocker:
         if self._blocker is not None:
             return self._blocker
-        return default_blocker(rule, os.environ.get(BLOCKER_ENV, ""))
+        return default_blocker(
+            rule, os.environ.get(BLOCKER_ENV, ""), self._threshold
+        )
 
     def execute(
         self,

@@ -10,23 +10,32 @@ module implements the same idea from scratch:
   same value trees the rule evaluates, so e.g. a rule comparing
   ``lowerCase(tokenize(label))`` blocks on lowercased tokens, not on
   the raw label;
-* the block extent follows the comparison's distance threshold, so
-  numeric/date/geographic comparisons index into grid cells of width
-  θ and candidates are read from adjacent cells (pairs within θ can
-  never be more than one cell apart — no false dismissals);
-* indexes compose through the aggregation hierarchy: ``min`` requires
-  every child to match, so its candidate set is the *intersection* of
-  the children's; ``max`` and ``wmean`` score at least 0.5 only if some
-  child scores positively, so their candidate set is the *union*.
+* the block extent follows the link threshold t (Definition 3): a
+  comparison scores ``1 - d/θ >= t`` only if ``d <= L = θ(1 - t)``, so
+  each comparison is indexed only as far as a pair can still reach t.
+  Numeric/date/geographic comparisons index into grid cells of width L
+  and read candidates from adjacent cells (pairs within L are never
+  more than one cell apart); jaccard and dice file each value set
+  under a prefix of its values (prefix filtering: Chaudhuri, Ganti &
+  Kaushik, ICDE 2006); levenshtein with L < 1 blocks on exact values;
+* indexes compose through the aggregation hierarchy: ``min`` reaches t
+  only if every child does, so its candidate set is the *intersection*
+  of the children's; ``max`` and ``wmean`` (weights >= 1) reach t only
+  if some child does, so their candidate set is the *union*. Either
+  way every comparison is indexed at the rule's own t.
 
-Guarantees: grid indexers (numeric, date, geographic latitude) and the
-set indexers for ``equality``/token measures are dismissal-free with
-respect to "the comparison could score above 0". Character measures
-(levenshtein & friends) use padded q-gram indexing, which can in
-principle dismiss a pair whose edit distance is large relative to the
-string length; with the thresholds GenLink learns this does not occur
-in practice (the recall of every blocker is measurable with
-:func:`blocking_quality`).
+Guarantees: grid indexers (numeric, date, geographic latitude), the
+prefix filter and the set indexers for ``equality``/token measures are
+dismissal-free with respect to "the comparison could score at least
+t". Indexes are built for ``t - 1e-9``, so float rounding of
+``1 - d/θ`` and of a weighted mean never dismisses a pair that scores
+exactly t. At t <= 0, and for comparisons with θ <= 0, the indexers
+keep the extent of "the comparison could score above 0". Character
+measures (levenshtein & friends) otherwise use padded q-gram indexing,
+which can in principle dismiss a pair whose edit distance is large
+relative to the string length; with the thresholds GenLink learns this
+does not occur in practice (the recall of every blocker is measurable
+with :func:`blocking_quality`).
 
 Index construction is engine-integrated and runs on the block-table
 layer of :mod:`repro.matching.blocking`, as token blocking does: each
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import zlib
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -63,7 +73,7 @@ from repro.core.nodes import (
     ComparisonNode,
     SimilarityNode,
 )
-from repro.core.rule import LinkageRule
+from repro.core.rule import MATCH_THRESHOLD, LinkageRule
 from repro.data.entity import Entity
 from repro.data.source import DataSource, SourceState
 from repro.distances.dates import parse_date
@@ -151,7 +161,8 @@ class ComparisonIndexer(ABC):
 
         Part of the persistent index-tier key: two indexers with the
         same token must file identical values under identical keys
-        (grid indexers fold their extent in, q-gram indexers their q).
+        (grid indexers fold their extent in, q-gram indexers their q,
+        prefix indexers their similarity bound).
         """
         return type(self).__name__
 
@@ -175,6 +186,46 @@ class TokenIndexer(ComparisonIndexer):
         for value in values:
             keys.update(token.lower() for token in value.split())
         return keys
+
+
+def _crc32(value: str) -> int:
+    return zlib.crc32(value.encode("utf-8", "surrogatepass"))
+
+
+def _content_order(values: Iterable[str]) -> list[str]:
+    """``values`` in one fixed, content-only order: crc32 of the UTF-8
+    bytes, ties broken by the value (never ``hash()``, which varies
+    with the process's hash seed)."""
+    return sorted(sorted(values), key=_crc32)
+
+
+class PrefixIndexer(ComparisonIndexer):
+    """Prefix-filter blocks for a Jaccard lower bound ``similarity``.
+
+    A set of n distinct values files and probes under its first
+    ``n - ceil(s*n) + 1`` values in :func:`_content_order`. Two sets
+    with Jaccard >= s share at least ``ceil(s*n)`` values for either
+    side's n, and the first shared value in that order lies in both
+    prefixes, so no such pair is dismissed (prefix filtering:
+    Chaudhuri, Ganti & Kaushik, ICDE 2006).
+    """
+
+    def __init__(self, similarity: float):
+        if not (similarity > 0.0) or not math.isfinite(similarity):
+            raise ValueError(
+                f"similarity must be positive and finite, got {similarity}"
+            )
+        self._similarity = similarity
+
+    def cache_token(self) -> str:
+        return f"PrefixIndexer:s={self._similarity!r}"
+
+    def block_keys(self, values: Sequence[str]) -> set:
+        distinct = set(values)
+        keep = len(distinct) - math.ceil(self._similarity * len(distinct)) + 1
+        if keep >= len(distinct):
+            return distinct
+        return set(_content_order(distinct)[: max(keep, 0)])
 
 
 class QGramIndexer(ComparisonIndexer):
@@ -317,12 +368,35 @@ _MAX_INDEXED_EDITS = 2.0
 #: moderate thresholds safe at every length.
 _MAX_INDEXED_NORMALIZED = 0.25
 
+#: Indexes are built for the link threshold minus this guard, so float
+#: rounding of ``1 - d/θ`` and of a weighted mean never dismisses a pair
+#: that scores exactly the threshold.
+_THRESHOLD_GUARD = 1e-9
 
-def indexer_for_comparison(node: ComparisonNode) -> ComparisonIndexer | None:
+
+def _reach(theta: float, threshold: float) -> float | None:
+    """The largest distance L at which a comparison with threshold θ
+    still scores the link threshold t: ``1 - d/θ >= t`` iff
+    ``d <= θ(1 - t)``, taken at ``t - 1e-9``. None for t <= 0 or
+    θ <= 0, where the comparison is indexed for "could score above 0"."""
+    limit = threshold - _THRESHOLD_GUARD
+    if limit <= 0.0 or theta <= 0.0:
+        return None
+    return theta * (1.0 - limit)
+
+
+def indexer_for_comparison(
+    node: ComparisonNode, threshold: float = 0.0
+) -> ComparisonIndexer | None:
     """The indexer matching a comparison's measure, or None when the
     measure (at this comparison's threshold) has no dismissal-free
     index — the caller then treats the comparison as non-selective,
     which is always sound.
+
+    ``threshold`` is the link threshold t the comparison must reach;
+    an indexable comparison is indexed only as far as a pair can still
+    reach it (:func:`_reach`). Which comparisons are indexable does not
+    depend on t; the default 0 indexes for "could score above 0".
 
     Unindexed on principle: ``relativeNumeric`` (its absolute tolerance
     scales with the values' magnitude, so no fixed grid works) and
@@ -333,8 +407,16 @@ def indexer_for_comparison(node: ComparisonNode) -> ComparisonIndexer | None:
     comparisons of the rule for pruning.
     """
     metric = node.metric
+    reach = _reach(node.threshold, threshold)
     if metric == "equality":
         return EqualityIndexer()
+    if metric in ("jaccard", "dice") and reach is not None:
+        # Jaccard >= 1 - L; dice >= 1 - L means Jaccard >= (1-L)/(1+L).
+        similarity = 1.0 - reach
+        if metric == "dice":
+            similarity /= 1.0 + reach
+        if similarity > 0.0:
+            return PrefixIndexer(similarity)
     if metric in ("jaccard", "dice", "overlap"):
         # Exact-token-set measures: distance < 1 requires >= 1 shared
         # token, so token blocking never dismisses.
@@ -345,18 +427,22 @@ def indexer_for_comparison(node: ComparisonNode) -> ComparisonIndexer | None:
         # bigram overlap through the matching token.
         return QGramIndexer()
     if metric == "levenshtein" and node.threshold <= _MAX_INDEXED_EDITS:
+        # An integer edit distance <= L < 1 means identical strings.
+        if reach is not None and reach < 1.0:
+            return EqualityIndexer()
         return QGramIndexer()
     if (
         metric in ("normalizedLevenshtein", "jaro", "jaroWinkler")
         and node.threshold <= _MAX_INDEXED_NORMALIZED
     ):
         return QGramIndexer()
+    extent = node.threshold if reach is None else reach
     if metric == "numeric":
-        return GridIndexer(extent=max(node.threshold, 1e-9))
+        return GridIndexer(extent=max(extent, 1e-9))
     if metric == "date":
-        return DateGridIndexer(extent=max(node.threshold, 1.0))
+        return DateGridIndexer(extent=max(extent, 1.0))
     if metric == "geographic":
-        return LatitudeGridIndexer(threshold_metres=node.threshold)
+        return LatitudeGridIndexer(threshold_metres=extent)
     return None
 
 
@@ -459,8 +545,11 @@ def build_comparison_index(
     source_b: DataSource,
     transforms: TransformationRegistry,
     session: EngineSession | None = None,
+    threshold: float = 0.0,
 ) -> ComparisonIndex | None:
-    """Index source B under a comparison's target value tree.
+    """Index source B under a comparison's target value tree, as far as
+    a pair can still reach the link ``threshold``
+    (:func:`indexer_for_comparison`).
 
     Transformed values are gathered from the session's value column of
     ``source_b``'s state (the column the rule scoring that follows
@@ -475,7 +564,7 @@ def build_comparison_index(
     Construction is value-memoised: block keys are derived once per
     *distinct* transformed value tuple.
     """
-    indexer = indexer_for_comparison(comparison)
+    indexer = indexer_for_comparison(comparison, threshold)
     if indexer is None:
         return None
     if session is None:
@@ -538,11 +627,22 @@ class MultiBlocker(CodeProbeBlocker):
     block-table layer of :mod:`repro.matching.blocking`, under the
     session a call is handed (whose transforms define the index keys)
     or this blocker's private one.
+
+    ``threshold`` is the link threshold the candidates must be able to
+    reach: every comparison is indexed only as far as a pair can still
+    score it (the engine refuses a blocker whose threshold is above its
+    own, which could dismiss links).
     """
 
-    def __init__(self, rule: LinkageRule):
+    def __init__(self, rule: LinkageRule, threshold: float = MATCH_THRESHOLD):
         super().__init__()
         self._rule = rule
+        self._threshold = threshold
+
+    @property
+    def threshold(self) -> float:
+        """The link threshold this blocker's indexes are built for."""
+        return self._threshold
 
     # -- candidate set algebra -------------------------------------------------
     def _node_codes(
@@ -554,10 +654,11 @@ class MultiBlocker(CodeProbeBlocker):
         memo_hits: list[int],
     ) -> list[np.ndarray] | None:
         """Per probe entity of a chunk, the codes of B entities that
-        could make ``node`` score > 0, given the chunk's transformed
-        values per comparison id; None when the node is not indexable
-        (every B entity is a candidate — a property of the rule's
-        structure, so it holds for the whole chunk).
+        could make ``node`` score at least the blocker's threshold,
+        given the chunk's transformed values per comparison id; None
+        when the node is not indexable (every B entity is a candidate —
+        a property of the rule's structure, so it holds for the whole
+        chunk).
 
         The whole algebra runs in code space, one node at a time over
         the chunk: a comparison unions its probed blocks through a
@@ -609,11 +710,15 @@ class MultiBlocker(CodeProbeBlocker):
             if len(selective) < 2:
                 return selective[0] if selective else None
             return [_intersect_codes(sets, size) for sets in zip(*selective)]
-        # max / wmean: a positive overall score requires at least one
-        # positive child, so the union is dismissal-free.
+        # max / wmean: reaching t requires at least one child that
+        # reaches t (a weighted mean never exceeds its largest child),
+        # so the union is dismissal-free.
         if any(rows is None for rows in children):
             return None
-        return [_union_codes(list(sets), size) for sets in zip(*children)]
+        return [
+            _union_codes([codes for codes in sets if len(codes)], size)
+            for sets in zip(*children)
+        ]
 
     def signature(self) -> str | None:
         """None: MultiBlock persistence is finer-grained — each
@@ -629,7 +734,9 @@ class MultiBlocker(CodeProbeBlocker):
         session = self._session(session)
         comparisons = self._rule.comparisons()[:_MAX_COMPARISONS]
         built = [
-            build_comparison_index(comparison, source, session.transforms, session)
+            build_comparison_index(
+                comparison, source, session.transforms, session, self._threshold
+            )
             for comparison in comparisons
         ]
         return {
@@ -866,7 +973,7 @@ class MultiBlocker(CodeProbeBlocker):
             rule_to_json(self._rule, indent=None).encode("utf-8")
         ).hexdigest()[:24]
         return (
-            f"multiblock:v1:rule={rule_token}:"
+            f"multiblock:v2:rule={rule_token}:t={self._threshold!r}:"
             f"max={_MAX_COMPARISONS}|probe-results-v1"
         )
 

@@ -1,6 +1,7 @@
 """Tests for the date distance."""
 
 import datetime
+import re
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from _seed_compatible import seed_parse_date  # noqa: E402
 
+from repro.datasets import DATASET_NAMES, load_dataset  # noqa: E402
 from repro.distances.base import INFINITE_DISTANCE  # noqa: E402
 from repro.distances.dates import DateDistance, parse_date  # noqa: E402
 
@@ -96,6 +98,47 @@ class TestFrozenParity:
         expected = seed_parse_date(text)
         assert parse_date(text) == expected
         assert parse_date(text) == expected  # memo hit
+
+
+class TestSeparatorFilter:
+    """``parse_date`` skips each format with a literal separator
+    (``-``, ``/``, ``.``, ``,``) its text lacks. The filtered loop must
+    agree with the unfiltered one of the frozen parser everywhere."""
+
+    def test_every_bundled_dataset_value(self):
+        values: set[str] = set()
+        for name in DATASET_NAMES:
+            dataset = load_dataset(name, seed=0, scale=0.05)
+            for source in (dataset.source_a, dataset.source_b):
+                for entity in source.entities():
+                    for property_values in entity.properties.values():
+                        values.update(property_values)
+        # Text without four digits never reaches the format loop (see
+        # TestFrozenParity), so only the rest can tell the loops apart.
+        unmemoised = parse_date.__wrapped__
+        assert [
+            value
+            for value in sorted(values)
+            if re.search(r"\d{4}", value)
+            and unmemoised(value) != seed_parse_date(value)
+        ] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        date=st.dates(min_value=datetime.date(1000, 1, 1)),
+        fmt=st.sampled_from(_FORMATS),
+        replacements=st.lists(
+            st.sampled_from(["-", "/", ".", ",", " ", "\t", ""]),
+            min_size=5,
+            max_size=5,
+        ),
+    )
+    def test_dates_with_swapped_or_missing_separators(self, date, fmt, replacements):
+        # A tab keeps a format's space: strptime reads it as \s+.
+        text = date.strftime(fmt).translate(str.maketrans(
+            {sep: new for sep, new in zip("-/., ", replacements)}
+        ))
+        assert parse_date.__wrapped__(text) == seed_parse_date(text)
 
 
 class TestDateDistance:

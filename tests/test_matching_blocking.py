@@ -380,15 +380,17 @@ class TestTokenIndex:
         assert TokenBlocker(["name"], max_block_size=9).signature() != base
         assert TokenBlocker(["label"]).signature() != base
 
-    def test_executor_fanout_builds_identical_index(self):
+    def test_pooled_session_index_equals_sessionless_build(self):
+        """An index resolved under a session with a thread pool equals
+        the build of a blocker called without a session."""
         source = DataSource(
             "B",
             [Entity(f"b{i}", {"label": f"tok{i % 50} fill{i}"}) for i in range(600)],
         )
-        inline = TokenBlocker(["label"]).build_index(source)
+        sessionless = TokenBlocker(["label"]).build_index(source)
         with EngineSession(executor=4) as session:
-            fanned = TokenBlocker(["label"]).build_index(source, session=session)
-        assert fanned == inline
+            pooled = TokenBlocker(["label"]).build_index(source, session=session)
+        assert pooled == sessionless
 
 
 class TestIterShards:
