@@ -175,16 +175,27 @@ class EqualityIndexer(ComparisonIndexer):
 
 
 class TokenIndexer(ComparisonIndexer):
-    """One block per lowercased whitespace token.
+    """One block per lowercased whitespace token; a value with no token
+    (empty or all whitespace) is filed under the value itself, which
+    never collides with a token.
 
-    Dismissal-free for token-set measures (jaccard, dice, overlap,
-    mongeElkan): any pair with distance < 1 shares at least one token.
+    Dismissal-free for the set measures (jaccard, dice, overlap) with
+    θ <= 1: a pair with distance < 1 shares a value, and a shared value
+    shares its tokens, or its own key when it has none.
     """
+
+    def cache_token(self) -> str:
+        # v2 files tokenless values; a v1 index never filed them.
+        return "TokenIndexer:v2"
 
     def block_keys(self, values: Sequence[str]) -> set:
         keys: set[str] = set()
         for value in values:
-            keys.update(token.lower() for token in value.split())
+            tokens = value.split()
+            if tokens:
+                keys.update(token.lower() for token in tokens)
+            else:
+                keys.add(value)
         return keys
 
 
@@ -399,17 +410,21 @@ def indexer_for_comparison(
     depend on t; the default 0 indexes for "could score above 0".
 
     Unindexed on principle: ``relativeNumeric`` (its absolute tolerance
-    scales with the values' magnitude, so no fixed grid works) and
+    scales with the values' magnitude, so no fixed grid works),
     ``mongeElkan`` (tokens may match approximately, so exact-token
-    blocks lose recall). Character measures are indexed only up to the
-    thresholds where q-gram co-occurrence is (near-)guaranteed;
-    learned rules with looser thresholds fall back to the other
-    comparisons of the rule for pruning.
+    blocks lose recall), and jaccard, dice and overlap with θ > 1
+    (disjoint value sets, at distance 1, still score ``1 - 1/θ > 0``,
+    and reach t = 0.5 from θ 2). Character measures are indexed only
+    up to the thresholds where q-gram co-occurrence is
+    (near-)guaranteed; learned rules with looser thresholds fall back
+    to the other comparisons of the rule for pruning.
     """
     metric = node.metric
     reach = _reach(node.threshold, threshold)
     if metric == "equality":
         return EqualityIndexer()
+    if metric in ("jaccard", "dice", "overlap") and node.threshold > 1.0:
+        return None
     if metric in ("jaccard", "dice") and reach is not None:
         # Jaccard >= 1 - L; dice >= 1 - L means Jaccard >= (1-L)/(1+L).
         similarity = 1.0 - reach
@@ -418,8 +433,8 @@ def indexer_for_comparison(
         if similarity > 0.0:
             return PrefixIndexer(similarity)
     if metric in ("jaccard", "dice", "overlap"):
-        # Exact-token-set measures: distance < 1 requires >= 1 shared
-        # token, so token blocking never dismisses.
+        # At θ <= 1 a pair scores above 0 only at distance < 1, which
+        # needs a shared value, so token blocking never dismisses.
         return TokenIndexer()
     if metric in ("qgrams", "softJaccard"):
         # qgrams: distance < 1 literally means shared grams. The
@@ -972,9 +987,22 @@ class MultiBlocker(CodeProbeBlocker):
         rule_token = hashlib.sha256(
             rule_to_json(self._rule, indent=None).encode("utf-8")
         ).hexdigest()[:24]
+        # Probe results follow from each comparison's block keys, so
+        # the ledger names its indexers' derivations: a ledger written
+        # under another one reads as a miss.
+        indexers = [
+            indexer_for_comparison(comparison, self._threshold)
+            for comparison in self._rule.comparisons()[:_MAX_COMPARISONS]
+        ]
+        keys_token = hashlib.sha256(
+            "|".join(
+                "-" if indexer is None else indexer.cache_token()
+                for indexer in indexers
+            ).encode("utf-8")
+        ).hexdigest()[:24]
         return (
-            f"multiblock:v2:rule={rule_token}:t={self._threshold!r}:"
-            f"max={_MAX_COMPARISONS}|probe-results-v1"
+            f"multiblock:v3:rule={rule_token}:t={self._threshold!r}:"
+            f"keys={keys_token}:max={_MAX_COMPARISONS}|probe-results-v1"
         )
 
 

@@ -62,14 +62,26 @@ from repro.service.queue import ClaimTicket, FileQueue
 #: considered lost and the job is requeued.
 DEFAULT_LEASE = 30.0
 
+#: Datasets a :class:`JobRunner` keeps resident: service traffic names
+#: few at once (the benchmark's service mix cycles three), and the
+#: largest take tens of megabytes and up to a second to generate
+#: (docs/service.md).
+_RESIDENT_DATASETS = 4
+
 
 class JobRunner:
     """Executes job records through one persistent matching engine.
 
     The engine and its :class:`~repro.engine.session.EngineSession`
-    are created once and reused across every job the runner sees —
-    transformed values, blocking indexes and probe results computed
-    for one job warm the next, on top of the shared persistent store.
+    are created once and reused across every job the runner sees, and
+    so are the job sources: the runner keeps the last
+    ``_RESIDENT_DATASETS`` datasets its jobs named, and every link or
+    learn job over one gets the same
+    :class:`~repro.data.source.DataSource` objects, with their cached
+    fingerprints and source states. Transformed values, blocking
+    indexes and probe results computed for one job warm the next, on
+    top of the shared persistent store. Delta jobs mutate private
+    copies and never touch the resident sources.
     """
 
     def __init__(
@@ -79,6 +91,11 @@ class JobRunner:
         self.rules_dir = rules_dir
         self._session = EngineSession(store=cache_dir)
         self._engine = MatchingEngine(session=self._session)
+        #: (dataset, seed, scale) -> LinkageDataset, least recently
+        #: used first. Locked: an inline service runs jobs on its
+        #: callers' threads.
+        self._resident: dict[tuple, object] = {}
+        self._resident_lock = threading.Lock()
 
     @property
     def engine(self) -> MatchingEngine:
@@ -86,7 +103,10 @@ class JobRunner:
         return self._engine
 
     def close(self) -> None:
-        """Release the engine's executor and session."""
+        """Release the resident datasets, the engine's executor and
+        the session."""
+        with self._resident_lock:
+            self._resident.clear()
         self._engine.close()
         self._session.close()
 
@@ -120,13 +140,24 @@ class JobRunner:
 
     # -- kinds -------------------------------------------------------------
     def _sources(self, spec: dict):
+        """The resident dataset a job spec names, generated on first
+        use; past the bound the least recently used one leaves, and
+        the value columns of its source states go with it."""
         from repro.datasets import load_dataset
 
-        return load_dataset(
+        key = (
             spec["dataset"],
-            seed=int(spec.get("seed", 0)),
-            scale=float(spec.get("scale", 1.0)),
+            int(spec.get("seed", 0)),
+            float(spec.get("scale", 1.0)),
         )
+        with self._resident_lock:
+            dataset = self._resident.pop(key, None)
+            if dataset is None:
+                dataset = load_dataset(key[0], seed=key[1], scale=key[2])
+            self._resident[key] = dataset
+            while len(self._resident) > _RESIDENT_DATASETS:
+                del self._resident[next(iter(self._resident))]
+        return dataset
 
     def _registry(self) -> RuleRegistry:
         """The registry this runner resolves references from.
@@ -268,7 +299,7 @@ class JobRunner:
         import random
 
         from repro.core.serialization import rule_from_dict, rule_to_dict
-        from repro.matching.incremental import random_source_delta
+        from repro.matching.incremental import random_source_delta, rebuilt
 
         spec = record.spec
         parent = store.get(spec["parent"])
@@ -278,8 +309,11 @@ class JobRunner:
                 f"jobs build on a succeeded run"
             )
         previous = store.load_links(parent.job_id)
-        # Re-materialise the parent's sources (datasets are generated
-        # deterministically from name/seed/scale) and replay its rule.
+        # The parent's sources (datasets are generated deterministically
+        # from name/seed/scale, and kept resident) and its rule. The
+        # delta mutates its sources in place, so it gets private ones
+        # over the same immutable entities: the same content
+        # fingerprint, and a dedup dataset stays one source.
         dataset = self._sources(parent.spec)
         rule = (
             rule_from_dict(parent.result["rule"])
@@ -289,8 +323,9 @@ class JobRunner:
         rng = random.Random(int(spec.get("seed", 0)))
         upserts = int(spec.get("upserts", 0))
         deletes = int(spec.get("deletes", 0))
-        source_a, source_b = dataset.source_a, dataset.source_b
-        dedup = source_a is source_b
+        dedup = dataset.is_deduplication
+        source_a = rebuilt(dataset.source_a)
+        source_b = source_a if dedup else rebuilt(dataset.source_b)
         deltas_a = [random_source_delta(source_a, rng, upserts=upserts, deletes=deletes)]
         deltas_b = (
             deltas_a

@@ -173,10 +173,10 @@ class TestThresholdIndexers:
         assert isinstance(dice, PrefixIndexer)
         # dice's Jaccard equivalent of 1 - L is (1 - L) / (1 + L) < 1 - L.
         assert jaccard.cache_token() != dice.cache_token()
-        # Where no value set can be filtered (s <= 0) token blocks stay.
-        assert isinstance(
-            indexer_for_comparison(compare(metric="jaccard", threshold=4.0), 0.5),
-            TokenIndexer,
+        # Above θ 1 disjoint sets score above 0: no index at all.
+        assert (
+            indexer_for_comparison(compare(metric="jaccard", threshold=4.0), 0.5)
+            is None
         )
         assert isinstance(
             indexer_for_comparison(compare(metric="overlap", threshold=0.6), 0.5),
@@ -619,6 +619,48 @@ class TestThresholdAwareExecution:
             MultiBlocker(rule, threshold=0.3)._ledger_token()
             != MultiBlocker(rule, threshold=0.5)._ledger_token()
         )
+
+    def test_probe_ledger_names_the_block_key_derivation(self, monkeypatch):
+        """Probe results follow from the indexers' block keys, so a
+        ledger written under another derivation is never served."""
+        rule = LinkageRule(compare(metric="overlap", threshold=0.6))
+        token = MultiBlocker(rule)._ledger_token()
+        monkeypatch.setattr(TokenIndexer, "cache_token", lambda self: "TokenIndexer:v1")
+        assert MultiBlocker(rule)._ledger_token() != token
+
+    @pytest.mark.parametrize("metric", ["jaccard", "dice", "overlap"])
+    def test_set_measures_above_theta_one_link_disjoint_sets(self, metric):
+        """θ 4: disjoint value sets score 1 - 1/4 = 0.75, so every pair
+        links, and no block can hold them; MultiBlock does not claim
+        the rule and an explicit MultiBlocker scores the full product."""
+        rule = LinkageRule(compare(metric=metric, threshold=4.0))
+        source_a = DataSource("a", [Entity("a1", {"label": ("x",)}),
+                                    Entity("a2", {"label": ("y",)})])
+        source_b = DataSource("b", [Entity("b1", {"label": ("z",)}),
+                                    Entity("b2", {"label": ("w",)})])
+        assert not multiblock_supports(rule)
+        with MatchingEngine(blocker=FullIndexBlocker()) as engine:
+            expected = engine.execute(rule, source_a, source_b)
+        with MatchingEngine(blocker=MultiBlocker(rule)) as engine:
+            links = engine.execute(rule, source_a, source_b)
+        assert len(expected) == 4
+        assert links == expected
+
+    def test_values_without_a_token_share_a_block(self):
+        """An all-whitespace value splits into no token; it is filed
+        under itself, so two entities sharing it stay candidates."""
+        assert TokenIndexer().block_keys((" ", "", "A b")) == {" ", "", "a", "b"}
+        rule = LinkageRule(compare(metric="overlap", threshold=1.0))
+        source_a = DataSource("a", [Entity("a1", {"label": (" ", "x")}),
+                                    Entity("a2", {"label": ("q",)})])
+        source_b = DataSource("b", [Entity("b1", {"label": (" ", "y")}),
+                                    Entity("b2", {"label": ("r",)})])
+        with MatchingEngine(blocker=FullIndexBlocker()) as engine:
+            expected = engine.execute(rule, source_a, source_b)
+        with MatchingEngine(blocker=MultiBlocker(rule)) as engine:
+            links = engine.execute(rule, source_a, source_b)
+        assert [(l.uid_a, l.uid_b, l.score) for l in expected] == [("a1", "b1", 0.5)]
+        assert links == expected
 
     def test_lowercased_levenshtein_candidates_are_its_links(self):
         """A lowercased-levenshtein θ 1 rule links only identical

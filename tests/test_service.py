@@ -17,7 +17,12 @@ The contracts under test, in the order an operator cares about them:
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import sys
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.matching.incremental import dataset_rule
 from repro.service import (
     FileQueue,
     InvalidTransition,
+    JobRunner,
     JobStore,
     LinkageService,
     StaleJob,
@@ -34,6 +40,7 @@ from repro.service import (
     resolve_queue,
     run_worker,
 )
+from repro.service.worker import _RESIDENT_DATASETS
 
 DATASET = "restaurant"
 SCALE = 0.3
@@ -216,6 +223,149 @@ def test_delta_job_builds_on_parent(tmp_path):
         assert counts >= delta.result["links"] > 0
         # Incremental work happened: some links carried over unscored.
         assert delta.result["kept_links"] > 0
+
+
+# -- resident job sources ----------------------------------------------------
+
+
+def _run_job(runner, store, kind, **spec):
+    """Run one job through ``runner`` and record its success, as a
+    worker does; returns the job id and its links."""
+    record = store.create(kind, spec)
+    links, stats, result = runner.run(record, store)
+    store.save_links(record.job_id, links)
+    store.transition(record.job_id, "running", expect="queued")
+    store.transition(
+        record.job_id, "succeeded", expect="running", stats=stats, result=result
+    )
+    return record.job_id, links
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the arguments of every call of ``owner.name``: the
+    positional ones, then the keyword values."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_link_jobs_on_one_spec_share_the_resident_sources(tmp_path, monkeypatch):
+    import repro.datasets
+
+    loads = _spy(monkeypatch, repro.datasets, "load_dataset")
+    store = JobStore(tmp_path)
+    with contextlib.closing(JobRunner()) as runner:
+        executes = _spy(monkeypatch, runner.engine, "execute")
+        for _ in range(2):
+            _run_job(runner, store, "link", dataset=DATASET, seed=0, scale=SCALE)
+    assert len(loads) == 1
+    (_, source_a, source_b, _), (_, again_a, again_b, _) = executes
+    assert again_a is source_a and again_b is source_b
+
+
+def test_delta_jobs_leave_the_resident_sources_untouched(tmp_path, monkeypatch):
+    store = JobStore(tmp_path)
+    with contextlib.closing(JobRunner()) as runner:
+        executes = _spy(monkeypatch, runner.engine, "execute")
+        parent, _ = _run_job(
+            runner, store, "link", dataset=DATASET, seed=0, scale=SCALE
+        )
+        source = executes[0][1]
+        fingerprint, size = source.fingerprint(), len(source)
+        _run_job(runner, store, "delta", parent=parent, seed=1, upserts=4, deletes=3)
+        _, links = _run_job(
+            runner, store, "link", dataset=DATASET, seed=0, scale=SCALE
+        )
+    assert executes[-1][1] is source
+    assert source.fingerprint() == fingerprint and len(source) == size
+    assert source.delta_chain() == ()
+    assert links == direct_links()
+
+
+def test_a_dedup_delta_mutates_one_private_source(tmp_path, monkeypatch):
+    store = JobStore(tmp_path)
+    with contextlib.closing(JobRunner()) as runner:
+        executes = _spy(monkeypatch, runner.engine, "execute")
+        diffs = _spy(monkeypatch, runner.engine, "link_diff")
+        parent, _ = _run_job(runner, store, "link", dataset="cora", seed=0, scale=0.1)
+        _run_job(runner, store, "delta", parent=parent, seed=1, upserts=4, deletes=3)
+    resident = executes[0][1]
+    _, source_a, source_b = diffs[0][:3]
+    assert source_b is source_a
+    assert source_a is not resident and source_a.delta_chain()
+
+
+def test_least_recently_used_dataset_leaves_past_the_bound(tmp_path, monkeypatch):
+    import repro.datasets
+
+    loads = _spy(monkeypatch, repro.datasets, "load_dataset")
+    bound = _RESIDENT_DATASETS
+    store = JobStore(tmp_path)
+    with contextlib.closing(JobRunner()) as runner:
+        # Seed 0 is used again before the spec past the bound arrives,
+        # so seed 1 is the least recently used and the one that leaves.
+        for seed in [*range(bound), 0, bound, 0, 1]:
+            _run_job(runner, store, "link", dataset=DATASET, seed=seed, scale=0.1)
+    assert [seed for _, seed, _ in loads] == [*range(bound), bound, 1]
+
+
+def test_concurrent_jobs_load_each_spec_once(monkeypatch):
+    """An inline service runs jobs on its callers' threads: racing
+    requests for one spec load it once and share its sources."""
+    import repro.datasets
+
+    loads = []
+    load = repro.datasets.load_dataset
+
+    def slow_load(name, seed, scale):
+        loads.append(seed)
+        time.sleep(0.01)  # a window for racing requests of the seed
+        return load(name, seed=seed, scale=scale)
+
+    monkeypatch.setattr(repro.datasets, "load_dataset", slow_load)
+    specs = [{"dataset": DATASET, "seed": seed, "scale": 0.05} for seed in range(3)]
+    seen: list[tuple[int, object]] = []
+    runner = JobRunner()
+
+    def request(offset):
+        for index in range(12):
+            seed = (index + offset) % len(specs)
+            seen.append((seed, runner._sources(specs[seed]).source_a))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        runner.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 6 * 12
+    assert sorted(loads) == [0, 1, 2]
+    for seed in range(3):
+        assert len({id(source) for s, source in seen if s == seed}) == 1
+
+
+def test_close_drops_the_resident_datasets(tmp_path, monkeypatch):
+    store = JobStore(tmp_path)
+    runner = JobRunner()
+    executes = _spy(monkeypatch, runner.engine, "execute")
+    _run_job(runner, store, "link", dataset=DATASET, seed=0, scale=SCALE)
+    source = weakref.ref(executes.pop()[1])
+    assert source() is not None
+    runner.close()
+    gc.collect()
+    assert source() is None
 
 
 # -- crash recovery ----------------------------------------------------------
